@@ -189,12 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "transfer, and eigenvalue-gap certificates on weighted graphs.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-9,
-        help="numeric assertion tolerance (never affects algebraic decisions)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="pair report: cospectrality, partition, gap")

@@ -478,11 +478,8 @@ def bridge_gap_check(G: Graph, i: int, j: int) -> BridgeGapReport:
     if not is_cospectral(G, i, j):
         raise GapError("vertices are not cospectral")
     is_p2 = G.n == 2 and len(G.edges) == 1
-    if is_p2:
-        gap = min_support_gap(G, i)
-        return BridgeGapReport((i, j), gap, True, gap <= 1 + 1e-9)
     gap = min_support_gap(G, i)
     ok = gap <= 1 + 1e-9
-    if not ok:
+    if not ok and not is_p2:
         raise GapError(f"bridge pair with support gap {gap} > 1")
-    return BridgeGapReport((i, j), gap, False, ok)
+    return BridgeGapReport((i, j), gap, is_p2, ok)

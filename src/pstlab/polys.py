@@ -1,18 +1,20 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals, on an integer kernel.
 
 Characteristic polynomials, gcd and square-free machinery, exact square
-roots, path-sum polynomials, and Sturm-sequence real-root isolation.  All
-coefficients are Fractions; floating point appears only in refined root
-midpoints.
+roots, path-sum polynomials, and Sturm-sequence real-root isolation.
+Integral coefficients are stored as ``int`` and only the others as
+``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
+forests get their characteristic polynomial from the rooted-subtree
+recursion, and root isolation bisects integer numerators over a common
+denominator.  Floating point appears only in refined root midpoints.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-from typing import Iterable
+from math import gcd, isqrt, lcm
+from typing import Iterable, Optional
 
 from .graphs import Graph, delete_vertices
 
@@ -28,13 +30,39 @@ class NotASquareError(PolyError):
     pass
 
 
+def _rational(c):
+    """c as an exact rational: an int when integral, else a Fraction."""
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact quotient a / b of two rationals; never a float for int inputs."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _mul(a, b) -> list:
+    """Product of two nonempty coefficient sequences, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for k, x in enumerate(a):
+        if x:
+            for m, y in enumerate(b):
+                out[k + m] += x * y
+    return out
+
+
 class Poly:
-    """Dense univariate polynomial, Fraction coefficients, low degree first."""
+    """Dense univariate polynomial with rational coefficients, low degree
+    first.  Integral coefficients are ints, the others Fractions."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -59,7 +87,7 @@ class Poly:
     @staticmethod
     def linear(r) -> "Poly":
         """t - r"""
-        return Poly((-Fraction(r), Fraction(1)))
+        return Poly((-Fraction(r), 1))
 
     # -- basics ------------------------------------------------------------
     @property
@@ -70,9 +98,9 @@ class Poly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
@@ -107,18 +135,13 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for k, a in enumerate(self.coeffs):
-                if a:
-                    for m, b in enumerate(other.coeffs):
-                        out[k + m] += a * b
-            return Poly(out)
+            return Poly(_mul(self.coeffs, other.coeffs))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _rational(c)
         return Poly(tuple(a * c for a in self.coeffs))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -128,10 +151,10 @@ class Poly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = other.leading
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
+            c = _div(rem[k + other.degree], lead)
             quot[k] = c
             if c:
                 for m, b in enumerate(other.coeffs):
@@ -154,9 +177,9 @@ class Poly:
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.is_zero() or self.leading == 1:
             return self
-        return self.scale(1 / self.leading)
+        return self.scale(Fraction(1, self.leading))
 
     def __call__(self, x):
         acc = 0 * x if not isinstance(x, Fraction) else Fraction(0)
@@ -164,9 +187,9 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def sign_at(self, x: Fraction) -> int:
-        v = self(x)
-        return (v > 0) - (v < 0)
+    def sign_at(self, x) -> int:
+        """Sign at the rational x, evaluated on integers."""
+        return _int_sign_at(_int_vector(self), x.numerator, x.denominator)
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> list[str]:
@@ -177,14 +200,62 @@ class Poly:
         return Poly(Fraction(s) for s in data)
 
 
+def _primitive(cs) -> tuple[int, ...]:
+    """Integer vector divided by its (positive) content."""
+    content = gcd(*cs)
+    if content <= 1:
+        return tuple(cs)
+    return tuple(c // content for c in cs)
+
+
+def _int_vector(p: Poly):
+    """Integer coefficients of p times a positive integer."""
+    cs = p.coeffs
+    scale = 1
+    for c in cs:
+        if type(c) is not int:
+            scale = lcm(scale, c.denominator)
+    if scale == 1:
+        return cs
+    return [int(c * scale) for c in cs]
+
+
+def _int_primitive(p: Poly) -> tuple[int, ...]:
+    """Integer coefficient vector with the same sign behavior as p (scaled
+    by a positive rational, content removed)."""
+    return _primitive(_int_vector(p))
+
+
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Remainder of a modulo b, times a positive integer, over the integers
+    (pseudo-division by |lc(b)|); trailing zeros are trimmed."""
+    if b[-1] < 0:
+        b = tuple(-c for c in b)
+    lead, db = b[-1], len(b) - 1
+    rem = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        if lead != 1:
+            rem = [lead * x for x in rem]
+        if c:
+            for m in range(db):
+                rem[k + m] -= c * b[m]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(p, 0) = monic p."""
+    """Monic gcd by a primitive remainder sequence over the integers;
+    gcd(p, 0) = monic p."""
     if p.is_zero() and q.is_zero():
         raise PolyError("gcd of two zero polynomials")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    a, b = _int_primitive(p), _int_primitive(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return Poly(a).monic()
 
 
 def square_free_part(p: Poly) -> Poly:
@@ -241,18 +312,18 @@ def poly_sqrt(p: Poly) -> Poly:
     if p.degree % 2:
         raise NotASquareError("odd degree")
     m = p.degree // 2
-    lead = _fraction_sqrt(p.leading)
-    q = [Fraction(0)] * (m + 1)
+    lead = _rational(_fraction_sqrt(p.leading))
+    q = [0] * (m + 1)
     q[m] = lead
     # solve p_{m+k} = sum_{i+j=m+k} q_i q_j for q_k, k = m-1 .. 0
     for k in range(m - 1, -1, -1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(k + 1, m + 1):
             j = m + k - i
             if k < j <= m:
                 acc += q[i] * q[j]
-        target = p.coeffs[m + k] if m + k <= p.degree else Fraction(0)
-        q[k] = (target - acc) / (2 * lead)
+        target = p.coeffs[m + k] if m + k <= p.degree else 0
+        q[k] = _div(target - acc, 2 * lead)
     root = Poly(q)
     if root * root != p:
         raise NotASquareError("polynomial is not a perfect square")
@@ -290,19 +361,84 @@ def _berkowitz(rows: list[list]) -> list:
     return coeffs
 
 
+def berkowitz_charpoly(G: Graph) -> Poly:
+    """det(tI - A(G)) for any graph, by the division-free Berkowitz
+    recurrence; the general path of ``charpoly`` and its test oracle."""
+    rows = G.adjacency_rows()
+    if G.is_integer_weighted():
+        rows = [[int(w) for w in row] for row in rows]
+    return Poly(tuple(reversed(_berkowitz(rows))))
+
+
+def _forest_charpoly(G: Graph) -> Optional[Poly]:
+    """det(tI - A(G)) of a loopless integer-weighted forest by the
+    rooted-subtree recursion (the forest's matchings polynomial); None for
+    any other graph.
+
+    With phi_v = phi(T_v) and psi_v = phi(T_v - v) = prod over children c of
+    phi_c:  phi_v = t psi_v - sum_c w_vc^2 psi_c prod_{c' != c} phi_c'.
+    """
+    n = G.n
+    if len(G.edges) >= n or not G.is_integer_weighted() or G.has_loops():
+        return None
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in G.edges:
+        w2 = w.numerator * w.numerator
+        adj[u].append((v, w2))
+        adj[v].append((u, w2))
+    parent = [-1] * n
+    seen = [False] * n
+    order, roots = [], []
+    for root in range(n):
+        if seen[root]:
+            continue
+        roots.append(root)
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u, _ in adj[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    stack.append(u)
+    if len(G.edges) != n - len(roots):
+        return None  # a cycle
+    phi: list = [None] * n
+    psi: list = [None] * n
+    for v in reversed(order):
+        prod, tail = [1], [0]
+        for c, w2 in adj[v]:
+            if c == parent[v]:
+                continue
+            # tail = sum over the children c so far of w^2 psi_c prod phi_c'
+            tail = _mul(tail, phi[c])
+            extra = _mul(psi[c], prod)
+            for k, x in enumerate(extra):
+                tail[k] += w2 * x
+            prod = _mul(prod, phi[c])
+        shifted = [0] + prod
+        for k, x in enumerate(tail):
+            shifted[k] -= x
+        phi[v], psi[v] = shifted, prod
+    total = [1]
+    for root in roots:
+        total = _mul(total, phi[root])
+    return Poly(total)
+
+
 @lru_cache(maxsize=200_000)
 def charpoly(G: Graph) -> Poly:
     """Monic characteristic polynomial det(tI - A(G)), exactly.
 
-    The empty graph gets the constant 1.
+    Loopless integer-weighted forests take the subtree recursion, every
+    other graph Berkowitz.  The empty graph gets the constant 1.
     """
     if G.n == 0:
         return Poly.one()
-    rows = G.adjacency_rows()
-    if G.is_integer_weighted():
-        rows = [[int(w) for w in row] for row in rows]
-    high_first = _berkowitz(rows)
-    return Poly(tuple(reversed(high_first)))
+    forest = _forest_charpoly(G)
+    return forest if forest is not None else berkowitz_charpoly(G)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +500,8 @@ class RatFunc:
             return RatFunc(Poly.zero(), Poly.one())
         g = poly_gcd(num, den)
         num, den = num.exact_div(g), den.exact_div(g)
-        lead = den.leading
-        return RatFunc(num.scale(1 / lead), den.scale(1 / lead))
+        scale = Fraction(1, den.leading)
+        return RatFunc(num.scale(scale), den.scale(scale))
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(
@@ -373,7 +509,7 @@ class RatFunc:
         )
 
     def __call__(self, x):
-        return self.num(x) / self.den(x)
+        return _div(self.num(x), self.den(x))
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
@@ -397,10 +533,11 @@ class RootBox:
 
     @property
     def midpoint(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
-    def contains_value(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
+        lo, hi = self.lo, self.hi
+        # one correctly rounded int division, as float(Fraction) does
+        return (lo.numerator * hi.denominator + hi.numerator * lo.denominator) / (
+            2 * lo.denominator * hi.denominator
+        )
 
     def to_json(self) -> dict:
         return {
@@ -409,21 +546,6 @@ class RootBox:
             "multiplicity": self.multiplicity,
             "midpoint": self.midpoint,
         }
-
-
-def _int_primitive(p: Poly) -> tuple[int, ...]:
-    """Integer coefficient vector with the same sign behavior as p (scaled
-    by a positive rational, content removed)."""
-    if p.is_zero():
-        return ()
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    return tuple(c // content for c in ints)
 
 
 def _int_sign_at(ic: tuple[int, ...], xn: int, xd: int) -> int:
@@ -436,41 +558,53 @@ def _int_sign_at(ic: tuple[int, ...], xn: int, xd: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain_int(f: Poly) -> list[tuple[int, ...]]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return [_int_primitive(q) for q in chain]
+def _sturm_chain_int(fi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Sturm sequence of fi, each member scaled by a positive rational."""
+    chain = [fi, _primitive([k * c for k, c in enumerate(fi) if k])]
+    while len(chain[-1]) > 1:
+        rem = _prem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
-def _variations(chain: list[tuple[int, ...]], x: Fraction) -> int:
-    xn, xd = x.numerator, x.denominator
+def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> int:
     signs = [_int_sign_at(ic, xn, xd) for ic in chain]
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def _root_bound(f: Poly) -> Fraction:
-    lead = abs(f.leading)
-    m = max((abs(c) for c in f.coeffs[:-1]), default=Fraction(0))
-    return 1 + m / lead
+def _root_bound(fi: tuple[int, ...]) -> Fraction:
+    lead = abs(fi[-1])
+    m = max((abs(c) for c in fi[:-1]), default=0)
+    return 1 + Fraction(m, lead)
 
 
-def _refine(fi: tuple[int, ...], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-change interval of square-free f down to BOX_WIDTH."""
-    slo = _int_sign_at(fi, lo.numerator, lo.denominator)
-    while hi - lo >= BOX_WIDTH:
-        mid = (lo + hi) / 2
-        sm = _int_sign_at(fi, mid.numerator, mid.denominator)
+def _bisect(a: int, b: int, d: int) -> tuple[int, int, int, int]:
+    """Midpoint of [a/d, b/d]: (a', b', m, d') with the interval [a'/d',
+    b'/d'] unchanged and the midpoint m/d'."""
+    s = a + b
+    if s & 1:
+        return 2 * a, 2 * b, s, 2 * d
+    return a, b, s >> 1, d
+
+
+def _refine(fi: tuple[int, ...], lo: int, hi: int, d: int) -> tuple[Fraction, Fraction]:
+    """Bisect the sign-change interval [lo/d, hi/d] of square-free fi down
+    to BOX_WIDTH."""
+    slo = _int_sign_at(fi, lo, d)
+    width_num, width_den = BOX_WIDTH.numerator, BOX_WIDTH.denominator
+    while (hi - lo) * width_den >= d * width_num:
+        lo, hi, mid, d = _bisect(lo, hi, d)
+        sm = _int_sign_at(fi, mid, d)
         if sm == 0:
-            return mid, mid
+            return Fraction(mid, d), Fraction(mid, d)
         if sm == slo:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 @lru_cache(maxsize=100_000)
@@ -486,29 +620,30 @@ def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
     for fac, _ in factors:
         f = f * fac
     fi = _int_primitive(f)
-    chain = _sturm_chain_int(f)
-    bound = _root_bound(f)
-    lo, hi = -bound, bound
-    total = _variations(chain, lo) - _variations(chain, hi)
-    intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
+    chain = _sturm_chain_int(fi)
+    bound = _root_bound(fi)
+    # interval endpoints are integer numerators over a shared denominator
+    b, d = bound.numerator, bound.denominator
+    total = _variations(chain, -b, d) - _variations(chain, b, d)
+    intervals: list[tuple[int, int, int]] = []
+    stack = [(-b, b, d, total)]
     while stack:
-        a, b, cnt = stack.pop()
+        a, b, d, cnt = stack.pop()
         if cnt == 0:
             continue
         if cnt == 1:
-            intervals.append((a, b))
+            intervals.append((a, b, d))
             continue
-        mid = (a + b) / 2
-        while _int_sign_at(fi, mid.numerator, mid.denominator) == 0:
+        a, b, mid, d = _bisect(a, b, d)
+        while _int_sign_at(fi, mid, d) == 0:
             # nudge off an exact root so counts stay clean
-            mid = (a + mid) / 2
-        left = _variations(chain, a) - _variations(chain, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, cnt - left))
+            a, b, mid, d = 2 * a, 2 * b, a + mid, 2 * d
+        left = _variations(chain, a, d) - _variations(chain, mid, d)
+        stack.append((a, mid, d, left))
+        stack.append((mid, b, d, cnt - left))
     boxes: list[RootBox] = []
-    for a, b in intervals:
-        rlo, rhi = _refine(fi, a, b)
+    for a, b, d in intervals:
+        rlo, rhi = _refine(fi, a, b, d)
         mult = 1
         if len(factors) > 1 or factors[0][1] != 1:
             for fac, m in factors:
@@ -540,7 +675,7 @@ def rational_roots_monic_integer(p: Poly) -> list[int]:
     if c0 == 0:
         roots = [0]
         q = p
-        while q(Fraction(0)) == 0:
+        while q(0) == 0:
             q = q.exact_div(Poly.x())
         cands = _divisors(abs(q.coeffs[0].numerator)) if q.degree > 0 else []
     else:
@@ -548,7 +683,7 @@ def rational_roots_monic_integer(p: Poly) -> list[int]:
         cands = _divisors(abs(c0))
     for d in cands:
         for r in (d, -d):
-            if p(Fraction(r)) == 0 and r not in roots:
+            if p(r) == 0 and r not in roots:
                 roots.append(r)
     return sorted(roots)
 

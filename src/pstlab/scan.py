@@ -30,7 +30,6 @@ class TreeResult:
     strongly_cospectral_pairs: list[tuple[int, int]]
     pst_pairs: list[dict]
     gap_violations: list[dict]
-    gap_certificates: list[dict]
 
 
 def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
@@ -43,19 +42,18 @@ def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
         if deleted[i] == deleted[j]
     ]
     strong = [(i, j) for i, j in cosp if is_strongly_cospectral(T, i, j)]
-    pst, violations, gaps = [], [], []
+    pst, violations = [], []
     for i, j in strong:
         cert = decide_pst(T, i, j)
         if cert.result == "PST":
             pst.append({"pair": [i, j], "certificate": cert.to_json()})
         gc = certify_gap(T, i, j)
-        gaps.append(gc.to_json())
         if gc.hypotheses_ok:
             if gc.achieved_gap is not None and gc.achieved_gap > SQRT2 + 1e-9:
                 violations.append(gc.to_json())
             if gc.equality_detected and n != 3:
                 violations.append(gc.to_json())
-    return TreeResult(n, index, cosp, strong, pst, violations, gaps)
+    return TreeResult(n, index, cosp, strong, pst, violations)
 
 
 @dataclass

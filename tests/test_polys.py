@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_weighted_graph, trees_up_to
-from pstlab.graphs import Graph, hypercube, path, star
+from pstlab.graphs import Graph, delete_vertices, hypercube, path, star
 from pstlab.polys import (
     NotASquareError,
     Poly,
     PolyError,
     RatFunc,
     RootBox,
+    berkowitz_charpoly,
     box_has_root,
     charpoly,
     divisors,
@@ -336,3 +337,213 @@ def test_simple_pole_residues():
     assert abs(res[-1] + 0.5) < 1e-9
     with pytest.raises(PolyError):
         simple_pole_residues(RatFunc.make(Poly.one(), lin(1) * lin(1)))
+
+
+# -- integer kernel vs its Fraction-arithmetic references -------------------
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _euclid_gcd_over_q(p, q):
+    """Monic gcd by the Euclidean algorithm on Fraction lists."""
+    a = _strip(Fraction(c) for c in p.coeffs)
+    b = _strip(Fraction(c) for c in q.coeffs)
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            c = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for k, y in enumerate(b):
+                rem[shift + k] -= c * y
+            rem = _strip(rem[:-1])
+        a, b = b, rem
+    return Poly([c / a[-1] for c in a])
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+rational_polys = st.lists(rationals, min_size=0, max_size=4).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_polys, rational_polys, rational_polys)
+def test_poly_gcd_matches_euclid_over_q(a, b, common):
+    for p, q in ((a * common, b * common), (a, b), (a * common, a * common)):
+        if p.is_zero() and q.is_zero():
+            continue
+        assert poly_gcd(p, q) == _euclid_gcd_over_q(p, q)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (lin(1, 2), Poly.zero()),
+        (Poly.zero(), lin(Fraction(1, 3)) * 6),
+        (Poly.constant(Fraction(5, 2)), lin(1, 2)),
+        (lin(1, 2) * 3, lin(1, 2) * 3),
+        (X, X + Poly.one()),
+        (lin(Fraction(1, 2), 3) * 4, lin(Fraction(1, 2), -1) * 6),
+    ],
+)
+def test_poly_gcd_edge_cases_match_euclid_over_q(p, q):
+    assert poly_gcd(p, q) == _euclid_gcd_over_q(p, q)
+
+
+def _fraction_isolate(p):
+    """Sturm bisection on Fraction endpoints, refined below 2^-40."""
+    width = Fraction(1, 2**40)
+    factors = squarefree_decomposition(p)
+    f = Poly.one()
+    for fac, _ in factors:
+        f = f * fac
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        rem = -(chain[-2] % chain[-1])
+        if rem.is_zero():
+            break
+        chain.append(rem)
+
+    def variations(x):
+        signs = [s for s in (q.sign_at(x) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+    bound = 1 + max(abs(Fraction(c)) for c in f.coeffs[:-1]) / abs(f.leading)
+    stack = [(-bound, bound, variations(-bound) - variations(bound))]
+    boxes = []
+    while stack:
+        a, b, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt > 1:
+            mid = (a + b) / 2
+            while f(mid) == 0:
+                mid = (a + mid) / 2
+            left = variations(a) - variations(mid)
+            stack += [(a, mid, left), (mid, b, cnt - left)]
+            continue
+        slo = f.sign_at(a)
+        while b - a >= width:
+            mid = (a + b) / 2
+            sm = f.sign_at(mid)
+            if sm == 0:
+                a = b = mid
+                break
+            if sm == slo:
+                a = mid
+            else:
+                b = mid
+        mult = next(
+            m
+            for fac, m in factors
+            if (fac(a) == 0 if a == b else fac.sign_at(a) * fac.sign_at(b) < 0)
+        )
+        boxes.append((a, b, mult))
+    return sorted(boxes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4),
+    st.lists(st.integers(-5, 5), min_size=0, max_size=3),
+    st.integers(1, 6),
+)
+def test_isolate_real_roots_matches_fraction_bisection(roots, quad, lead):
+    # rational roots (some repeated) times a factor that may have irrational
+    # or no real roots, scaled by a non-unit leading coefficient
+    p = lin(*roots) * Poly(quad + [1]) * lead
+    got = [(b.lo, b.hi, b.multiplicity) for b in isolate_real_roots(p)]
+    assert got == _fraction_isolate(p)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    # Sturm chains whose degree drops by two below a member with a negative
+    # leading coefficient, where the pseudo-remainder's sign must be fixed
+    [[-1, 3, 2, 0, 0, 1], [-3, 1, -2, 3, 0, 0, 1], [3, -2, 1, 2, 0, 0, 1]],
+)
+def test_isolate_abnormal_sturm_chains_match_fraction_bisection(coeffs):
+    p = Poly(coeffs)
+    got = [(b.lo, b.hi, b.multiplicity) for b in isolate_real_roots(p)]
+    assert got == _fraction_isolate(p)
+
+
+def _forest(parent_choices, weight_choices, cuts, perm_keys):
+    """A forest from a random parent array: vertex v > 0 hangs off an
+    earlier vertex unless v is a cut, which starts a new component."""
+    n = len(parent_choices) + 1
+    items = []
+    for v in range(1, n):
+        if v in cuts:
+            continue
+        u = parent_choices[v - 1] % v
+        items.append((u, v, weight_choices[(v - 1) % len(weight_choices)]))
+    perm = sorted(range(n), key=lambda v: (perm_keys[v % len(perm_keys)], v))
+    return Graph.from_edges(n, [(perm[u], perm[v], w) for u, v, w in items])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(0, 100), min_size=0, max_size=10),
+    st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=11),
+    st.sets(st.integers(1, 10), max_size=4),
+    st.lists(st.integers(0, 20), min_size=1, max_size=11),
+)
+def test_forest_charpoly_matches_berkowitz(parents, weights, cuts, perm_keys):
+    F = _forest(parents, weights, cuts, perm_keys)
+    assert charpoly(F) == berkowitz_charpoly(F)
+    for v in range(F.n):
+        H = delete_vertices(F, {v})
+        assert charpoly(H) == berkowitz_charpoly(H)
+
+
+def test_forest_charpoly_matches_berkowitz_on_all_trees_to_n10():
+    for _, T in trees_up_to(10, min_n=1):
+        assert charpoly(T) == berkowitz_charpoly(T)
+        for v in range(T.n):
+            H = delete_vertices(T, {v})
+            assert charpoly(H) == berkowitz_charpoly(H)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        # a cycle with isolated vertices has fewer edges than vertices
+        Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]),
+        Graph.from_edges(3, [(0, 1, Fraction(1, 2)), (1, 2, 1)]),
+        Graph.from_edges(3, [(0, 1, 1), (1, 2, 1), (1, 1, 2)]),
+    ],
+)
+def test_charpoly_of_non_forests_matches_berkowitz(G):
+    assert charpoly(G) == berkowitz_charpoly(G)
+
+
+def _no_float(p):
+    return not any(isinstance(c, float) for c in p.coeffs)
+
+
+def test_integral_coefficients_are_ints():
+    p = Poly([Fraction(4, 2), 3, Fraction(1, 2)])
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction]
+    assert p == Poly([2, Fraction(3), Fraction(1, 2)])
+    assert hash(Poly([3])) == hash(Poly([Fraction(3)]))
+    assert p.to_json() == ["2", "3", "1/2"]
+
+
+def test_exact_results_never_leak_floats():
+    m = Poly([1, 3, 2]).monic()
+    assert m.coeffs == (Fraction(1, 2), Fraction(3, 2), 1) and _no_float(m)
+    q, r = divmod(Poly([1, 0, 1]), Poly([1, 2]))
+    assert _no_float(q) and _no_float(r)
+    assert q * Poly([1, 2]) + r == Poly([1, 0, 1])
+    value = RatFunc.make(Poly.one(), Poly([1, 1]))(2)
+    assert value == Fraction(1, 3) and not isinstance(value, float)
+    root = poly_sqrt(Poly([Fraction(1, 4), 1, 1]))
+    assert root == Poly([Fraction(1, 2), 1]) and _no_float(root)
+    f = RatFunc.make(Poly([1, 1]), Poly([1, 2]))
+    assert _no_float(f.num) and _no_float(f.den) and f.den.leading == 1
+    (box,) = isolate_real_roots(Poly([-1, 2]))
+    assert isinstance(box.lo, Fraction) and box.lo <= Fraction(1, 2) <= box.hi
