@@ -15,19 +15,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, delete_vertices, separating_cut_edge
+from .graphs import Graph, delete_vertices, separating_cut_edge, separating_neighbor
 from .polys import (
     Poly,
+    PolyError,
     RatFunc,
     RootBox,
-    box_has_root,
     charpoly,
     isolate_real_roots,
     poly_gcd,
-    square_free_part,
+    simple_pole_residues,
 )
 from .spectra import (
-    SpectraError,
+    is_cospectral,
     is_strongly_cospectral,
     min_support_gap,
     signed_path_sum,
@@ -105,23 +105,18 @@ class PartialFraction:
 
 
 def _shift_and_residues(f: RatFunc) -> tuple[Fraction, list[tuple[RootBox, float]]]:
+    """s0 and the (pole box, mu) terms of f = t - s0 - sum mu/(t - r)."""
     if f.num.degree != f.den.degree + 1:
         raise GapError("numerator degree must exceed denominator degree by 1")
-    if f.den.degree > 0 and square_free_part(f.den) != f.den.monic():
-        raise GapError("repeated poles")
+    try:
+        residues = simple_pole_residues(f)
+    except PolyError as exc:
+        raise GapError(str(exc)) from exc
     quot, _ = divmod(f.num, f.den)
     if quot.degree != 1 or quot.leading != 1:
         raise GapError("expected a monic linear quotient")
-    s0 = -quot.coeffs[0]
-    terms: list[tuple[RootBox, float]] = []
-    if f.den.degree > 0:
-        dden = f.den.derivative()
-        for box in isolate_real_roots(f.den):
-            mid = box.midpoint
-            # f = t - s0 - sum mu/(t-r)  =>  mu = -residue of f at r
-            mu = -float(f.num(mid)) / float(dden(mid))
-            terms.append((box, mu))
-    return s0, terms
+    # mu is minus the residue of f at r
+    return -quot.coeffs[0], [(box, -res) for box, res in residues]
 
 
 def _clamp_residue(mu: float) -> float:
@@ -156,24 +151,24 @@ def merged_alphas(
     s0m, terms_m = _shift_and_residues(minus)
     union = poly_gcd(plus.den, minus.den)
     union_poly = (plus.den * minus.den).exact_div(union).monic()
-    boxes = isolate_real_roots(union_poly) if union_poly.degree else []
-    mus_p, mus_m = [], []
-    for box in boxes:
-        mup = next(
-            (mu for b, mu in terms_p if b.lo <= box.hi and box.lo <= b.hi), 0.0
+    boxes = isolate_real_roots(union_poly) if union_poly.degree else ()
+
+    def on_union(terms) -> tuple[float, ...]:
+        # the residue whose pole box overlaps each union box, 0 where absent
+        return tuple(
+            _clamp_residue(
+                next((mu for b, mu in terms if b.lo <= box.hi and box.lo <= b.hi), 0.0)
+            )
+            for box in boxes
         )
-        mum = next(
-            (mu for b, mu in terms_m if b.lo <= box.hi and box.lo <= b.hi), 0.0
-        )
-        mus_p.append(_clamp_residue(mup))
-        mus_m.append(_clamp_residue(mum))
+
+    mus_p, mus_m = on_union(terms_p), on_union(terms_m)
     if _cut_edge_hypotheses(G, i, j) and s0p != s0m:
         raise GapError("shifts differ despite the cut-edge hypotheses")
     poles = tuple(b.midpoint for b in boxes)
-    bx = tuple(boxes)
     return (
-        PartialFraction(s0p, poles, tuple(mus_p), bx),
-        PartialFraction(s0m, poles, tuple(mus_m), bx),
+        PartialFraction(s0p, poles, mus_p, boxes),
+        PartialFraction(s0m, poles, mus_m, boxes),
     )
 
 
@@ -229,15 +224,10 @@ def arrow_matrix(pf: PartialFraction) -> ArrowMatrix:
 def _cut_edge_hypotheses(G: Graph, i: int, j: int) -> bool:
     """Neighbors i' != j of i and j' != i of j such that the edges ii' and
     jj' are cut-edges, each separating i and j."""
-    def has_witness(v: int, other: int) -> bool:
-        for nb in G.neighbors(v):
-            if nb == other:
-                continue
-            if separating_cut_edge(G, (v, nb), i, j):
-                return True
-        return False
-
-    return has_witness(i, j) and has_witness(j, i)
+    return (
+        separating_neighbor(G, i, j) is not None
+        and separating_neighbor(G, j, i) is not None
+    )
 
 
 def _is_p3(G: Graph) -> bool:
@@ -366,15 +356,6 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
 # residue mass and the general weighted bound
 
 
-def _separating_neighbor(G: Graph, v: int, other: int) -> Optional[int]:
-    for nb in G.neighbors(v):
-        if nb == other:
-            continue
-        if separating_cut_edge(G, (v, nb), v, other):
-            return nb
-    return None
-
-
 def residue_mass(
     G: Graph,
     i: int,
@@ -391,27 +372,23 @@ def residue_mass(
     if i == j:
         raise GapError("need distinct vertices")
     if i_side is None or j_side is None:
-        ni = _separating_neighbor(G, i, j)
-        nj = _separating_neighbor(G, j, i)
+        ni = separating_neighbor(G, i, j)
+        nj = separating_neighbor(G, j, i)
         if ni is None or nj is None:
             raise GapError(
                 "no separating neighbors detected; pass neighbor sets explicitly"
             )
         i_side, j_side = [ni], [nj]
     s = signed_path_sum(G, i, j)
-    phi_ij = charpoly(delete_vertices(G, {i, j}))
-    if s.is_zero():
-        mass = 0.0
-    else:
-        f = RatFunc.make(s, phi_ij)
-        if f.den.degree and square_free_part(f.den) != f.den.monic():
-            raise GapError("repeated poles in the path-sum quotient")
-        mass = 0.0
-        if f.den.degree:
-            dden = f.den.derivative()
-            for box in isolate_real_roots(f.den):
-                mid = box.midpoint
-                mass += abs(float(f.num(mid)) / float(dden(mid)))
+    mass = 0.0
+    if not s.is_zero():
+        f = RatFunc.make(s, charpoly(delete_vertices(G, {i, j})))
+        try:
+            residues = simple_pole_residues(f)
+        except PolyError as exc:
+            raise GapError(f"{exc} in the path-sum quotient") from exc
+        for _, res in residues:
+            mass += abs(res)
     su = sum(float(G.weight(i, v)) ** 2 for v in i_side)
     sv = sum(float(G.weight(j, v)) ** 2 for v in j_side)
     bound = math.sqrt(su * sv)
@@ -469,8 +446,6 @@ class BridgeGapReport:
 def bridge_gap_check(G: Graph, i: int, j: int) -> BridgeGapReport:
     """For a cospectral pair joined by a bridge: the support of i contains
     two eigenvalues at distance at most 1, unless the graph is P2."""
-    from .spectra import is_cospectral
-
     if not G.has_edge(i, j):
         raise GapError("vertices are not adjacent")
     if not separating_cut_edge(G, (i, j), i, j):

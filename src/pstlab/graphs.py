@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 
 class GraphError(ValueError):
@@ -25,8 +25,9 @@ class GraphParseError(GraphError):
 class Graph:
     """Symmetric weighted graph.  Immutable and hashable.
 
-    ``edges`` holds (u, v, w) with u <= v and w != 0; a (u, u, w) entry is a
-    loop, i.e. a diagonal entry of the matrix.  Absent pairs have weight 0.
+    ``edges`` holds sorted (u, v, w) with u <= v and a Fraction w != 0, as
+    ``from_edges`` builds them; a (u, u, w) entry is a loop, i.e. a diagonal
+    entry of the matrix.  Absent pairs have weight 0.
     """
 
     n: int
@@ -200,12 +201,13 @@ def delete_vertices(G: Graph, S: Iterable[int]) -> Graph:
             raise GraphError(f"vertex {v} out of range")
     keep = [v for v in range(G.n) if v not in dropped]
     relabel = {v: k for k, v in enumerate(keep)}
+    # the relabeling is monotone, so the edges stay normalized and sorted
     items = [
         (relabel[u], relabel[v], w)
         for u, v, w in G.edges
         if u in relabel and v in relabel
     ]
-    return Graph.from_edges(len(keep), items)
+    return Graph(len(keep), tuple(items))
 
 
 def connected_components(G: Graph) -> list[list[int]]:
@@ -314,6 +316,22 @@ def separating_cut_edge(G: Graph, e: tuple[int, int], i: int, j: int) -> bool:
     if same_component(H, u, v):
         return False  # not a bridge
     return not same_component(H, i, j)
+
+
+def separating_neighbor(G: Graph, v: int, other: int) -> Optional[int]:
+    """The least neighbor nb != other of v whose edge to v is a bridge
+    separating v from other, or None.
+
+    The bridge {v, nb} separates them exactly when other does not reach v,
+    or reaches it through nb (nb is one hop closer to other than v is).
+    """
+    cut = bridges(G)
+    d = bfs_distances(G, other)
+    for nb in G.neighbors(v):
+        if nb != other and (min(v, nb), max(v, nb)) in cut:
+            if d[v] < 0 or d[nb] == d[v] - 1:
+                return nb
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,8 @@ def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
     # interval endpoints are integer numerators over a shared denominator
     b, d = bound.numerator, bound.denominator
     total = _variations(chain, -b, d) - _variations(chain, b, d)
+    if total < 0:
+        raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
     intervals: list[tuple[int, int, int]] = []
     stack = [(-b, b, d, total)]
     while stack:
@@ -639,6 +641,8 @@ def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
             # nudge off an exact root so counts stay clean
             a, b, mid, d = 2 * a, 2 * b, a + mid, 2 * d
         left = _variations(chain, a, d) - _variations(chain, mid, d)
+        if not 0 <= left <= cnt:
+            raise PolyError("Sturm counts out of range: the chain is not a Sturm sequence")
         stack.append((a, mid, d, left))
         stack.append((mid, b, d, cnt - left))
     boxes: list[RootBox] = []
@@ -721,16 +725,16 @@ def divisors(m: int) -> list[int]:
     return _divisors(abs(m))
 
 
+def residue_at(f: RatFunc, x: float) -> float:
+    """num(x)/den'(x) in floats: the residue of f at a simple pole x."""
+    return float(f.num(x)) / float(f.den.derivative()(x))
+
+
 def simple_pole_residues(f: RatFunc) -> list[tuple[RootBox, float]]:
     """Residues num(r)/den'(r) at the (simple) poles of a reduced rational
-    function, evaluated at refined midpoints."""
+    function, evaluated at refined midpoints; PolyError on a repeated pole."""
     if f.den.degree == 0:
         return []
     if square_free_part(f.den) != f.den.monic():
         raise PolyError("repeated poles")
-    dden = f.den.derivative()
-    out = []
-    for box in isolate_real_roots(f.den):
-        r = box.midpoint
-        out.append((box, float(f.num(r)) / float(dden(r))))
-    return out
+    return [(box, residue_at(f, box.midpoint)) for box in isolate_real_roots(f.den)]

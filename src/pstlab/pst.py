@@ -9,7 +9,7 @@ cross-checked against the numeric walk oracle before being returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 

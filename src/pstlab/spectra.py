@@ -20,6 +20,8 @@ from .polys import (
     isolate_real_roots,
     path_sum_poly,
     poly_gcd,
+    residue_at,
+    simple_pole_residues,
     square_free_part,
 )
 
@@ -62,6 +64,14 @@ def support_size(G: Graph, i: int) -> int:
     return support_poly(G, i).degree
 
 
+def _sign_class(G: Graph, i: int, s: Poly) -> Poly:
+    """Monic phi^G / gcd(phi^G, phi^{G\\i} + s).  For the path sum s of a
+    strongly cospectral pair this is the plus class of the support of i, and
+    -s gives the minus class."""
+    phi = charpoly(G)
+    return phi.exact_div(poly_gcd(phi, vertex_deleted_charpoly(G, i) + s)).monic()
+
+
 @lru_cache(maxsize=100_000)
 def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
     """The path-sum polynomial S with its sign pinned so the largest element
@@ -72,11 +82,8 @@ def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
     s = path_sum_poly(G, i, j)
     if s.is_zero():
         return s
-    phi = charpoly(G)
-    sup = support_poly(G, i)
-    plus = phi.exact_div(poly_gcd(phi, vertex_deleted_charpoly(G, i) + s))
-    top = isolate_real_roots(sup)[-1]
-    if not box_has_root(plus.monic(), top):
+    top = isolate_real_roots(support_poly(G, i))[-1]
+    if not box_has_root(_sign_class(G, i, s), top):
         return -s
     return s
 
@@ -119,11 +126,8 @@ def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
     pair, verifying all structural invariants exactly before returning."""
     if not is_strongly_cospectral(G, i, j):
         raise SpectraError("vertices are not strongly cospectral")
-    phi = charpoly(G)
-    phi_i = vertex_deleted_charpoly(G, i)
     s = signed_path_sum(G, i, j)
-    plus = phi.exact_div(poly_gcd(phi, phi_i + s)).monic()
-    minus = phi.exact_div(poly_gcd(phi, phi_i - s)).monic()
+    plus, minus = _sign_class(G, i, s), _sign_class(G, i, -s)
     sup = support_poly(G, i)
     if plus * minus != sup:
         raise SpectraError("partition does not multiply back to the support")
@@ -181,7 +185,6 @@ def projector_entries(G: Graph, i: int, j: int) -> ProjectorTable:
     """
     phi = charpoly(G)
     diag = RatFunc.make(vertex_deleted_charpoly(G, i), phi)
-    dden = diag.den.derivative()
     if i == j:
         off = diag
         partition = None
@@ -192,14 +195,13 @@ def projector_entries(G: Graph, i: int, j: int) -> ProjectorTable:
             support_partition(G, i, j) if is_strongly_cospectral(G, i, j) else None
         )
     rows = []
-    for box in isolate_real_roots(diag.den):
+    for box, e_ii in simple_pole_residues(diag):
         theta = box.midpoint
-        e_ii = float(diag.num(theta)) / float(dden(theta))
         if i == j:
             e_ij, sigma = e_ii, +1
         else:
             if off is not None and box_has_root(square_free_part(off.den), box):
-                e_ij = float(off.num(theta)) / float(off.den.derivative()(theta))
+                e_ij = residue_at(off, theta)
             else:
                 e_ij = 0.0
             sigma = partition.sigma(box) if partition is not None else None

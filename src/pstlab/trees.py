@@ -7,20 +7,13 @@ oracle lives in the test suite for cross-validation.
 """
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph, GraphError
 
-DEFAULT_MAX_N = 16
-
-
-def max_tree_order() -> int:
-    value = os.environ.get("PSTLAB_MAX_N")
-    if value is None:
-        return DEFAULT_MAX_N
-    return int(value)
+#: largest tree order that ``enumerate_trees`` and ``scan_trees`` accept
+MAX_TREE_ORDER = 16
 
 
 def _subtree_sizes(adj: list[list[int]], root: int, n: int) -> list[int]:
@@ -142,7 +135,7 @@ def tree_count(n: int) -> int:
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """One canonically-labeled representative per isomorphism class of free
     trees on n vertices, unit weights, deterministic order."""
-    if not (1 <= n <= max_tree_order()):
-        raise GraphError(f"tree order must be in 1..{max_tree_order()}")
+    if not (1 <= n <= MAX_TREE_ORDER):
+        raise GraphError(f"tree order must be in 1..{MAX_TREE_ORDER}")
     for code in _codes(n):
         yield _build(code)

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from pstlab import scan
 from pstlab.cli import main
+from pstlab.gapcert import GapError
 
 
 @pytest.fixture
@@ -99,6 +101,25 @@ def test_scan_trees_stdout_and_determinism(capsys):
     first.pop("wall_time_seconds")
     second.pop("wall_time_seconds")
     assert first == second
+
+
+def test_scan_trees_gap_violation_exit_5(tmp_path, capsys, monkeypatch):
+    true_certify_gap = scan.certify_gap
+
+    def certify_gap(T, i, j):
+        if T.n == 5:
+            raise GapError("planted violation")
+        return true_certify_gap(T, i, j)
+
+    monkeypatch.setattr(scan, "certify_gap", certify_gap)
+    out = tmp_path / "scan.json"
+    assert main(["scan-trees", "--max-n", "6", "--out", str(out)]) == 5
+    assert "gap-bound violation at n=5" in capsys.readouterr().err
+    by_n = {e["n"]: e for e in json.loads(out.read_text())["per_order"]}
+    violations = by_n[5]["gap_violations"]
+    assert violations
+    assert all(v["error"] == "planted violation" for v in violations)
+    assert by_n[4]["gap_violations"] == by_n[6]["gap_violations"] == []
 
 
 def test_scan_trees_bad_range(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pstlab.graphs import (
     Graph,
@@ -20,8 +22,10 @@ from pstlab.graphs import (
     parse_graph6,
     path,
     separating_cut_edge,
+    separating_neighbor,
     star,
 )
+from pstlab.trees import enumerate_trees
 
 
 def test_from_edges_normalizes_orientation():
@@ -144,6 +148,87 @@ def test_separating_cut_edge():
     assert not separating_cut_edge(C, (0, 1), 0, 1)
     with pytest.raises(GraphError):
         separating_cut_edge(P, (0, 2), 0, 3)
+
+
+def _separating_neighbor_oracle(G, v, other):
+    """The per-edge search: the first neighbor whose edge is a separating
+    cut-edge, by separating_cut_edge (which copies G for each edge)."""
+    for nb in G.neighbors(v):
+        if nb != other and separating_cut_edge(G, (v, nb), v, other):
+            return nb
+    return None
+
+
+def _check_separating_neighbor(G):
+    for v in range(G.n):
+        for other in range(G.n):
+            if other != v:
+                assert separating_neighbor(G, v, other) == \
+                    _separating_neighbor_oracle(G, v, other)
+
+
+def test_separating_neighbor_examples():
+    P = path(4)
+    assert separating_neighbor(P, 0, 3) == 1
+    assert separating_neighbor(P, 3, 0) == 2
+    assert separating_neighbor(P, 1, 0) is None  # only the direct edge separates
+    # tadpole: only the pendant edge (2, 3) is a bridge
+    T = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)])
+    assert separating_neighbor(T, 3, 0) == 2
+    assert separating_neighbor(T, 2, 0) is None  # the bridge points away from 0
+    # other in another component: any bridge at v separates
+    D = Graph.from_edges(4, [(0, 1, 1), (2, 3, 1)])
+    assert separating_neighbor(D, 0, 2) == 1
+
+
+def test_separating_neighbor_matches_per_edge_search_on_trees():
+    for n in range(2, 10):
+        for T in enumerate_trees(n):
+            _check_separating_neighbor(T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1),
+                    st.integers(0, n - 1),
+                    st.sampled_from([-3, -2, -1, Fraction(1, 2), 1, 2]),
+                ),
+                max_size=2 * n,
+            ),
+        )
+    )
+)
+def test_separating_neighbor_matches_per_edge_search(data):
+    # cycles, loops, signed weights and disconnected parts all occur
+    n, items = data
+    seen = {}
+    for u, v, w in items:
+        seen.setdefault((min(u, v), max(u, v)), w)
+    G = Graph.from_edges(n, [(u, v, w) for (u, v), w in seen.items()])
+    _check_separating_neighbor(G)
+
+
+def test_delete_vertices_matches_from_edges_on_trees():
+    for n in range(2, 9):
+        for T in enumerate_trees(n):
+            drops = [{v} for v in range(n)]
+            drops += [{u, v} for u in range(n) for v in range(u + 1, n)]
+            for S in drops:
+                keep = [v for v in range(n) if v not in S]
+                relabel = {v: k for k, v in enumerate(keep)}
+                expected = Graph.from_edges(len(keep), [
+                    (relabel[u], relabel[v], w)
+                    for u, v, w in T.edges
+                    if u in relabel and v in relabel
+                ])
+                H = delete_vertices(T, S)
+                assert H == expected
+                assert hash(H) == hash(expected)
 
 
 # -- generators -------------------------------------------------------------

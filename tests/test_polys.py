@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_weighted_graph, trees_up_to
 from pstlab.graphs import Graph, delete_vertices, hypercube, path, star
+from pstlab import polys
 from pstlab.polys import (
     NotASquareError,
     Poly,
@@ -469,6 +470,24 @@ def test_isolate_abnormal_sturm_chains_match_fraction_bisection(coeffs):
     p = Poly(coeffs)
     got = [(b.lo, b.hi, b.multiplicity) for b in isolate_real_roots(p)]
     assert got == _fraction_isolate(p)
+
+
+@pytest.mark.parametrize(
+    "roots, signs",
+    [
+        ([1, 2, 3], (1, -1, 1)),  # negative total count
+        ([1, 2, 3, 4], (1, 1, -1, -1, -1)),  # a half with more roots than the whole
+    ],
+)
+def test_isolate_raises_on_a_corrupted_sturm_chain(monkeypatch, roots, signs):
+    # both chains used to make the bisection loop forever
+    true_chain = polys._sturm_chain_int
+    monkeypatch.setattr(polys, "_sturm_chain_int", lambda fi: [
+        tuple(sign * c for c in member) for sign, member in zip(signs, true_chain(fi))
+    ])
+    isolate_real_roots.cache_clear()
+    with pytest.raises(PolyError):
+        isolate_real_roots(lin(*roots))
 
 
 def _forest(parent_choices, weight_choices, cuts, perm_keys):
