@@ -221,6 +221,7 @@ def arrow_matrix(pf: PartialFraction) -> ArrowMatrix:
 # gap certificates
 
 
+@lru_cache(maxsize=50_000)
 def _cut_edge_hypotheses(G: Graph, i: int, j: int) -> bool:
     """Neighbors i' != j of i and j' != i of j such that the edges ii' and
     jj' are cut-edges, each separating i and j."""

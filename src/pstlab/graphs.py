@@ -56,6 +56,14 @@ class Graph:
         return Graph(n, edges)
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __hash__(self) -> int:
+        # computed once per graph: cache lookups keyed by a graph stay O(1)
+        return self._hash
+
+    @cached_property
     def _weights(self) -> dict[tuple[int, int], Fraction]:
         return {(u, v): w for u, v, w in self.edges}
 

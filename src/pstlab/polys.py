@@ -5,8 +5,10 @@ roots, path-sum polynomials, and Sturm-sequence real-root isolation.
 Integral coefficients are stored as ``int`` and only the others as
 ``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
 forests get their characteristic polynomial from the rooted-subtree
-recursion, and root isolation bisects integer numerators over a common
-denominator.  Floating point appears only in refined root midpoints.
+recursion and every other graph from the Berkowitz recurrence on sparse
+integer rows (weights scaled by their common denominator), and root
+isolation bisects integer numerators over a common denominator.  Floating
+point appears only in refined root midpoints.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Optional
 
 from .graphs import Graph, delete_vertices
@@ -334,40 +337,68 @@ def poly_sqrt(p: Poly) -> Poly:
 # characteristic polynomial (Berkowitz, division-free)
 
 
-def _berkowitz(rows: list[list]) -> list:
-    """Coefficients of det(tI - A), high degree first."""
-    n = len(rows)
+def _berkowitz(diag: list[int], lower: list[list[tuple[int, int]]]) -> list[int]:
+    """Coefficients of det(tI - A), high degree first, for the symmetric
+    integer matrix A with diagonal ``diag`` and off-diagonal entries
+    ``lower[p] = [(q, A[p][q]) for q < p]``.
+
+    Step k borders the leading p x p block B (p = k - 1) with row and column
+    p, which are the same sparse vector c = ``lower[p]``; B's entries are the
+    diagonal and the pairs in ``lower[:p]``.  The Toeplitz column needs
+    c B^s c for s < p, and by symmetry c B^s c = (B^a c).(B^(s-a) c), so
+    the powers B^a c for a <= p/2 suffice.
+    """
     coeffs = [1]
-    for k in range(1, n + 1):
-        a = rows[k - 1][k - 1]
-        R = rows[k - 1][:k - 1]
-        C = [rows[m][k - 1] for m in range(k - 1)]
-        col = [1, -a]
-        v = C
-        for step in range(k - 1):
-            col.append(-sum(x * y for x, y in zip(R, v)))
-            if step < k - 2:
-                v = [
-                    sum(rows[p][q] * v[q] for q in range(k - 1))
-                    for p in range(k - 1)
-                ]
-        new = []
-        for i in range(k + 1):
-            acc = 0
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc += col[i - j] * coeffs[j]
-            new.append(acc)
-        coeffs = new
+    for k in range(1, len(diag) + 1):
+        p = k - 1
+        v = [0] * p
+        for q, w in lower[p]:
+            v[q] = w
+        powers = [v]
+        for _ in range(p // 2):
+            # v <- B v
+            nv = [d * x for d, x in zip(diag, v)]
+            for r in range(1, p):
+                x = v[r]
+                acc = nv[r]
+                for q, w in lower[r]:
+                    acc += w * v[q]
+                    nv[q] += w * x
+                nv[r] = acc
+            v = nv
+            powers.append(v)
+        # the Toeplitz column reversed: col[k - m] is its entry m
+        col = [
+            -sum(map(mul, powers[s // 2], powers[s - s // 2]))
+            for s in range(p - 1, -1, -1)
+        ]
+        col += [-diag[p], 1]
+        coeffs = [sum(map(mul, col[k - i:], coeffs)) for i in range(k + 1)]
     return coeffs
 
 
 def berkowitz_charpoly(G: Graph) -> Poly:
     """det(tI - A(G)) for any graph, by the division-free Berkowitz
-    recurrence; the general path of ``charpoly`` and its test oracle."""
-    rows = G.adjacency_rows()
-    if G.is_integer_weighted():
-        rows = [[int(w) for w in row] for row in rows]
-    return Poly(tuple(reversed(_berkowitz(rows))))
+    recurrence on sparse integer rows; the general path of ``charpoly`` and
+    the test oracle of the forest recursion.
+
+    With L the lcm of the weight denominators, det(tI - A) =
+    L^-n det((Lt)I - LA), so the coefficient of t^(n-m) is that of the
+    integer matrix LA divided exactly by L^m.
+    """
+    scale = lcm(*(w.denominator for _, _, w in G.edges))
+    diag = [0] * G.n
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    for u, v, w in G.edges:
+        w = w.numerator * (scale // w.denominator)
+        if u == v:
+            diag[u] = w
+        else:
+            lower[v].append((u, w))
+    coeffs = _berkowitz(diag, lower)
+    if scale != 1:
+        coeffs = [_div(c, scale**m) for m, c in enumerate(coeffs)]
+    return Poly(tuple(reversed(coeffs)))
 
 
 def _forest_charpoly(G: Graph) -> Optional[Poly]:

@@ -5,6 +5,7 @@ bound holds with equality only on P3.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -93,30 +94,31 @@ def scan_trees(max_n: int, jobs: int = 1) -> ScanReport:
         raise ValueError(f"max_n must be in 2..{MAX_TREE_ORDER}")
     start = time.monotonic()
     report = ScanReport(max_n=max_n)
-    for n in range(2, max_n + 1):
-        tasks = [(n, idx, T) for idx, T in enumerate(enumerate_trees(n))]
-        if jobs > 1 and len(tasks) > 1:
-            with Pool(jobs) as pool:
+    # one pool for every order, so the workers' caches carry over
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for n in range(2, max_n + 1):
+            tasks = [(n, idx, T) for idx, T in enumerate(enumerate_trees(n))]
+            if pool is not None:
                 results = pool.map(analyze_tree, tasks)
-        else:
-            results = [analyze_tree(t) for t in tasks]
-        results.sort(key=lambda r: r.index)
-        entry = {
-            "n": n,
-            "tree_count": len(tasks),
-            "cospectral_pairs": sum(len(r.cospectral_pairs) for r in results),
-            "strongly_cospectral_pairs": sum(
-                len(r.strongly_cospectral_pairs) for r in results
-            ),
-            "pst_pairs": [
-                {"tree_index": r.index, **p} for r in results for p in r.pst_pairs
-            ],
-            "gap_violations": [
-                {"tree_index": r.index, **v}
-                for r in results
-                for v in r.gap_violations
-            ],
-        }
-        report.per_order.append(entry)
+            else:
+                results = [analyze_tree(t) for t in tasks]
+            results.sort(key=lambda r: r.index)
+            entry = {
+                "n": n,
+                "tree_count": len(tasks),
+                "cospectral_pairs": sum(len(r.cospectral_pairs) for r in results),
+                "strongly_cospectral_pairs": sum(
+                    len(r.strongly_cospectral_pairs) for r in results
+                ),
+                "pst_pairs": [
+                    {"tree_index": r.index, **p} for r in results for p in r.pst_pairs
+                ],
+                "gap_violations": [
+                    {"tree_index": r.index, **v}
+                    for r in results
+                    for v in r.gap_violations
+                ],
+            }
+            report.per_order.append(entry)
     report.wall_time = time.monotonic() - start
     return report

@@ -30,6 +30,7 @@ class SpectraError(ValueError):
     pass
 
 
+@lru_cache(maxsize=100_000)
 def vertex_deleted_charpoly(G: Graph, i: int) -> Poly:
     return charpoly(delete_vertices(G, {i}))
 

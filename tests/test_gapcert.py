@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import trees_up_to
+from pstlab import gapcert, graphs
 from pstlab.gapcert import (
     SQRT2,
     GapError,
@@ -305,3 +306,33 @@ def test_bridge_gap_check_rejections():
     C = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
     with pytest.raises(GapError):
         bridge_gap_check(C, 0, 1)  # cycle edge is not a bridge
+
+
+def test_certify_gap_evaluates_the_cut_edge_hypotheses_once(monkeypatch):
+    neighbor_calls, bridge_calls = [], []
+    real_neighbor, real_bridges = graphs.separating_neighbor, graphs.bridges
+
+    def counting_neighbor(G, v, other):
+        neighbor_calls.append((v, other))
+        return real_neighbor(G, v, other)
+
+    def counting_bridges(G):
+        bridge_calls.append(G)
+        return real_bridges(G)
+
+    monkeypatch.setattr(gapcert, "separating_neighbor", counting_neighbor)
+    monkeypatch.setattr(graphs, "bridges", counting_bridges)
+    pairs = 0
+    for _, T in trees_up_to(8):
+        for i, j in sc_pairs(T):
+            # both certify_gap and merged_alphas read the hypotheses
+            once = [(i, j)] if real_neighbor(T, i, j) is None else [(i, j), (j, i)]
+            gapcert._cut_edge_hypotheses.cache_clear()
+            merged_alphas.cache_clear()
+            neighbor_calls.clear()
+            bridge_calls.clear()
+            certify_gap(T, i, j)
+            assert neighbor_calls == once
+            assert len(bridge_calls) == len(once)
+            pairs += 1
+    assert pairs > 50

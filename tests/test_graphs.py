@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,26 @@ def test_delete_vertices_matches_from_edges_on_trees():
                 H = delete_vertices(T, S)
                 assert H == expected
                 assert hash(H) == hash(expected)
+
+
+def test_graph_hash_is_the_hash_of_its_fields():
+    G = Graph.from_edges(4, [(0, 1, Fraction(1, 2)), (1, 2, -3), (2, 2, 5), (2, 3, 1)])
+    cold = pickle.loads(pickle.dumps(G))  # pickled before the hash is cached
+    graphs = [G, delete_vertices(G, {1}), delete_vertices(G, set())]
+    for H in graphs:
+        hash(H)  # cache the hash before pickling
+    warm = [pickle.loads(pickle.dumps(H)) for H in graphs]
+    assert all("_hash" in vars(H) for H in warm)  # the cached hash travels
+    graphs += warm + [cold]
+    graphs += [T for n in range(1, 7) for T in enumerate_trees(n)]
+    for H in graphs:
+        assert hash(H) == hash((H.n, H.edges))
+    assert cold == G and hash(cold) == hash(G)
+    # equal graphs built along different routes hash alike
+    H = delete_vertices(G, {0})
+    same = Graph.from_edges(3, [(2, 1, 1), (0, 1, -3), (1, 1, 5)])
+    assert H == same and hash(H) == hash(same)
+    assert {H: 1}[same] == 1
 
 
 # -- generators -------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_weighted_graph, trees_up_to
-from pstlab.graphs import Graph, delete_vertices, hypercube, path, star
+from pstlab.graphs import Graph, delete_vertices, hypercube, laplacian_form, path, star
 from pstlab import polys
 from pstlab.polys import (
     NotASquareError,
@@ -538,6 +538,79 @@ def test_forest_charpoly_matches_berkowitz_on_all_trees_to_n10():
 )
 def test_charpoly_of_non_forests_matches_berkowitz(G):
     assert charpoly(G) == berkowitz_charpoly(G)
+
+
+def _dense_berkowitz(rows):
+    """Test-local oracle: the division-free Berkowitz recurrence on dense
+    Fraction rows, coefficients of det(tI - A) high degree first."""
+    n = len(rows)
+    coeffs = [1]
+    for k in range(1, n + 1):
+        a = rows[k - 1][k - 1]
+        R = rows[k - 1][:k - 1]
+        C = [rows[m][k - 1] for m in range(k - 1)]
+        col = [1, -a]
+        v = C
+        for step in range(k - 1):
+            col.append(-sum(x * y for x, y in zip(R, v)))
+            if step < k - 2:
+                v = [
+                    sum(rows[p][q] * v[q] for q in range(k - 1))
+                    for p in range(k - 1)
+                ]
+        new = []
+        for i in range(k + 1):
+            acc = 0
+            for j in range(max(0, i - k), min(i, k - 1) + 1):
+                acc += col[i - j] * coeffs[j]
+            new.append(acc)
+        coeffs = new
+    return Poly(tuple(reversed(coeffs)))
+
+
+def _grid(a, b):
+    """The Cartesian product of the paths P_a and P_b."""
+    items = [(x * b + y, x * b + y + 1, 1) for x in range(a) for y in range(b - 1)]
+    items += [(x * b + y, (x + 1) * b + y, 1) for x in range(a - 1) for y in range(b)]
+    return Graph.from_edges(a * b, items)
+
+
+def _assert_same_charpoly(G):
+    expected = _dense_berkowitz(G.adjacency_rows())
+    got = berkowitz_charpoly(G)
+    assert got == expected
+    # the same representation: ints where integral, Fractions elsewhere
+    assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_berkowitz_matches_dense_fraction_oracle(data):
+    n = data.draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weight = st.builds(
+        Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3, 5]), st.integers(1, 7)
+    )
+    # a cut makes the vertices before it a separate component
+    cut = data.draw(st.integers(0, n))
+    items = [
+        (u, v, data.draw(weight))
+        for u, v in chosen
+        if (u < cut) == (v < cut)
+    ]
+    G = Graph.from_edges(n, items)
+    _assert_same_charpoly(G)
+    for v in range(n):
+        _assert_same_charpoly(delete_vertices(G, {v}))
+
+
+@pytest.mark.parametrize("G", [hypercube(3), hypercube(4), _grid(3, 3)])
+def test_berkowitz_matches_dense_fraction_oracle_on_laplacians(G):
+    L = laplacian_form(G)
+    _assert_same_charpoly(L)
+    _assert_same_charpoly(G)
+    _assert_same_charpoly(delete_vertices(L, {0}))
 
 
 def _no_float(p):

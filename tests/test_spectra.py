@@ -1,10 +1,12 @@
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import trees_up_to
-from pstlab.graphs import Graph, double_star, hypercube, path, star
+from conftest import random_weighted_graph, trees_up_to
+from pstlab.graphs import Graph, delete_vertices, double_star, hypercube, path, star
 from pstlab.polys import Poly, charpoly
 from pstlab.spectra import (
     SpectraError,
@@ -126,3 +128,15 @@ def test_min_support_gap_values():
     assert abs(min_support_gap(path(4), 0) - 1.0) < 1e-9
     with pytest.raises(SpectraError):
         min_support_gap(Graph(1, ()), 0)
+
+
+def test_vertex_deleted_charpoly_memo_matches_charpoly():
+    rng = random.Random(7)
+    graphs = [T for _, T in trees_up_to(8, min_n=1)]
+    graphs += [random_weighted_graph(rng, rng.randint(1, 9)) for _ in range(50)]
+    for G in graphs:
+        expected = [charpoly(delete_vertices(G, {i})) for i in range(G.n)]
+        # an equal copy of G hits the memo and gets the same answers
+        copy = pickle.loads(pickle.dumps(G))
+        for H in (G, copy, G):
+            assert [vertex_deleted_charpoly(H, i) for i in range(G.n)] == expected
