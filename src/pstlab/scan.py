@@ -94,8 +94,9 @@ def scan_trees(max_n: int, jobs: int = 1) -> ScanReport:
         raise ValueError(f"max_n must be in 2..{MAX_TREE_ORDER}")
     start = time.monotonic()
     report = ScanReport(max_n=max_n)
-    # one pool for every order, so the workers' caches carry over
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+    # one pool for every order, so the workers start once; below order 4
+    # each order has a single tree and needs no pool
+    with Pool(jobs) if jobs > 1 and max_n > 3 else nullcontext() as pool:
         for n in range(2, max_n + 1):
             tasks = [(n, idx, T) for idx, T in enumerate(enumerate_trees(n))]
             if pool is not None:

@@ -1,4 +1,5 @@
 import json
+from multiprocessing import Pool
 
 import pytest
 
@@ -53,6 +54,22 @@ def test_scan_deterministic_across_jobs():
     a.pop("wall_time_seconds")
     b.pop("wall_time_seconds")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_scan_starts_one_pool(monkeypatch):
+    import pstlab.scan as scan
+
+    started = []
+
+    def counting_pool(jobs):
+        started.append(jobs)
+        return Pool(jobs)
+
+    monkeypatch.setattr(scan, "Pool", counting_pool)
+    scan_trees(3, jobs=2)
+    assert started == []  # P2 and P3 need no workers
+    scan_trees(6, jobs=2)
+    assert started == [2]
 
 
 def test_scan_report_schema():
