@@ -85,9 +85,16 @@ def _check_vertices(G, *vertices):
             raise SystemExit(EXIT_VERTICES)
 
 
+def _check_pair(G, i, j):
+    _check_vertices(G, i, j)
+    if i == j:
+        print(f"error: vertices {i} and {j} must be distinct", file=sys.stderr)
+        raise SystemExit(EXIT_VERTICES)
+
+
 def cmd_analyze(args) -> int:
     G = _load(args.file)
-    _check_vertices(G, args.i, args.j)
+    _check_pair(G, args.i, args.j)
     i, j = args.i, args.j
     out: dict = {
         "pair": [i, j],
@@ -113,7 +120,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decide_pst(args) -> int:
     G = _load(args.file)
-    _check_vertices(G, args.i, args.j)
+    _check_pair(G, args.i, args.j)
     try:
         cert = decide_pst(G, args.i, args.j, model=args.matrix)
     except GraphError as exc:
@@ -146,7 +153,11 @@ def cmd_scan_trees(args) -> int:
 def cmd_simulate(args) -> int:
     G = _load(args.file)
     _check_vertices(G, args.i, args.j)
-    series = fidelity_scan(G, args.i, args.j, args.t_max, args.steps)
+    try:
+        series = fidelity_scan(G, args.i, args.j, args.t_max, args.steps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if args.out:
         _atomic_write(args.out, series.to_csv())
     else:
@@ -160,7 +171,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bound(args) -> int:
     G = _load(args.file)
-    _check_vertices(G, args.i, args.j)
+    _check_pair(G, args.i, args.j)
     try:
         value = general_bound(G, args.i, args.j)
     except GapError as exc:
@@ -172,7 +183,7 @@ def cmd_bound(args) -> int:
 
 def cmd_bridge_check(args) -> int:
     G = _load(args.file)
-    _check_vertices(G, args.i, args.j)
+    _check_pair(G, args.i, args.j)
     try:
         report = bridge_gap_check(G, args.i, args.j)
     except GapError as exc:

@@ -33,6 +33,7 @@ from .spectra import (
     signed_path_sum,
     support_partition,
     support_poly,
+    vertex_deleted_charpoly,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -54,7 +55,7 @@ def alpha_pair(G: Graph, i: int, j: int) -> tuple[RatFunc, RatFunc]:
     plus/minus support classes of the strongly cospectral pair."""
     if not is_strongly_cospectral(G, i, j):
         raise GapError("vertices are not strongly cospectral")
-    phi_i = charpoly(delete_vertices(G, {i}))
+    phi_i = vertex_deleted_charpoly(G, i)
     phi_ij = charpoly(delete_vertices(G, {i, j}))
     s = signed_path_sum(G, i, j)
     plus = RatFunc.make(phi_i - s, phi_ij)

@@ -1,10 +1,10 @@
 """Polynomial-time perfect-state-transfer decider with verifiable
 certificates.
 
-The decision runs entirely in exact arithmetic: floating point proposes the
-quadratic-field shape of the support spectrum, and every proposal is accepted
-only after exact polynomial reconstruction.  Each positive verdict is
-cross-checked against the numeric walk oracle before being returned.
+The decision runs entirely in exact arithmetic: the quadratic-field shape of
+the support spectrum is read off rational root boxes and accepted only after
+exact polynomial reconstruction.  No float takes part until the numeric walk
+oracle, which cross-checks each positive verdict before it is returned.
 """
 from __future__ import annotations
 
@@ -85,36 +85,14 @@ class PstCertificate:
         return self.spectrum.delta if self.spectrum else None
 
 
-def _expand_quadratic_product(
-    a: int, delta: int, bs: list[int]
-) -> Optional[Poly]:
-    """Exactly expand prod_r (t - (a + b_r sqrt(delta))/2) over Q(sqrt(delta));
-    None if an irrational part survives."""
-    # coefficients are pairs (x, y) standing for x + y*sqrt(delta)
-    coeffs: list[tuple[Fraction, Fraction]] = [(Fraction(1), Fraction(0))]
-    for b in bs:
-        rx, ry = Fraction(a, 2), Fraction(b, 2)
-        new = [(Fraction(0), Fraction(0))] * (len(coeffs) + 1)
-        for k, (x, y) in enumerate(coeffs):
-            nx, ny = new[k + 1]
-            new[k + 1] = (nx + x, ny + y)
-            # subtract root * coeff: (rx + ry*sqrt(d)) * (x + y*sqrt(d))
-            px = rx * x + delta * ry * y
-            py = rx * y + ry * x
-            nx, ny = new[k]
-            new[k] = (nx - px, ny - py)
-        coeffs = new
-    if any(y != 0 for _, y in coeffs):
-        return None
-    return Poly(tuple(x for x, _ in coeffs))
-
-
 def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     """Exact fit of the support roots to (a + b_r sqrt(delta))/2, or None when
     the ratio condition fails.
 
-    Numeric root boxes only propose candidates; acceptance is exact expansion
-    and comparison over the rationals.
+    Each root theta above a/2 gives s = (2 theta - a)^2, which must be the
+    integer b^2 delta; it is read off the root box's rational endpoints, and
+    the fit is accepted only if the quadratics t^2 - a t + (a^2 - s)/4
+    multiply back to the support exactly.
     """
     if support.degree < 1:
         raise PstError("support polynomial must be nonconstant")
@@ -135,34 +113,35 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     if q.degree % 2:
         return None
     # all conjugate pairs sum to a, so a = 2 * (root sum) / deg
-    root_sum = -q.coeffs[q.degree - 1]
-    a2 = Fraction(2) * root_sum / q.degree
-    if a2.denominator != 1:
+    a, rem = divmod(-2 * q.coeffs[q.degree - 1], q.degree)
+    if rem:
         return None
-    a = int(a2)
     if len(int_roots) > 1:
         return None  # at most one rational support root (= a/2) is possible
     if int_roots and 2 * int_roots[0] != a:
         return None
-    boxes = isolate_real_roots(q)
-    first = 2 * boxes[-1].midpoint - a
-    d2 = round(first * first)
-    if d2 <= 0:
-        return None
-    delta = squarefree_part_int(d2)
-    sqd = math.sqrt(delta)
-    bs_irrational = []
-    for box in boxes:
-        b = round((2 * box.midpoint - a) / sqd)
-        if b == 0:
+    squares = []
+    rebuilt = Poly.one()
+    for box in isolate_real_roots(q):
+        if 2 * box.lo <= a:
+            continue
+        s_lo, s_hi = (2 * box.lo - a) ** 2, (2 * box.hi - a) ** 2
+        if s_hi - s_lo >= 1:
+            raise PstError("root box too wide to pin (2 theta - a)^2 to one integer")
+        s = math.ceil(s_lo)
+        if s > s_hi:
             return None
-        bs_irrational.append(b)
-    bs = bs_irrational + [0] * len(int_roots)
+        squares.append(s)
+        rebuilt = rebuilt * Poly((Fraction(a * a - s, 4), -a, 1))
+    if rebuilt != q:
+        return None
+    delta = squarefree_part_int(squares[-1])
+    bs = [math.isqrt(s // delta) for s in squares]
+    if any(b * b * delta != s for b, s in zip(bs, squares)):
+        return None
+    bs += [-b for b in bs] + [0] * len(int_roots)
     parities = {abs(b) % 2 for b in bs} | {abs(a) % 2}
     if len(parities) > 1:
-        return None
-    rebuilt = _expand_quadratic_product(a, delta, bs)
-    if rebuilt is None or rebuilt != support:
         return None
     order = sorted(bs, reverse=True)
     return QuadraticSpectrum(a, delta, tuple(order))

@@ -62,6 +62,8 @@ def fidelity_scan(G: Graph, i: int, j: int, t_max: float, steps: int) -> Fidelit
     refinement around the best sample."""
     if steps < 2:
         raise ValueError("need at least 2 steps")
+    if not 0 <= t_max < np.inf:
+        raise ValueError("t_max must be finite and nonnegative")
     times = np.linspace(0.0, t_max, steps)
     values = np.abs(amplitudes_on_grid(G, i, j, times))
     k = int(np.argmax(values))

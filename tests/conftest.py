@@ -43,3 +43,10 @@ def random_weighted_graph(rng: random.Random, n: int, density=0.5) -> Graph:
                 den = rng.choice([1, 1, 2])
                 items.append((u, v, Fraction(num, den)))
     return Graph.from_edges(n, items)
+
+
+def grid(a, b):
+    """The Cartesian product of the paths P_a and P_b."""
+    items = [(x * b + y, x * b + y + 1, 1) for x in range(a) for y in range(b - 1)]
+    items += [(x * b + y, (x + 1) * b + y, 1) for x in range(a - 1) for y in range(b)]
+    return Graph.from_edges(a * b, items)

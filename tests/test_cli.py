@@ -52,6 +52,36 @@ def test_vertex_range_exit_3(capsys, p3_file):
     assert main(["decide-pst", p3_file, "0", "9"]) == 3
 
 
+@pytest.mark.parametrize("command", ["analyze", "decide-pst", "bound", "bridge-check"])
+def test_same_vertex_pair_exit_3(capsys, p3_file, command):
+    assert main([command, p3_file, "1", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_simulate_accepts_same_vertex(capsys, p3_file):
+    assert main(["simulate", p3_file, "1", "1", "--t-max", "1", "--steps", "5"]) == 0
+    assert capsys.readouterr().out.startswith("t,fidelity\n0,1\n")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--steps", "1"],
+        ["--t-max", "-5", "--steps", "100"],
+        ["--t-max", "inf"],
+        ["--t-max", "nan"],
+    ],
+    ids=["one-step", "negative-t-max", "infinite-t-max", "nan-t-max"],
+)
+def test_simulate_bad_arguments_exit_2(capsys, p3_file, options):
+    assert main(["simulate", p3_file, "0", "2", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_laplacian_non_integer_exit_4(tmp_path, capsys):
     f = tmp_path / "half.txt"
     f.write_text("2\n0 1 1/2\n")

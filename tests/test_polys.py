@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_weighted_graph, trees_up_to
+from conftest import grid, random_weighted_graph, trees_up_to
 from pstlab.graphs import Graph, delete_vertices, hypercube, laplacian_form, path, star
 from pstlab import polys
 from pstlab.polys import (
@@ -568,13 +568,6 @@ def _dense_berkowitz(rows):
     return Poly(tuple(reversed(coeffs)))
 
 
-def _grid(a, b):
-    """The Cartesian product of the paths P_a and P_b."""
-    items = [(x * b + y, x * b + y + 1, 1) for x in range(a) for y in range(b - 1)]
-    items += [(x * b + y, (x + 1) * b + y, 1) for x in range(a - 1) for y in range(b)]
-    return Graph.from_edges(a * b, items)
-
-
 def _assert_same_charpoly(G):
     expected = _dense_berkowitz(G.adjacency_rows())
     got = berkowitz_charpoly(G)
@@ -605,7 +598,7 @@ def test_berkowitz_matches_dense_fraction_oracle(data):
         _assert_same_charpoly(delete_vertices(G, {v}))
 
 
-@pytest.mark.parametrize("G", [hypercube(3), hypercube(4), _grid(3, 3)])
+@pytest.mark.parametrize("G", [hypercube(3), hypercube(4), grid(3, 3)])
 def test_berkowitz_matches_dense_fraction_oracle_on_laplacians(G):
     L = laplacian_form(G)
     _assert_same_charpoly(L)

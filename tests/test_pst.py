@@ -2,10 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import trees_up_to
-from pstlab.graphs import Graph, hypercube, path, star
-from pstlab.polys import Poly
+from conftest import grid, trees_up_to
+from pstlab.graphs import Graph, hypercube, laplacian_form, path, star
+from pstlab.polys import (
+    Poly,
+    RootBox,
+    isolate_real_roots,
+    rational_roots_monic_integer,
+    squarefree_part_int,
+)
 from pstlab.pst import (
     NOT_STRONGLY_COSPECTRAL,
     PARITY_CONDITION_C,
@@ -196,3 +204,155 @@ def test_every_positive_verdict_hits_fidelity_one():
         times = np.linspace(1e-3, cert.t_min * 0.999, 2000)
         vals = np.abs(amplitudes_on_grid(G, i, j, times))
         assert vals.max() < 1 - 1e-6
+
+
+# -- the exact fit against the float-proposed fit it replaced ----------------
+
+
+def _expand_quadratic_product(a, delta, bs):
+    """Exactly expand prod_r (t - (a + b_r sqrt(delta))/2) over Q(sqrt(delta));
+    None if an irrational part survives."""
+    coeffs = [(Fraction(1), Fraction(0))]
+    for b in bs:
+        rx, ry = Fraction(a, 2), Fraction(b, 2)
+        new = [(Fraction(0), Fraction(0))] * (len(coeffs) + 1)
+        for k, (x, y) in enumerate(coeffs):
+            nx, ny = new[k + 1]
+            new[k + 1] = (nx + x, ny + y)
+            px = rx * x + delta * ry * y
+            py = rx * y + ry * x
+            nx, ny = new[k]
+            new[k] = (nx - px, ny - py)
+        coeffs = new
+    if any(y != 0 for _, y in coeffs):
+        return None
+    return Poly(tuple(x for x, _ in coeffs))
+
+
+def _float_proposed_fit(support):
+    """The earlier fit: floats guess delta and each b_r from box midpoints,
+    and an expansion over Q(sqrt(delta)) checks the guess.  Sound for small
+    roots, where the midpoints carry enough precision."""
+    if support.degree < 1:
+        raise PstError("support polynomial must be nonconstant")
+    if support.leading != 1 or any(c.denominator != 1 for c in support.coeffs):
+        return None
+    int_roots = [
+        z for z in rational_roots_monic_integer(support)
+        if support(Fraction(z)) == 0
+    ]
+    q = support
+    for z in int_roots:
+        q = q.exact_div(Poly.linear(z))
+    if q.degree == 0:
+        return QuadraticSpectrum(0, 1, tuple(2 * z for z in sorted(int_roots, reverse=True)))
+    if q.degree % 2:
+        return None
+    a2 = Fraction(2) * -q.coeffs[q.degree - 1] / q.degree
+    if a2.denominator != 1:
+        return None
+    a = int(a2)
+    if len(int_roots) > 1:
+        return None
+    if int_roots and 2 * int_roots[0] != a:
+        return None
+    boxes = isolate_real_roots(q)
+    first = 2 * boxes[-1].midpoint - a
+    d2 = round(first * first)
+    if d2 <= 0:
+        return None
+    delta = squarefree_part_int(d2)
+    sqd = math.sqrt(delta)
+    bs = []
+    for box in boxes:
+        b = round((2 * box.midpoint - a) / sqd)
+        if b == 0:
+            return None
+        bs.append(b)
+    bs += [0] * len(int_roots)
+    if len({abs(b) % 2 for b in bs} | {abs(a) % 2}) > 1:
+        return None
+    rebuilt = _expand_quadratic_product(a, delta, bs)
+    if rebuilt is None or rebuilt != support:
+        return None
+    return QuadraticSpectrum(a, delta, tuple(sorted(bs, reverse=True)))
+
+
+def _assert_fits_agree(G):
+    fits = 0
+    for v in range(G.n):
+        support = support_poly(G, v)
+        got = fit_quadratic_spectrum(support)
+        assert got == _float_proposed_fit(support), (G, v)
+        fits += got is not None
+    return fits
+
+
+def test_fit_matches_float_proposed_fit_on_trees():
+    fits = 0
+    for _, T in trees_up_to(10):
+        fits += _assert_fits_agree(T)
+        fits += _assert_fits_agree(laplacian_form(T))
+    assert fits > 0
+
+
+@pytest.mark.parametrize(
+    "G", [hypercube(d) for d in range(1, 6)] + [grid(3, 3)], ids=lambda G: f"n{G.n}"
+)
+def test_fit_matches_float_proposed_fit_on_pst_families(G):
+    assert _assert_fits_agree(G) == G.n
+    _assert_fits_agree(laplacian_form(G))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.integers(-8, 8),
+    delta=st.sampled_from([2, 3, 5, 6, 7, 10, 13]),
+    bs=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    middle=st.booleans(),
+    extra=st.lists(st.integers(-6, 6), max_size=2),
+)
+def test_fit_matches_float_proposed_fit_on_quadratic_products(a, delta, bs, middle, extra):
+    # prod_r (t^2 - a t + (a^2 - b_r^2 delta)/4), the roots (a +- b_r sqrt(delta))/2
+    p = Poly.one()
+    for b in bs:
+        p = p * Poly((Fraction(a * a - b * b * delta, 4), -a, 1))
+    if middle:
+        p = p * Poly.linear(Fraction(a, 2))
+    for z in extra:
+        p = p * Poly.linear(z)
+    got = fit_quadratic_spectrum(p)
+    assert got == _float_proposed_fit(p)
+    integral = all(c.denominator == 1 for c in p.coeffs)
+    same_parity = all(b % 2 == a % 2 for b in bs) and not (middle and a % 2)
+    if integral and same_parity and len(set(bs)) == len(bs) and not extra:
+        b_all = bs + [-b for b in bs] + [0] * middle
+        assert got == QuadraticSpectrum(a, delta, tuple(sorted(b_all, reverse=True)))
+
+
+def test_fit_large_lucas_quadratic():
+    # t^2 - L40 t + 1 has roots (L40 +- F40 sqrt(5))/2; float midpoints of
+    # (2 theta - a)^2 ~ 5e16 no longer round to the right integer
+    lucas_40, fib_40 = 228826127, 102334155
+    qs = fit_quadratic_spectrum(Poly((1, -lucas_40, 1)))
+    assert qs == QuadraticSpectrum(lucas_40, 5, (fib_40, -fib_40))
+
+
+def test_fit_refuses_to_guess_past_box_precision():
+    # L56 ~ 2^38: the interval of (2 theta - a)^2 over a 2^-40 box is wider
+    # than 1, so the exact fit cannot pin the integer and must say so
+    lucas = [2, 1]
+    while len(lucas) <= 56:
+        lucas.append(lucas[-1] + lucas[-2])
+    with pytest.raises(PstError):
+        fit_quadratic_spectrum(Poly((1, -lucas[56], 1)))
+
+
+def test_fit_uses_no_float(monkeypatch):
+    def no_midpoint(box):
+        raise AssertionError("float midpoint read during the fit")
+
+    monkeypatch.setattr(RootBox, "midpoint", property(no_midpoint))
+    assert fit_quadratic_spectrum(Poly([-1, -1, 1])) == QuadraticSpectrum(1, 5, (1, -1))
+    assert fit_quadratic_spectrum(support_poly(grid(3, 3), 0)).delta == 2
+    assert fit_quadratic_spectrum(support_poly(path(4), 0)) is None
