@@ -7,6 +7,7 @@ vertices, 4 Laplacian with non-integer weights, 5 scan invariant violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -60,12 +61,17 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _atomic_write(path: str, content: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(EXIT_OUTPUT) from exc
 
 

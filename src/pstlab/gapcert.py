@@ -15,25 +15,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, delete_vertices, separating_cut_edge, separating_neighbor
+from .graphs import Graph, separating_cut_edge, separating_neighbor
 from .polys import (
     Poly,
     PolyError,
     RatFunc,
     RootBox,
-    charpoly,
     isolate_real_roots,
     poly_gcd,
     simple_pole_residues,
+    vertex_deleted_charpoly,
 )
 from .spectra import (
     is_cospectral,
     is_strongly_cospectral,
     min_support_gap,
+    sign_quotient,
     signed_path_sum,
     support_partition,
     support_poly,
-    vertex_deleted_charpoly,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -51,19 +51,13 @@ class GapError(ValueError):
 
 @lru_cache(maxsize=50_000)
 def alpha_pair(G: Graph, i: int, j: int) -> tuple[RatFunc, RatFunc]:
-    """(alpha+, alpha-): reduced rational functions whose zeros are the
-    plus/minus support classes of the strongly cospectral pair."""
+    """(alpha+, alpha-) = (phi^{G\\i} -+ S) / phi^{G\\{i,j}} for the signed path
+    sum S: the sign quotients for +S and -S, whose monic numerators are the
+    plus and minus classes of the support partition."""
     if not is_strongly_cospectral(G, i, j):
         raise GapError("vertices are not strongly cospectral")
-    phi_i = vertex_deleted_charpoly(G, i)
-    phi_ij = charpoly(delete_vertices(G, {i, j}))
     s = signed_path_sum(G, i, j)
-    plus = RatFunc.make(phi_i - s, phi_ij)
-    minus = RatFunc.make(phi_i + s, phi_ij)
-    partition = support_partition(G, i, j)
-    if plus.num.monic() != partition.plus or minus.num.monic() != partition.minus:
-        raise GapError("alpha zeros disagree with the support partition")
-    return plus, minus
+    return sign_quotient(G, i, s), sign_quotient(G, i, -s)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +378,7 @@ def residue_mass(
     s = signed_path_sum(G, i, j)
     mass = 0.0
     if not s.is_zero():
-        f = RatFunc.make(s, charpoly(delete_vertices(G, {i, j})))
+        f = RatFunc.make(s, vertex_deleted_charpoly(G, i, j))
         try:
             residues = simple_pole_residues(f)
         except PolyError as exc:

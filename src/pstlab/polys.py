@@ -472,6 +472,16 @@ def charpoly(G: Graph) -> Poly:
     return forest if forest is not None else berkowitz_charpoly(G)
 
 
+@lru_cache(maxsize=100_000)
+def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
+    """charpoly(G \\ vertices), memoized.  Any order or repetition of the
+    vertices resolves to the entry of the sorted vertex set."""
+    key = tuple(sorted(set(vertices)))
+    if vertices != key:
+        return vertex_deleted_charpoly(G, *key)
+    return charpoly(delete_vertices(G, vertices))
+
+
 # ---------------------------------------------------------------------------
 # path-sum polynomial
 
@@ -483,8 +493,8 @@ def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
     different components."""
     if i == j:
         raise PolyError("need distinct vertices")
-    w = charpoly(delete_vertices(G, {i})) * charpoly(delete_vertices(G, {j})) \
-        - charpoly(delete_vertices(G, {i, j})) * charpoly(G)
+    w = vertex_deleted_charpoly(G, i) * vertex_deleted_charpoly(G, j) \
+        - vertex_deleted_charpoly(G, i, j) * charpoly(G)
     if w.is_zero():
         return Poly.zero()
     try:
@@ -678,18 +688,11 @@ def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
         stack.append((mid, b, d, cnt - left))
     boxes: list[RootBox] = []
     for a, b, d in intervals:
-        rlo, rhi = _refine(fi, a, b, d)
-        mult = 1
+        box = RootBox(*_refine(fi, a, b, d), 1)
         if len(factors) > 1 or factors[0][1] != 1:
-            for fac, m in factors:
-                if rlo == rhi:
-                    hit = fac(rlo) == 0
-                else:
-                    hit = fac.sign_at(rlo) * fac.sign_at(rhi) < 0
-                if hit:
-                    mult = m
-                    break
-        boxes.append(RootBox(rlo, rhi, mult))
+            mult = next((m for fac, m in factors if box_has_root(fac, box)), 1)
+            box = RootBox(box.lo, box.hi, mult)
+        boxes.append(box)
     boxes.sort(key=lambda box: box.lo)
     return tuple(boxes)
 
@@ -750,10 +753,6 @@ def squarefree_part_int(m: int) -> int:
                 out *= d
         d += 1
     return out * m
-
-
-def divisors(m: int) -> list[int]:
-    return _divisors(abs(m))
 
 
 def residue_at(f: RatFunc, x: float) -> float:

@@ -17,7 +17,6 @@ from . import walk
 from .graphs import Graph, GraphError, laplacian_form
 from .polys import (
     Poly,
-    divisors,
     isolate_real_roots,
     rational_roots_monic_integer,
     squarefree_part_int,
@@ -98,10 +97,7 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
         raise PstError("support polynomial must be nonconstant")
     if support.leading != 1 or any(c.denominator != 1 for c in support.coeffs):
         return None  # eigenvalues are not algebraic integers
-    int_roots = [
-        z for z in rational_roots_monic_integer(support)
-        if support(Fraction(z)) == 0
-    ]
+    int_roots = rational_roots_monic_integer(support)
     q = support
     for z in int_roots:
         q = q.exact_div(Poly.linear(z))
@@ -177,32 +173,30 @@ def decide_pst(G: Graph, i: int, j: int, model: str = "adjacency") -> PstCertifi
     deltas = [(b0 - br) // 2 for br in spectrum.b]
     if any(2 * d != b0 - br for d, br in zip(deltas, spectrum.b)):
         raise PstError("b values with mixed parity survived the exact fit")
-    g0 = 0
-    for d in deltas:
-        g0 = math.gcd(g0, d)
-    if g0 == 0:
+    # Only the gcd g can pass: a divisor g' with g/g' even makes every k even,
+    # but sum(sigma E(i, i)) = I(i, j) = 0 with every E(i, i) > 0, so some
+    # sigma is -1; with g/g' odd the k keep their parities at g.
+    g = math.gcd(*deltas)
+    if g == 0:
         return PstCertificate((i, j), model, "NO_PST", PARITY_CONDITION_C)
-    for g in sorted(divisors(g0), reverse=True):
-        ks = [d // g for d in deltas]
-        if all((k % 2 == 0) == (s == +1) for k, s in zip(ks, sigmas)):
-            t_min = math.pi / (g * math.sqrt(spectrum.delta))
-            cert = PstCertificate(
-                (i, j),
-                model,
-                "PST",
-                spectrum=spectrum,
-                sigmas=sigmas,
-                g=g,
-                k=tuple(ks),
-                t_min=t_min,
-                phase=walk.amplitude(H, i, j, t_min),
-            )
-            if not walk.verify_certificate(H, cert):
-                raise PstError(
-                    "internal error: algebraic PST verdict failed the walk oracle"
-                )
-            return cert
-    return PstCertificate((i, j), model, "NO_PST", PARITY_CONDITION_C)
+    ks = tuple(d // g for d in deltas)
+    if any((k % 2 == 0) != (s == +1) for k, s in zip(ks, sigmas)):
+        return PstCertificate((i, j), model, "NO_PST", PARITY_CONDITION_C)
+    t_min = math.pi / (g * math.sqrt(spectrum.delta))
+    cert = PstCertificate(
+        (i, j),
+        model,
+        "PST",
+        spectrum=spectrum,
+        sigmas=sigmas,
+        g=g,
+        k=ks,
+        t_min=t_min,
+        phase=walk.amplitude(H, i, j, t_min),
+    )
+    if not walk.verify_certificate(H, cert):
+        raise PstError("internal error: algebraic PST verdict failed the walk oracle")
+    return cert
 
 
 def pst_pairs(

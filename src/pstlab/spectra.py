@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, delete_vertices
+from .graphs import Graph
 from .polys import (
     Poly,
     RatFunc,
@@ -23,16 +23,12 @@ from .polys import (
     residue_at,
     simple_pole_residues,
     square_free_part,
+    vertex_deleted_charpoly,  # re-exported under its old name
 )
 
 
 class SpectraError(ValueError):
     pass
-
-
-@lru_cache(maxsize=100_000)
-def vertex_deleted_charpoly(G: Graph, i: int) -> Poly:
-    return charpoly(delete_vertices(G, {i}))
 
 
 def is_cospectral(G: Graph, i: int, j: int) -> bool:
@@ -47,7 +43,7 @@ def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     """Cospectral and all poles of phi^{G\\{i,j}}/phi^G are simple."""
     if not is_cospectral(G, i, j):
         return False
-    f = RatFunc.make(charpoly(delete_vertices(G, {i, j})), charpoly(G))
+    f = RatFunc.make(vertex_deleted_charpoly(G, i, j), charpoly(G))
     den = f.den
     return den.degree == 0 or square_free_part(den) == den
 
@@ -65,12 +61,13 @@ def support_size(G: Graph, i: int) -> int:
     return support_poly(G, i).degree
 
 
-def _sign_class(G: Graph, i: int, s: Poly) -> Poly:
-    """Monic phi^G / gcd(phi^G, phi^{G\\i} + s).  For the path sum s of a
-    strongly cospectral pair this is the plus class of the support of i, and
-    -s gives the minus class."""
-    phi = charpoly(G)
-    return phi.exact_div(poly_gcd(phi, vertex_deleted_charpoly(G, i) + s)).monic()
+@lru_cache(maxsize=100_000)
+def sign_quotient(G: Graph, i: int, s: Poly) -> RatFunc:
+    """phi^G / (phi^{G\\i} + s), reduced.  For the path sum s of a strongly
+    cospectral pair its monic numerator is the plus class of the support of
+    i (-s gives the minus class), and since (phi^{G\\i} - s)(phi^{G\\i} + s)
+    = phi^{G\\{i,j}} phi^G it is alpha+ = (phi^{G\\i} - s) / phi^{G\\{i,j}}."""
+    return RatFunc.make(charpoly(G), vertex_deleted_charpoly(G, i) + s)
 
 
 @lru_cache(maxsize=100_000)
@@ -84,7 +81,7 @@ def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
     if s.is_zero():
         return s
     top = isolate_real_roots(support_poly(G, i))[-1]
-    if not box_has_root(_sign_class(G, i, s), top):
+    if not box_has_root(sign_quotient(G, i, s).num, top):
         return -s
     return s
 
@@ -124,11 +121,12 @@ class SupportPartition:
 @lru_cache(maxsize=100_000)
 def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
     """Split the support of i into plus/minus parts for a strongly cospectral
-    pair, verifying all structural invariants exactly before returning."""
+    pair, verifying all structural invariants exactly before returning.  The
+    parts are the monic numerators of alpha+ and alpha- (see sign_quotient)."""
     if not is_strongly_cospectral(G, i, j):
         raise SpectraError("vertices are not strongly cospectral")
     s = signed_path_sum(G, i, j)
-    plus, minus = _sign_class(G, i, s), _sign_class(G, i, -s)
+    plus, minus = (sign_quotient(G, i, t).num.monic() for t in (s, -s))
     sup = support_poly(G, i)
     if plus * minus != sup:
         raise SpectraError("partition does not multiply back to the support")

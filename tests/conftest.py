@@ -50,3 +50,36 @@ def grid(a, b):
     items = [(x * b + y, x * b + y + 1, 1) for x in range(a) for y in range(b - 1)]
     items += [(x * b + y, (x + 1) * b + y, 1) for x in range(a - 1) for y in range(b)]
     return Graph.from_edges(a * b, items)
+
+
+def mirror_graph(base, join, w_join, anchor):
+    """Two copies of the weighted graph ``base`` = (k, items), joined by an
+    edge of weight w_join between vertex ``join`` and its copy, with a
+    unit-weight pendant vertex on ``anchor`` and on its copy.  Swapping the
+    copies is an automorphism, so the two pendant vertices 2k and 2k + 1 are
+    cospectral."""
+    k, items = base
+    edges = list(items) + [(u + k, v + k, w) for u, v, w in items]
+    edges += [(join, join + k, w_join), (anchor, 2 * k, 1), (anchor + k, 2 * k + 1, 1)]
+    return Graph.from_edges(2 * k + 2, edges)
+
+
+def seeded_mirror_graphs(seed, count):
+    """Mirror graphs of random rational-weighted bases on 2 to 5 vertices,
+    loops included."""
+    rng = random.Random(seed)
+    out = []
+    for m in range(count):
+        k = 2 + m % 4
+        items = [
+            (rng.randrange(v), v, Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2])))
+            for v in range(1, k)
+        ]
+        items += [
+            (v, v, Fraction(rng.choice([-1, 1, 2]), 3))
+            for v in range(k)
+            if rng.random() < 0.3
+        ]
+        w_join = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 2, 3]))
+        out.append(mirror_graph((k, items), rng.randrange(k), w_join, rng.randrange(k)))
+    return out

@@ -175,6 +175,20 @@ def test_simulate_unwritable_exit_6(capsys, p3_file):
     assert code == 6
 
 
+@pytest.mark.parametrize("command", ["scan-trees", "simulate"])
+def test_out_to_a_directory_exit_6_without_litter(tmp_path, capsys, p3_file, command):
+    target = tmp_path / "taken"
+    target.mkdir()
+    args = {
+        "scan-trees": ["--max-n", "3"],
+        "simulate": [p3_file, "0", "2", "--steps", "5"],
+    }[command]
+    assert main([command, *args, "--out", str(target)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_bound_command(capsys, p4_file):
     code, payload = run_json(capsys, ["bound", p4_file, "0", "3"])
     assert code == 0

@@ -5,7 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import trees_up_to
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import grid, mirror_graph, seeded_mirror_graphs, trees_up_to
 from pstlab import gapcert, graphs
 from pstlab.gapcert import (
     SQRT2,
@@ -20,9 +23,14 @@ from pstlab.gapcert import (
     partial_fraction,
     residue_mass,
 )
-from pstlab.graphs import Graph, delete_vertices, double_star, path, star
+from pstlab.graphs import Graph, delete_vertices, hypercube, path, star
 from pstlab.polys import Poly, RatFunc, charpoly
-from pstlab.spectra import is_strongly_cospectral, min_support_gap, signed_path_sum
+from pstlab.spectra import (
+    is_strongly_cospectral,
+    min_support_gap,
+    signed_path_sum,
+    support_partition,
+)
 
 
 def sc_pairs(T):
@@ -62,14 +70,58 @@ def test_difalpha_identity_on_trees():
 
 
 def test_alpha_zeros_are_support_classes():
-    from pstlab.spectra import support_partition
-
     for _, T in trees_up_to(7):
         for i, j in sc_pairs(T):
             plus, minus = alpha_pair(T, i, j)
             part = support_partition(T, i, j)
             assert plus.num.monic() == part.plus
             assert minus.num.monic() == part.minus
+
+
+def _alpha_pair_by_deletion(G, i, j):
+    """The alpha functions built directly: (phi^{G\\i} -+ S) / phi^{G\\{i,j}}."""
+    phi_i = charpoly(delete_vertices(G, {i}))
+    phi_ij = charpoly(delete_vertices(G, {i, j}))
+    s = signed_path_sum(G, i, j)
+    return RatFunc.make(phi_i - s, phi_ij), RatFunc.make(phi_i + s, phi_ij)
+
+
+def _assert_alpha_pair_matches_deletion_route(G):
+    """alpha_pair equals the deletion route on every strongly cospectral
+    pair, and its zeros are the support classes; returns the pair count."""
+    pairs = sc_pairs(G)
+    for i, j in pairs:
+        plus, minus = alpha_pair(G, i, j)
+        assert (plus, minus) == _alpha_pair_by_deletion(G, i, j)
+        part = support_partition(G, i, j)
+        assert plus.num.monic() == part.plus
+        assert minus.num.monic() == part.minus
+    return len(pairs)
+
+
+def test_alpha_pair_matches_deletion_route():
+    graphs = [T for _, T in trees_up_to(9)]
+    graphs += [hypercube(3), grid(3, 3)] + seeded_mirror_graphs(11, 12)
+    assert sum(_assert_alpha_pair_matches_deletion_route(G) for G in graphs) > 100
+
+
+weights = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_alpha_pair_matches_deletion_route_on_weighted_mirrors(data):
+    k = data.draw(st.integers(1, 4))
+    slots = [(u, v) for u in range(k) for v in range(u, k)]  # u == v is a loop
+    chosen = data.draw(st.lists(st.sampled_from(slots), unique=True))
+    items = [(u, v, data.draw(weights)) for u, v in chosen]
+    G = mirror_graph(
+        (k, items),
+        data.draw(st.integers(0, k - 1)),
+        data.draw(weights),
+        data.draw(st.integers(0, k - 1)),
+    )
+    _assert_alpha_pair_matches_deletion_route(G)
 
 
 # -- partial fractions ------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import grid, random_weighted_graph, trees_up_to
 from pstlab.graphs import Graph, delete_vertices, hypercube, laplacian_form, path, star
-from pstlab import polys
+from pstlab import polys, spectra
 from pstlab.polys import (
     NotASquareError,
     Poly,
@@ -17,7 +17,6 @@ from pstlab.polys import (
     berkowitz_charpoly,
     box_has_root,
     charpoly,
-    divisors,
     isolate_real_roots,
     path_sum_bruteforce,
     path_sum_poly,
@@ -28,6 +27,7 @@ from pstlab.polys import (
     square_free_part,
     squarefree_decomposition,
     squarefree_part_int,
+    vertex_deleted_charpoly,
 )
 
 X = Poly.x()
@@ -194,6 +194,31 @@ def test_charpoly_disjoint_union_multiplies():
     assert charpoly(union) == charpoly(a) * charpoly(b)
 
 
+# -- deleted-subgraph charpolys ----------------------------------------------
+
+
+def test_vertex_deleted_charpoly_matches_charpoly_on_vertex_sets():
+    rng = random.Random(31)
+    graphs = [T for _, T in trees_up_to(8)]
+    graphs += [random_weighted_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+    for G in graphs:
+        for i in range(G.n):
+            assert vertex_deleted_charpoly(G, i) == charpoly(delete_vertices(G, {i}))
+            for j in range(i + 1, G.n):
+                memo = vertex_deleted_charpoly(G, i, j)
+                assert memo == charpoly(delete_vertices(G, {i, j}))
+                # the memo key is the vertex set, whatever the order
+                hits = vertex_deleted_charpoly.cache_info().hits
+                assert vertex_deleted_charpoly(G, j, i) is memo
+                assert vertex_deleted_charpoly.cache_info().hits == hits + 1
+    memo = vertex_deleted_charpoly(path(4), 1)
+    hits = vertex_deleted_charpoly.cache_info().hits
+    assert vertex_deleted_charpoly(path(4), 1, 1) is memo
+    assert vertex_deleted_charpoly.cache_info().hits == hits + 1
+    assert vertex_deleted_charpoly(path(4)) == charpoly(path(4))
+    assert spectra.vertex_deleted_charpoly is vertex_deleted_charpoly
+
+
 # -- path-sum polynomial ----------------------------------------------------
 
 
@@ -318,9 +343,7 @@ def test_rational_roots_monic_integer():
         rational_roots_monic_integer(Poly([Fraction(1, 2), 1]))
 
 
-def test_divisors_and_squarefree_part():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(0) == []
+def test_squarefree_part_int():
     assert squarefree_part_int(1) == 1
     assert squarefree_part_int(8) == 2
     assert squarefree_part_int(360) == 10

@@ -24,7 +24,7 @@ from pstlab.pst import (
     fit_quadratic_spectrum,
     pst_pairs,
 )
-from pstlab.spectra import support_poly
+from pstlab.spectra import is_strongly_cospectral, support_partition, support_poly
 from pstlab.walk import fidelity
 
 
@@ -204,6 +204,64 @@ def test_every_positive_verdict_hits_fidelity_one():
         times = np.linspace(1e-3, cert.t_min * 0.999, 2000)
         vals = np.abs(amplitudes_on_grid(G, i, j, times))
         assert vals.max() < 1 - 1e-6
+
+
+# -- the gcd parity test against the divisor loop it replaced -----------------
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _divisor_loop_verdict(G, i, j, model):
+    """decide_pst's parity step as a loop over every divisor g of the gcd,
+    largest first: (result, failing condition, g, k)."""
+    H = G if model == "adjacency" else laplacian_form(G)
+    if not is_strongly_cospectral(H, i, j):
+        return "NO_PST", NOT_STRONGLY_COSPECTRAL, None, ()
+    spectrum = fit_quadratic_spectrum(support_poly(H, i))
+    if spectrum is None:
+        return "NO_PST", RATIO_CONDITION_B, None, ()
+    partition = support_partition(H, i, j)
+    sigmas = [partition.sigma(box) for box in reversed(partition.support_roots)]
+    deltas = [(spectrum.b[0] - br) // 2 for br in spectrum.b]
+    for g in reversed(_divisors(math.gcd(*deltas))):
+        ks = tuple(d // g for d in deltas)
+        if all((k % 2 == 0) == (s == +1) for k, s in zip(ks, sigmas)):
+            return "PST", None, g, ks
+    return "NO_PST", PARITY_CONDITION_C, None, ()
+
+
+def _assert_parity_matches_divisor_loop(G, models=("adjacency", "laplacian")):
+    """decide_pst agrees with the divisor loop on every pair; returns the
+    number of PST verdicts."""
+    found = 0
+    for model in models:
+        for i in range(G.n):
+            for j in range(i + 1, G.n):
+                cert = decide_pst(G, i, j, model)
+                got = cert.result, cert.failing_condition, cert.g, cert.k
+                assert got == _divisor_loop_verdict(G, i, j, model)
+                found += cert.result == "PST"
+    return found
+
+
+def test_parity_matches_divisor_loop_on_trees():
+    # PST: P2 (both models) and P3 (adjacency)
+    assert sum(_assert_parity_matches_divisor_loop(T) for _, T in trees_up_to(9)) == 3
+
+
+@pytest.mark.parametrize(
+    "G", [hypercube(d) for d in range(1, 6)] + [grid(3, 3)], ids=lambda G: f"n{G.n}"
+)
+def test_parity_matches_divisor_loop_on_pst_families(G):
+    assert _assert_parity_matches_divisor_loop(G) > 0
+
+
+def test_parity_matches_divisor_loop_on_weighted_p3():
+    for w in range(1, 13):
+        G = Graph.from_edges(3, [(0, 1, w), (1, 2, w)])
+        assert _assert_parity_matches_divisor_loop(G) == 1
 
 
 # -- the exact fit against the float-proposed fit it replaced ----------------
