@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success (or PST found), 1 no PST, 2 parse error, 3 invalid
-vertices, 4 Laplacian with non-integer weights, 5 scan invariant violation,
-6 unwritable output.
+vertices, 4 Laplacian with non-integer weights, 5 scan invariant violation
+(or a gap-certificate violation in analyze), 6 unwritable output.
 """
 from __future__ import annotations
 
@@ -109,12 +109,16 @@ def cmd_analyze(args) -> int:
         "support_poly_i": support_poly(G, i).to_json(),
         "support_poly_j": support_poly(G, j).to_json(),
     }
-    if out["strongly_cospectral"]:
-        out["partition"] = support_partition(G, i, j).to_json()
-        pf_plus, pf_minus = merged_alphas(G, i, j)
-        out["alpha_plus"] = pf_plus.to_json()
-        out["alpha_minus"] = pf_minus.to_json()
-    out["gap_certificate"] = certify_gap(G, i, j).to_json()
+    try:
+        if out["strongly_cospectral"]:
+            out["partition"] = support_partition(G, i, j).to_json()
+            pf_plus, pf_minus = merged_alphas(G, i, j)
+            out["alpha_plus"] = pf_plus.to_json()
+            out["alpha_minus"] = pf_minus.to_json()
+        out["gap_certificate"] = certify_gap(G, i, j).to_json()
+    except GapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     try:
         mass, bound = residue_mass(G, i, j)
         out["residue_mass"] = {"mass": mass, "bound": bound}

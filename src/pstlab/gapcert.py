@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, separating_cut_edge, separating_neighbor
+from .graphs import Graph, bridges, connected_components, separating_neighbor
 from .polys import (
     Poly,
     PolyError,
@@ -158,7 +158,7 @@ def merged_alphas(
         )
 
     mus_p, mus_m = on_union(terms_p), on_union(terms_m)
-    if _cut_edge_hypotheses(G, i, j) and s0p != s0m:
+    if _cut_edge_hypotheses(G, i, j) is not None and s0p != s0m:
         raise GapError("shifts differ despite the cut-edge hypotheses")
     poles = tuple(b.midpoint for b in boxes)
     return (
@@ -217,17 +217,18 @@ def arrow_matrix(pf: PartialFraction) -> ArrowMatrix:
 
 
 @lru_cache(maxsize=50_000)
-def _cut_edge_hypotheses(G: Graph, i: int, j: int) -> bool:
-    """Neighbors i' != j of i and j' != i of j such that the edges ii' and
-    jj' are cut-edges, each separating i and j."""
-    return (
-        separating_neighbor(G, i, j) is not None
-        and separating_neighbor(G, j, i) is not None
-    )
+def _cut_edge_hypotheses(G: Graph, i: int, j: int) -> Optional[tuple[int, int]]:
+    """Neighbors (i', j'), i' != j of i and j' != i of j, such that the edges
+    ii' and jj' are cut-edges, each separating i and j; None if either is
+    missing."""
+    ni = separating_neighbor(G, i, j)
+    nj = None if ni is None else separating_neighbor(G, j, i)
+    return None if nj is None else (ni, nj)
 
 
-def _is_p3(G: Graph) -> bool:
-    return G.n == 3 and G.degree_sequence() == (1, 1, 2)
+def _component_is_p3(G: Graph, v: int) -> bool:
+    comp = next(c for c in connected_components(G) if v in c)
+    return sorted(len(G.neighbors(u)) for u in comp) == [1, 1, 2]
 
 
 def _detect_equality_case(plus: RatFunc, minus: RatFunc) -> Optional[Fraction]:
@@ -285,11 +286,13 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
     """Certificate for the sqrt(2) support-gap bound on the pair (i, j).
 
     Hypotheses are checked and reported, never assumed.  Equality forces the
-    graph to be P3 and is detected by exact algebra.
+    component of the pair to be P3 and is detected by exact algebra.
     """
     sc = is_strongly_cospectral(G, i, j)
-    cut_ok = _cut_edge_hypotheses(G, i, j)
-    hypotheses_ok = sc and cut_ok
+    nbrs = _cut_edge_hypotheses(G, i, j)
+    cut_ok = nbrs is not None
+    # the weighted bound sqrt(2 |w(i,i') w(j,j')|) is at most sqrt(2) only here
+    hypotheses_ok = sc and cut_ok and abs(G.weight(i, nbrs[0]) * G.weight(j, nbrs[1])) <= 1
     gap: Optional[float] = None
     if support_poly(G, i).degree >= 2:
         gap = min_support_gap(G, i)
@@ -319,15 +322,18 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
         r = _detect_equality_case(plus_rf, minus_rf)
         if r is not None:
             equality = True
-            if not _is_p3(G):
+            if not _component_is_p3(G, i):
                 raise GapError("equality case detected on a graph that is not P3")
         if hypotheses_ok:
             if gap is not None and gap > SQRT2 + 1e-9:
                 raise GapError(f"support gap {gap} exceeds sqrt(2)")
             if equality:
-                conclusion = "gap equals sqrt(2); G is isomorphic to P3"
+                where = "G" if G.n == 3 else "the component of the pair"
+                conclusion = f"gap equals sqrt(2); {where} is isomorphic to P3"
             else:
                 conclusion = "support gap at most sqrt(2)"
+        elif cut_ok:
+            conclusion = "strongly cospectral, but |w(i,i') w(j,j')| > 1 on the cut-edges"
         else:
             conclusion = "strongly cospectral, but cut-edge hypotheses fail"
     return GapCertificate(
@@ -444,7 +450,7 @@ def bridge_gap_check(G: Graph, i: int, j: int) -> BridgeGapReport:
     two eigenvalues at distance at most 1, unless the graph is P2."""
     if not G.has_edge(i, j):
         raise GapError("vertices are not adjacent")
-    if not separating_cut_edge(G, (i, j), i, j):
+    if (min(i, j), max(i, j)) not in bridges(G):
         raise GapError("edge ij is not a bridge")
     if not is_cospectral(G, i, j):
         raise GapError("vertices are not cospectral")

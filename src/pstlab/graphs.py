@@ -242,13 +242,6 @@ def is_connected(G: Graph) -> bool:
     return G.n <= 1 or len(connected_components(G)) == 1
 
 
-def same_component(G: Graph, i: int, j: int) -> bool:
-    for comp in connected_components(G):
-        if i in comp:
-            return j in comp
-    return False
-
-
 def bfs_distances(G: Graph, source: int) -> list[int]:
     """Unweighted hop distances; -1 for unreachable vertices."""
     dist = [-1] * G.n
@@ -305,13 +298,6 @@ def bridges(G: Graph) -> set[tuple[int, int]]:
     return out
 
 
-def _remove_edge(G: Graph, u: int, v: int) -> Graph:
-    if u > v:
-        u, v = v, u
-    items = [(a, b, w) for a, b, w in G.edges if (a, b) != (u, v)]
-    return Graph(G.n, tuple(items))
-
-
 def separating_cut_edge(G: Graph, e: tuple[int, int], i: int, j: int) -> bool:
     """True iff e is a bridge whose removal leaves i and j in different
     components."""
@@ -320,10 +306,17 @@ def separating_cut_edge(G: Graph, e: tuple[int, int], i: int, j: int) -> bool:
         raise GraphError(f"({u},{v}) is not an edge")
     if i == j:
         raise GraphError("need distinct vertices i, j")
-    H = _remove_edge(G, u, v)
-    if same_component(H, u, v):
-        return False  # not a bridge
-    return not same_component(H, i, j)
+    if not (0 <= i < G.n and 0 <= j < G.n):
+        raise GraphError(f"vertex pair ({i},{j}) out of range")
+    if (min(u, v), max(u, v)) not in bridges(G):
+        return False
+    d_i = bfs_distances(G, i)
+    if d_i[j] < 0:
+        return True
+    d_j = bfs_distances(G, j)
+    # a vertex is on the v side of the bridge iff it is closer to v than to u;
+    # off the bridge's component both tests read False
+    return (d_i[v] < d_i[u]) != (d_j[v] < d_j[u])
 
 
 def separating_neighbor(G: Graph, v: int, other: int) -> Optional[int]:

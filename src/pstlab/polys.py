@@ -486,7 +486,6 @@ def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
 # path-sum polynomial
 
 
-@lru_cache(maxsize=100_000)
 def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
     """Signed square root of phi^{G\\i} phi^{G\\j} - phi^{G\\{i,j}} phi^G,
     normalized to positive leading coefficient.  Zero when i and j sit in

@@ -4,6 +4,7 @@ bound holds with equality only on P3.
 """
 from __future__ import annotations
 
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -92,11 +93,14 @@ def scan_trees(max_n: int, jobs: int = 1) -> ScanReport:
     and gap-certificate results; deterministic output independent of jobs."""
     if not (2 <= max_n <= MAX_TREE_ORDER):
         raise ValueError(f"max_n must be in 2..{MAX_TREE_ORDER}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     start = time.monotonic()
     report = ScanReport(max_n=max_n)
     # one pool for every order, so the workers start once; below order 4
     # each order has a single tree and needs no pool
-    with Pool(jobs) if jobs > 1 and max_n > 3 else nullcontext() as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    with Pool(workers) if workers > 1 and max_n > 3 else nullcontext() as pool:
         for n in range(2, max_n + 1):
             tasks = [(n, idx, T) for idx, T in enumerate(enumerate_trees(n))]
             if pool is not None:

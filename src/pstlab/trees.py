@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, is_connected
 
 #: largest tree order that ``enumerate_trees`` and ``scan_trees`` accept
 MAX_TREE_ORDER = 16
@@ -57,14 +57,9 @@ def _ahu(adj: list[list[int]], root: int, banned: int) -> str:
     return "(" + "".join(codes) + ")"
 
 
-def canonical_code(G: Graph) -> str:
-    """Centroid-rooted AHU canonical string; isomorphism invariant."""
-    if G.n == 0:
-        raise GraphError("empty graph has no tree code")
-    adj = [list(G.neighbors(v)) for v in range(G.n)]
-    if len(G.edges) != G.n - 1:
-        raise GraphError("not a tree")
-    cents = _centroids(adj, G.n)
+def _canonical(adj: list[list[int]]) -> str:
+    """Centroid-rooted AHU code of the tree with adjacency lists adj."""
+    cents = _centroids(adj, len(adj))
     if len(cents) == 1:
         return _ahu(adj, cents[0], -1)
     a, b = cents
@@ -73,58 +68,50 @@ def canonical_code(G: Graph) -> str:
     return "[" + lo + hi + "]"
 
 
-def _tree_from_rooted(code: str) -> Graph:
-    edges: list[tuple[int, int, int]] = []
+def canonical_code(G: Graph) -> str:
+    """Centroid-rooted AHU canonical string; isomorphism invariant."""
+    if G.n == 0:
+        raise GraphError("empty graph has no tree code")
+    if len(G.edges) != G.n - 1 or not is_connected(G):
+        raise GraphError("not a tree")
+    return _canonical([list(G.neighbors(v)) for v in range(G.n)])
+
+
+def _edges(code: str) -> list[tuple[int, int]]:
+    """Edges of the tree with a rooted code "(...)" or a bicentroidal code
+    "[AB]".  Vertices are numbered in the order their brackets open; "[AB]"
+    joins the root of A (vertex 0) to the root of B (vertex |A|)."""
+    edges: list[tuple[int, int]] = []
     stack: list[int] = []
-    counter = 0
+    count = 0
     for c in code:
         if c == "(":
-            label = counter
-            counter += 1
-            if stack:
-                edges.append((stack[-1], label, 1))
-            stack.append(label)
-        else:
+            if stack or count:
+                edges.append((stack[-1] if stack else 0, count))
+            stack.append(count)
+            count += 1
+        elif c == ")":
             stack.pop()
-    return Graph.from_edges(counter, edges)
-
-
-def _tree_from_bicentroidal(code: str) -> Graph:
-    inner = code[1:-1]
-    depth = 0
-    split = 0
-    for k, c in enumerate(inner):
-        depth += 1 if c == "(" else -1
-        if depth == 0:
-            split = k + 1
-            break
-    left = _tree_from_rooted(inner[:split])
-    right = _tree_from_rooted(inner[split:])
-    items = list(left.edges)
-    items += [(u + left.n, v + left.n, w) for u, v, w in right.edges]
-    items.append((0, left.n, 1))
-    return Graph.from_edges(left.n + right.n, items)
-
-
-def _build(code: str) -> Graph:
-    if code.startswith("["):
-        return _tree_from_bicentroidal(code)
-    return _tree_from_rooted(code)
-
-
-def _add_leaf(T: Graph, v: int) -> Graph:
-    return Graph.from_edges(T.n + 1, list(T.edges) + [(v, T.n, 1)])
+    return edges
 
 
 @lru_cache(maxsize=None)
 def _codes(n: int) -> tuple[str, ...]:
+    """Sorted codes of the trees on n vertices: leaf n - 1 on each vertex of
+    each tree of order n - 1."""
     if n == 1:
         return ("()",)
     seen = set()
     for code in _codes(n - 1):
-        T = _build(code)
-        for v in range(T.n):
-            seen.add(canonical_code(_add_leaf(T, v)))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in _edges(code):
+            adj[u].append(v)
+            adj[v].append(u)
+        for v in range(n - 1):
+            adj[v].append(n - 1)
+            adj[n - 1] = [v]
+            seen.add(_canonical(adj))
+            adj[v].pop()
     return tuple(sorted(seen))
 
 
@@ -138,4 +125,4 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
     if not (1 <= n <= MAX_TREE_ORDER):
         raise GraphError(f"tree order must be in 1..{MAX_TREE_ORDER}")
     for code in _codes(n):
-        yield _build(code)
+        yield Graph.from_edges(n, [(u, v, 1) for u, v in _edges(code)])

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pstlab import scan
+from pstlab import cli, scan
 from pstlab.cli import main
 from pstlab.gapcert import GapError
 
@@ -154,6 +154,47 @@ def test_scan_trees_gap_violation_exit_5(tmp_path, capsys, monkeypatch):
 
 def test_scan_trees_bad_range(capsys):
     assert main(["scan-trees", "--max-n", "99"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_trees_rejects_jobs_below_one(capsys, jobs):
+    assert main(["scan-trees", "--max-n", "4", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, i, j", [
+    ("5\n2 3\n2 4\n", 3, 4),  # P3 plus two isolated vertices
+    ("5\n0 1\n1 2\n3 4\n", 0, 2),  # P3 plus K2
+    ("10\n0 1\n1 2 -1\n3 4\n4 5\n3 5\n6 7 2\n7 8\n8 9\n", 0, 2),
+])
+def test_analyze_p3_component(tmp_path, capsys, text, i, j):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, payload = run_json(capsys, ["analyze", str(f), str(i), str(j)])
+    assert code == 0
+    assert payload["gap_certificate"]["equality_detected"]
+
+
+def test_analyze_heavy_cut_edges(tmp_path, capsys):
+    f = tmp_path / "p4w2.txt"
+    f.write_text("4\n0 1 2\n1 2 2\n2 3 2\n")
+    code, payload = run_json(capsys, ["analyze", str(f), "0", "3"])
+    assert code == 0
+    assert payload["gap_certificate"]["cut_edges_ok"]
+    assert not payload["gap_certificate"]["hypotheses_ok"]
+
+
+def test_analyze_gap_violation_exit_5(capsys, monkeypatch, p4_file):
+    def certify_gap(G, i, j):
+        raise GapError("planted violation")
+
+    monkeypatch.setattr(cli, "certify_gap", certify_gap)
+    assert main(["analyze", p4_file, "0", "3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: planted violation\n"
 
 
 def test_simulate_csv(tmp_path, capsys, p3_file):

@@ -256,6 +256,44 @@ def test_certify_gap_p2_hypotheses_fail():
     assert not cert.hypotheses_ok
 
 
+P3_COMPONENT_GRAPHS = [
+    # P3 plus two isolated vertices, pair at the ends of the P3
+    (Graph.from_edges(5, [(2, 3, 1), (2, 4, 1)]), 3, 4),
+    # P3 plus K2
+    (Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (3, 4, 1)]), 0, 2),
+    # a signed P3 next to a triangle and a weighted P4
+    (Graph.from_edges(10, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
+                           (6, 7, 2), (7, 8, 1), (8, 9, 1)]), 0, 2),
+]
+
+
+@pytest.mark.parametrize("G, i, j", P3_COMPONENT_GRAPHS)
+def test_certify_gap_equality_on_a_p3_component(G, i, j):
+    cert = certify_gap(G, i, j)
+    assert cert.hypotheses_ok
+    assert cert.equality_detected
+    assert "P3" in cert.conclusion
+
+
+def test_certify_gap_rejects_heavy_cut_edges():
+    # P4 with weight 2: the weighted bound is 2 sqrt(2), and the gap is 2
+    G = Graph.from_edges(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])
+    cert = certify_gap(G, 0, 3)
+    assert cert.strongly_cospectral and cert.cut_edges_ok
+    assert not cert.hypotheses_ok
+    assert "|w(i,i') w(j,j')| > 1" in cert.conclusion
+    assert cert.achieved_gap == pytest.approx(2.0, abs=1e-9)
+    assert general_bound(G, 0, 3) == pytest.approx(2 * SQRT2)
+
+
+def test_certify_gap_accepts_light_cut_edges():
+    # |w(0,1) w(3,2)| = 1/4 <= 1, so the sqrt(2) bound applies
+    G = Graph.from_edges(4, [(0, 1, Fraction(1, 2)), (1, 2, 3), (2, 3, Fraction(1, 2))])
+    cert = certify_gap(G, 0, 3)
+    assert cert.hypotheses_ok
+    assert cert.achieved_gap <= SQRT2
+
+
 def test_certify_gap_equality_only_p3_on_trees():
     for n, T in trees_up_to(9):
         for i, j in sc_pairs(T):

@@ -151,6 +151,38 @@ def test_separating_cut_edge():
         separating_cut_edge(P, (0, 2), 0, 3)
 
 
+def _separating_by_removal(G, e, i, j):
+    """Reference: delete the edge e and compare components."""
+    u, v = min(e), max(e)
+    H = Graph(G.n, tuple(x for x in G.edges if x[:2] != (u, v)))
+    comp = {w: k for k, c in enumerate(connected_components(H)) for w in c}
+    return comp[u] != comp[v] and comp[i] != comp[j]
+
+
+def _check_separating_cut_edge(G):
+    for u, v, _ in G.edges:
+        if u == v:
+            continue
+        for i in range(G.n):
+            for j in range(G.n):
+                if i != j:
+                    assert separating_cut_edge(G, (u, v), i, j) == \
+                        _separating_by_removal(G, (u, v), i, j)
+
+
+def test_separating_cut_edge_matches_edge_removal_on_trees():
+    for n in range(2, 9):
+        for T in enumerate_trees(n):
+            _check_separating_cut_edge(T)
+
+
+def test_separating_cut_edge_rejects_out_of_range_vertices():
+    with pytest.raises(GraphError):
+        separating_cut_edge(path(3), (0, 1), 0, 3)
+    with pytest.raises(GraphError):
+        separating_cut_edge(path(3), (0, 1), -1, 2)
+
+
 def _separating_neighbor_oracle(G, v, other):
     """The per-edge search: the first neighbor whose edge is a separating
     cut-edge, by separating_cut_edge (which copies G for each edge)."""
@@ -188,30 +220,36 @@ def test_separating_neighbor_matches_per_edge_search_on_trees():
             _check_separating_neighbor(T)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(2, 9).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(
-                    st.integers(0, n - 1),
-                    st.integers(0, n - 1),
-                    st.sampled_from([-3, -2, -1, Fraction(1, 2), 1, 2]),
-                ),
-                max_size=2 * n,
-            ),
-        )
-    )
-)
-def test_separating_neighbor_matches_per_edge_search(data):
-    # cycles, loops, signed weights and disconnected parts all occur
-    n, items = data
+def _graph_from_items(n, items):
     seen = {}
     for u, v, w in items:
         seen.setdefault((min(u, v), max(u, v)), w)
-    G = Graph.from_edges(n, [(u, v, w) for (u, v), w in seen.items()])
+    return Graph.from_edges(n, [(u, v, w) for (u, v), w in seen.items()])
+
+
+# cycles, loops, signed weights and disconnected parts all occur
+random_graphs = st.integers(2, 9).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+            st.sampled_from([-3, -2, -1, Fraction(1, 2), 1, 2]),
+        ),
+        max_size=2 * n,
+    ).map(lambda items: _graph_from_items(n, items))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs)
+def test_separating_neighbor_matches_per_edge_search(G):
     _check_separating_neighbor(G)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs)
+def test_separating_cut_edge_matches_edge_removal(G):
+    _check_separating_cut_edge(G)
 
 
 def test_delete_vertices_matches_from_edges_on_trees():

@@ -66,10 +66,47 @@ def test_scan_starts_one_pool(monkeypatch):
         return Pool(jobs)
 
     monkeypatch.setattr(scan, "Pool", counting_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # the pool size is capped
     scan_trees(3, jobs=2)
     assert started == []  # P2 and P3 need no workers
     scan_trees(6, jobs=2)
     assert started == [2]
+
+
+def test_scan_starts_at_most_cpu_count_workers(monkeypatch):
+    import pstlab.scan as scan
+
+    started = []
+
+    class SerialPool:
+        """Records the requested size and starts no process."""
+
+        def __init__(self, jobs):
+            started.append(jobs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(scan, "Pool", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    serial = scan_trees(5).to_json()
+    capped = scan_trees(5, jobs=64).to_json()
+    assert started == [3]
+    serial.pop("wall_time_seconds")
+    capped.pop("wall_time_seconds")
+    assert capped == serial
+
+
+def test_scan_rejects_jobs_below_one():
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            scan_trees(4, jobs=jobs)
 
 
 def test_scan_report_schema():

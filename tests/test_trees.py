@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from pstlab.graphs import Graph, GraphError, bridges, is_connected, path, star
-from pstlab.trees import canonical_code, enumerate_trees, tree_count
+from pstlab.trees import _codes, _edges, canonical_code, enumerate_trees, tree_count
 
 #: number of free trees on n vertices, n = 1..12 (well-known sequence)
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
@@ -131,3 +131,70 @@ def test_canonical_code_rejects_non_trees():
 def test_enumerate_trees_bounds():
     with pytest.raises(GraphError):
         list(enumerate_trees(0))
+
+
+def test_canonical_code_rejects_disconnected_graphs_with_tree_edge_count():
+    # a triangle plus an isolated vertex has n - 1 edges but is no tree
+    G = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    with pytest.raises(GraphError):
+        canonical_code(G)
+
+
+def test_edges_label_vertices_in_bracket_order():
+    assert _edges("()") == []
+    assert _edges("(()(()))") == [(0, 1), (0, 2), (2, 3)]
+    # [AB] joins the root of A (vertex 0) to the root of B (vertex |A|)
+    assert _edges("[(())(())]") == [(0, 1), (0, 2), (2, 3)]
+    assert _edges("[(()())(())]") == [(0, 1), (0, 2), (0, 3), (3, 4)]
+
+
+# -- the Graph-based generator, kept here as the reference for the stream --
+
+
+def _graph_from_rooted(code):
+    edges, stack, counter = [], [], 0
+    for c in code:
+        if c == "(":
+            if stack:
+                edges.append((stack[-1], counter, 1))
+            stack.append(counter)
+            counter += 1
+        else:
+            stack.pop()
+    return Graph.from_edges(counter, edges)
+
+
+def _graph_from_code(code):
+    if not code.startswith("["):
+        return _graph_from_rooted(code)
+    inner, depth = code[1:-1], 0
+    for k, c in enumerate(inner):
+        depth += 1 if c == "(" else -1
+        if depth == 0:
+            split = k + 1
+            break
+    left = _graph_from_rooted(inner[:split])
+    right = _graph_from_rooted(inner[split:])
+    items = list(left.edges)
+    items += [(u + left.n, v + left.n, w) for u, v, w in right.edges]
+    items.append((0, left.n, 1))
+    return Graph.from_edges(left.n + right.n, items)
+
+
+def _graph_codes(n, memo={1: ("()",)}):
+    if n not in memo:
+        seen = set()
+        for code in _graph_codes(n - 1):
+            T = _graph_from_code(code)
+            for v in range(T.n):
+                seen.add(canonical_code(
+                    Graph.from_edges(T.n + 1, list(T.edges) + [(v, T.n, 1)])
+                ))
+        memo[n] = tuple(sorted(seen))
+    return memo[n]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_codes_and_trees_match_the_graph_based_generator(n):
+    assert _codes(n) == _graph_codes(n)
+    assert list(enumerate_trees(n)) == [_graph_from_code(c) for c in _graph_codes(n)]
