@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or PST found), 1 no PST, 2 parse error, 3 invalid
 vertices, 4 Laplacian with non-integer weights, 5 scan invariant violation
-(or a gap-certificate violation in analyze), 6 unwritable output.
+(or a gap-certificate violation in analyze, or a failed exact check in
+decide-pst), 6 unwritable output.
 """
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ from .gapcert import (
     residue_mass,
 )
 from .graphs import GraphError, GraphParseError, load_graph_text
-from .pst import decide_pst
+from .pst import PstError, decide_pst
 from .scan import ScanInvariantError, check_invariants, scan_trees
 from .spectra import (
+    SpectraError,
     is_cospectral,
     is_strongly_cospectral,
     support_partition,
@@ -136,6 +138,9 @@ def cmd_decide_pst(args) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LAPLACIAN
+    except (PstError, SpectraError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     _emit(cert.to_json(), args.format)
     return 0 if cert.result == "PST" else 1
 

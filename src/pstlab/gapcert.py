@@ -1,17 +1,20 @@
 """Alpha rational functions, partial fractions, arrow matrices, and the
 eigenvalue-gap certificates.
 
-The square-root-of-two bound and its equality case are certified here;
-equality detection is exact algebra on the alpha functions, never a
-floating-point comparison of gaps.
+Every decision here is exact: residue signs, the pigeonhole index and the
+square-root-of-two gap bound are read off lazily refined root boxes
+(``polys.real_roots``), ties are settled with gcds, and the equality case is
+exact algebra on the alpha functions.  Floats (poles, residues, arrow
+matrices and their eigenvalues, gaps) are diagnostics, computed when first
+read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,10 +23,16 @@ from .polys import (
     Poly,
     PolyError,
     RatFunc,
+    RealRoots,
     RootBox,
     isolate_real_roots,
+    merge_roots,
     poly_gcd,
+    real_roots,
+    require_simple_poles,
+    roots_within,
     simple_pole_residues,
+    squarefree_decomposition,
     vertex_deleted_charpoly,
 )
 from .spectra import (
@@ -37,6 +46,7 @@ from .spectra import (
 )
 
 SQRT2 = math.sqrt(2.0)
+#: float residues below this are shown as 0.0
 RESIDUE_CLAMP = 1e-12
 RESIDUE_TOL = 1e-9
 
@@ -64,18 +74,49 @@ def alpha_pair(G: Graph, i: int, j: int) -> tuple[RatFunc, RatFunc]:
 # partial fractions
 
 
-@dataclass(frozen=True)
+Floats = tuple[tuple[float, ...], tuple[float, ...], tuple[RootBox, ...]]
+
+
 class PartialFraction:
     """f(t) = t - s0 - sum_l mu_l / (t - r_l), with mu_l >= 0.
 
-    ``s0_exact`` keeps the shift as an exact rational; poles keep their
-    certified boxes.
+    ``s0_exact`` keeps the shift as an exact rational.  The float poles and
+    residues and the 2^-40 pole boxes are diagnostics: given, or computed by
+    ``diagnostics`` when first read.  A merged alpha also carries
+    ``numerator_eigen``: for each eigenvalue of its arrow matrix, largest
+    first, whether it is a root of the numerator, decided exactly.
     """
 
-    s0_exact: Fraction
-    poles: tuple[float, ...]
-    residues: tuple[float, ...]
-    pole_boxes: tuple[RootBox, ...]
+    def __init__(
+        self,
+        s0_exact: Fraction,
+        poles: Sequence[float] = (),
+        residues: Sequence[float] = (),
+        pole_boxes: Sequence[RootBox] = (),
+        diagnostics: Optional[Callable[[], Floats]] = None,
+        numerator_eigen: tuple[bool, ...] = (),
+    ):
+        self.s0_exact = s0_exact
+        self.numerator_eigen = numerator_eigen
+        self._diagnostics = diagnostics or (
+            lambda: (tuple(poles), tuple(residues), tuple(pole_boxes))
+        )
+
+    @cached_property
+    def _floats(self) -> Floats:
+        return self._diagnostics()
+
+    @property
+    def poles(self) -> tuple[float, ...]:
+        return self._floats[0]
+
+    @property
+    def residues(self) -> tuple[float, ...]:
+        return self._floats[1]
+
+    @property
+    def pole_boxes(self) -> tuple[RootBox, ...]:
+        return self._floats[2]
 
     @property
     def s0(self) -> float:
@@ -99,40 +140,100 @@ class PartialFraction:
         }
 
 
-def _shift_and_residues(f: RatFunc) -> tuple[Fraction, list[tuple[RootBox, float]]]:
-    """s0 and the (pole box, mu) terms of f = t - s0 - sum mu/(t - r)."""
+def _shift(f: RatFunc, real_poles: int) -> Fraction:
+    """s0 of f = t - s0 - sum mu/(t - r), after the exact checks of that
+    form: the degrees, simple poles and a monic linear quotient.  Poles are
+    simple without a gcd when the ``real_poles`` distinct real poles of f
+    number deg den."""
     if f.num.degree != f.den.degree + 1:
         raise GapError("numerator degree must exceed denominator degree by 1")
-    try:
-        residues = simple_pole_residues(f)
-    except PolyError as exc:
-        raise GapError(str(exc)) from exc
+    if real_poles != f.den.degree:
+        try:
+            require_simple_poles(f)
+        except PolyError as exc:
+            raise GapError(str(exc)) from exc
     quot, _ = divmod(f.num, f.den)
     if quot.degree != 1 or quot.leading != 1:
         raise GapError("expected a monic linear quotient")
-    # mu is minus the residue of f at r
-    return -quot.coeffs[0], [(box, -res) for box, res in residues]
+    return -quot.coeffs[0]
 
 
-def _clamp_residue(mu: float) -> float:
-    if abs(mu) < RESIDUE_CLAMP:
-        return 0.0
-    if mu < -RESIDUE_TOL:
-        raise GapError(f"negative residue {mu}")
-    return max(mu, 0.0)
+def _merge_positions(roots: list[tuple[RealRoots, int]], poles: list[tuple[RealRoots, int]]):
+    """For each pole (both lists ascending, merged exactly): the index of the
+    first root above it, and the index of the root it equals, if any."""
+    first: list[int] = [0] * len(poles)
+    tie: list[Optional[int]] = [None] * len(poles)
+    seen = 0
+    for side, pos, tied in merge_roots(roots, poles):
+        if side == 0:
+            seen += 1
+        else:
+            first[pos] = seen
+            if tied:
+                tie[pos] = seen - 1
+    return first, tie
+
+
+def _negative_pole(own: list[bool], num_above: list[int]) -> Optional[int]:
+    """The lowest pole of f (``own``) where mu = -num(r)/den'(r) < 0.  With
+    num and den monic, num(r) has the sign (-1)^(roots of num above r) and
+    den'(r) the sign (-1)^(poles of f above r), so mu > 0 iff their sum is
+    odd."""
+    negative, own_above = None, 0
+    for u in reversed(range(len(own))):
+        if own[u]:
+            if (num_above[u] + own_above) % 2 == 0:
+                negative = u
+            own_above += 1
+    return negative
+
+
+def _float_terms(f: RatFunc) -> list[tuple[RootBox, float]]:
+    """(2^-40 pole box, float mu) for each pole of f, ascending."""
+    return [(box, -res) for box, res in simple_pole_residues(f)]
+
+
+def _display_residue(mu: float) -> float:
+    return 0.0 if abs(mu) < RESIDUE_CLAMP else max(mu, 0.0)
 
 
 def partial_fraction(f: RatFunc) -> PartialFraction:
     """Partial-fraction form t - s0 - sum mu/(t - r) of a reduced rational
-    function with numerator degree = denominator degree + 1."""
-    s0, terms = _shift_and_residues(f)
-    terms.sort(key=lambda br: br[0].lo)
-    return PartialFraction(
-        s0_exact=s0,
-        poles=tuple(b.midpoint for b, _ in terms),
-        residues=tuple(_clamp_residue(mu) for _, mu in terms),
-        pole_boxes=tuple(b for b, _ in terms),
-    )
+    function with numerator degree = denominator degree + 1.  Each mu >= 0 is
+    checked exactly: the real roots of each odd-multiplicity factor of the
+    numerator are merged with the poles."""
+    pole_roots = real_roots(f.den)
+    s0 = _shift(f, len(pole_roots))
+    poles = [(pole_roots, u) for u in range(len(pole_roots))]
+    num_above = [0] * len(poles)
+    for fac, m in squarefree_decomposition(f.num):
+        if m % 2:
+            fr = real_roots(fac)
+            first, _ = _merge_positions([(fr, k) for k in range(len(fr))], poles)
+            num_above = [x + len(fr) - y for x, y in zip(num_above, first)]
+    negative = _negative_pole([True] * len(poles), num_above)
+    if negative is not None:
+        raise GapError(f"negative residue {_float_terms(f)[negative][1]}")
+
+    def diagnostics() -> Floats:
+        terms = _float_terms(f)
+        return (
+            tuple(b.midpoint for b, _ in terms),
+            tuple(_display_residue(mu) for _, mu in terms),
+            tuple(b for b, _ in terms),
+        )
+
+    return PartialFraction(s0, diagnostics=diagnostics)
+
+
+def _on_union(f: RatFunc, boxes: tuple[RootBox, ...]) -> list[float]:
+    """The float mu of f whose pole box overlaps each union box, 0 where f
+    has no pole."""
+    terms = _float_terms(f)
+    return [
+        next((mu for b, mu in terms if b.lo <= box.hi and box.lo <= b.hi), 0.0)
+        for box in boxes
+    ]
 
 
 @lru_cache(maxsize=50_000)
@@ -140,30 +241,58 @@ def merged_alphas(
     G: Graph, i: int, j: int
 ) -> tuple[PartialFraction, PartialFraction]:
     """Both alpha partial fractions re-expressed over the union of their pole
-    sets (zero residues where a pole is absent)."""
+    sets (zero residues where a pole is absent).
+
+    The roots of each numerator are its class of the support partition, on
+    the support's shared root boxes.  One exact merge of the support roots
+    with the union poles gives every residue sign and the arrow eigenvalues:
+    the class roots plus the union poles where that alpha has no pole."""
     plus, minus = alpha_pair(G, i, j)
-    s0p, terms_p = _shift_and_residues(plus)
-    s0m, terms_m = _shift_and_residues(minus)
     union = poly_gcd(plus.den, minus.den)
     union_poly = (plus.den * minus.den).exact_div(union).monic()
-    boxes = isolate_real_roots(union_poly) if union_poly.degree else ()
-
-    def on_union(terms) -> tuple[float, ...]:
-        # the residue whose pole box overlaps each union box, 0 where absent
-        return tuple(
-            _clamp_residue(
-                next((mu for b, mu in terms if b.lo <= box.hi and box.lo <= b.hi), 0.0)
-            )
-            for box in boxes
-        )
-
-    mus_p, mus_m = on_union(terms_p), on_union(terms_m)
-    if _cut_edge_hypotheses(G, i, j) is not None and s0p != s0m:
+    pole_roots = real_roots(union_poly)
+    owns = [pole_roots.vanishing(f.den) for f in (plus, minus)]
+    shifts = [_shift(f, sum(own)) for f, own in zip((plus, minus), owns)]
+    part = support_partition(G, i, j)
+    sup_roots = real_roots(part.support)
+    first, tie = _merge_positions(
+        [(sup_roots, k) for k in range(len(sup_roots))],
+        [(pole_roots, u) for u in range(len(pole_roots))],
+    )
+    eigen = []
+    for f, own, sign in zip((plus, minus), owns, (+1, -1)):
+        # class roots at or above each support index
+        from_k = [0] * (len(part.signs) + 1)
+        for k in reversed(range(len(part.signs))):
+            from_k[k] = from_k[k + 1] + (part.signs[k] == sign)
+        above = [from_k[x] for x in first]
+        negative = _negative_pole(own, above)
+        if negative is not None:
+            mu = _on_union(f, isolate_real_roots(union_poly))[negative]
+            raise GapError(f"negative residue {mu}")
+        # arrow eigenvalues, largest first: the class roots and the poles f
+        # lacks, flagged True at class roots and at poles equal to one
+        flags, emitted = [], 0
+        for u in reversed(range(len(own))):
+            if not own[u]:
+                tied = tie[u] is not None and part.signs[tie[u]] == sign
+                flags += [True] * (above[u] - emitted) + [tied]
+                emitted = above[u]
+        eigen.append(tuple(flags + [True] * (from_k[0] - emitted)))
+    if _cut_edge_hypotheses(G, i, j) is not None and shifts[0] != shifts[1]:
         raise GapError("shifts differ despite the cut-edge hypotheses")
-    poles = tuple(b.midpoint for b in boxes)
+
+    def diagnostics(f: RatFunc) -> Callable[[], Floats]:
+        def compute() -> Floats:
+            boxes = isolate_real_roots(union_poly) if union_poly.degree else ()
+            mus = tuple(_display_residue(mu) for mu in _on_union(f, boxes))
+            return tuple(b.midpoint for b in boxes), mus, boxes
+
+        return compute
+
     return (
-        PartialFraction(s0p, poles, mus_p, boxes),
-        PartialFraction(s0m, poles, mus_m, boxes),
+        PartialFraction(shifts[0], diagnostics=diagnostics(plus), numerator_eigen=eigen[0]),
+        PartialFraction(shifts[1], diagnostics=diagnostics(minus), numerator_eigen=eigen[1]),
     )
 
 
@@ -248,20 +377,62 @@ def _detect_equality_case(plus: RatFunc, minus: RatFunc) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class GapCertificate:
+    """The exact verdicts of ``certify_gap``.  The float fields
+    (``theta_plus``, ``theta_minus``, ``eigenvalue_distance``,
+    ``achieved_gap``, ``arrow_plus``, ``arrow_minus``) are diagnostics,
+    computed from ``graph`` when first read."""
+
     pair: tuple[int, int]
     hypotheses_ok: bool
     strongly_cospectral: bool
     cut_edges_ok: bool
     common_index: Optional[int]
-    theta_plus: Optional[float]
-    theta_minus: Optional[float]
-    eigenvalue_distance: Optional[float]
-    achieved_gap: Optional[float]
     bound: float
     equality_detected: bool
     conclusion: str
-    arrow_plus: Optional[ArrowMatrix]
-    arrow_minus: Optional[ArrowMatrix]
+    graph: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def _arrows(self) -> tuple[Optional[ArrowMatrix], Optional[ArrowMatrix]]:
+        if not self.strongly_cospectral:
+            return None, None
+        pf_plus, pf_minus = merged_alphas(self.graph, *self.pair)
+        return arrow_matrix(pf_plus), arrow_matrix(pf_minus)
+
+    @property
+    def arrow_plus(self) -> Optional[ArrowMatrix]:
+        return self._arrows[0]
+
+    @property
+    def arrow_minus(self) -> Optional[ArrowMatrix]:
+        return self._arrows[1]
+
+    @cached_property
+    def _thetas(self) -> tuple[Optional[float], Optional[float]]:
+        m = self.common_index
+        if m is None:
+            return None, None
+        return tuple(float(arrow.eigenvalues_desc()[m]) for arrow in self._arrows)
+
+    @property
+    def theta_plus(self) -> Optional[float]:
+        return self._thetas[0]
+
+    @property
+    def theta_minus(self) -> Optional[float]:
+        return self._thetas[1]
+
+    @property
+    def eigenvalue_distance(self) -> Optional[float]:
+        theta_p, theta_m = self._thetas
+        return None if theta_p is None else abs(theta_p - theta_m)
+
+    @cached_property
+    def achieved_gap(self) -> Optional[float]:
+        i = self.pair[0]
+        if support_poly(self.graph, i).degree < 2:
+            return None
+        return min_support_gap(self.graph, i)
 
     def to_json(self) -> dict:
         return {
@@ -285,48 +456,36 @@ class GapCertificate:
 def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
     """Certificate for the sqrt(2) support-gap bound on the pair (i, j).
 
-    Hypotheses are checked and reported, never assumed.  Equality forces the
-    component of the pair to be P3 and is detected by exact algebra.
+    Hypotheses are checked and reported, never assumed.  The pigeonhole index
+    is the first arrow eigenvalue (largest first) that is a class root of
+    both alphas; the gap bound is decided on the support's root boxes.
+    Equality forces the component of the pair to be P3 and is detected by
+    exact algebra.
     """
     sc = is_strongly_cospectral(G, i, j)
     nbrs = _cut_edge_hypotheses(G, i, j)
     cut_ok = nbrs is not None
     # the weighted bound sqrt(2 |w(i,i') w(j,j')|) is at most sqrt(2) only here
     hypotheses_ok = sc and cut_ok and abs(G.weight(i, nbrs[0]) * G.weight(j, nbrs[1])) <= 1
-    gap: Optional[float] = None
-    if support_poly(G, i).degree >= 2:
-        gap = min_support_gap(G, i)
-    common = theta_p = theta_m = dist = None
+    common = None
     equality = False
-    arrow_p = arrow_m = None
     conclusion = "hypotheses not satisfied"
     if sc:
         plus_rf, minus_rf = alpha_pair(G, i, j)
         pf_plus, pf_minus = merged_alphas(G, i, j)
-        arrow_p, arrow_m = arrow_matrix(pf_plus), arrow_matrix(pf_minus)
-        ev_p = arrow_p.eigenvalues_desc()
-        ev_m = arrow_m.eigenvalues_desc()
-        partition = support_partition(G, i, j)
-        plus_roots = sorted(b.midpoint for b in partition.plus_roots)
-        minus_roots = sorted(b.midpoint for b in partition.minus_roots)
-        for m in range(len(ev_p)):
-            in_plus = any(abs(ev_p[m] - z) < 1e-7 for z in plus_roots)
-            in_minus = any(abs(ev_m[m] - z) < 1e-7 for z in minus_roots)
-            if in_plus and in_minus:
-                common = m
-                theta_p, theta_m = float(ev_p[m]), float(ev_m[m])
-                dist = abs(theta_p - theta_m)
-                break
+        both = zip(pf_plus.numerator_eigen, pf_minus.numerator_eigen)
+        common = next((m for m, (p, q) in enumerate(both) if p and q), None)
         if common is None:
             raise GapError("pigeonhole index not found among arrow eigenvalues")
-        r = _detect_equality_case(plus_rf, minus_rf)
-        if r is not None:
+        if _detect_equality_case(plus_rf, minus_rf) is not None:
             equality = True
             if not _component_is_p3(G, i):
                 raise GapError("equality case detected on a graph that is not P3")
         if hypotheses_ok:
-            if gap is not None and gap > SQRT2 + 1e-9:
-                raise GapError(f"support gap {gap} exceeds sqrt(2)")
+            # equality puts the support at r - sqrt(2), r, r + sqrt(2)
+            sup = support_poly(G, i)
+            if not equality and sup.degree >= 2 and not roots_within(real_roots(sup), 2):
+                raise GapError(f"support gap {min_support_gap(G, i)} exceeds sqrt(2)")
             if equality:
                 where = "G" if G.n == 3 else "the component of the pair"
                 conclusion = f"gap equals sqrt(2); {where} is isomorphic to P3"
@@ -342,15 +501,10 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
         strongly_cospectral=sc,
         cut_edges_ok=cut_ok,
         common_index=common,
-        theta_plus=theta_p,
-        theta_minus=theta_m,
-        eigenvalue_distance=dist,
-        achieved_gap=gap,
         bound=SQRT2,
         equality_detected=equality,
         conclusion=conclusion,
-        arrow_plus=arrow_p,
-        arrow_minus=arrow_m,
+        graph=G,
     )
 
 
@@ -456,7 +610,7 @@ def bridge_gap_check(G: Graph, i: int, j: int) -> BridgeGapReport:
         raise GapError("vertices are not cospectral")
     is_p2 = G.n == 2 and len(G.edges) == 1
     gap = min_support_gap(G, i)
-    ok = gap <= 1 + 1e-9
+    ok = roots_within(real_roots(support_poly(G, i)), 1)
     if not ok and not is_p2:
         raise GapError(f"bridge pair with support gap {gap} > 1")
     return BridgeGapReport((i, j), gap, is_p2, ok)

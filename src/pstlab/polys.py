@@ -7,8 +7,12 @@ Integral coefficients are stored as ``int`` and only the others as
 forests get their characteristic polynomial from the rooted-subtree
 recursion and every other graph from the Berkowitz recurrence on sparse
 integer rows (weights scaled by their common denominator), and root
-isolation bisects integer numerators over a common denominator.  Floating
-point appears only in refined root midpoints.
+isolation bisects integer numerators over a common denominator.
+
+Decisions read ``real_roots``: each polynomial is isolated once and its
+boxes are bisected only while a comparison that reads them is open, with
+gcds for ties.  Floats are diagnostics only: root midpoints and the residues
+of ``residue_at``, on the 2^-40 boxes of ``isolate_real_roots``.
 """
 from __future__ import annotations
 
@@ -630,37 +634,10 @@ def _bisect(a: int, b: int, d: int) -> tuple[int, int, int, int]:
     return a, b, s >> 1, d
 
 
-def _refine(fi: tuple[int, ...], lo: int, hi: int, d: int) -> tuple[Fraction, Fraction]:
-    """Bisect the sign-change interval [lo/d, hi/d] of square-free fi down
-    to BOX_WIDTH."""
-    slo = _int_sign_at(fi, lo, d)
-    width_num, width_den = BOX_WIDTH.numerator, BOX_WIDTH.denominator
-    while (hi - lo) * width_den >= d * width_num:
-        lo, hi, mid, d = _bisect(lo, hi, d)
-        sm = _int_sign_at(fi, mid, d)
-        if sm == 0:
-            return Fraction(mid, d), Fraction(mid, d)
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, d), Fraction(hi, d)
-
-
-@lru_cache(maxsize=100_000)
-def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
-    """Disjoint boxes covering all real roots of p, with multiplicities,
-    sorted by position; boxes refined below width 2^-40."""
-    if p.is_zero():
-        raise PolyError("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return ()
-    factors = squarefree_decomposition(p)
-    f = Poly.one()
-    for fac, _ in factors:
-        f = f * fac
-    fi = _int_primitive(f)
-    chain = _sturm_chain_int(fi)
+def _isolate(fi: tuple[int, ...], chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Sturm bisection of the square-free integer polynomial fi with its
+    Sturm chain: one interval (a, b, d) per real root, [a/d, b/d] with a sign
+    change of fi and no root at either end, in ascending order."""
     bound = _root_bound(fi)
     # interval endpoints are integer numerators over a shared denominator
     b, d = bound.numerator, bound.denominator
@@ -685,15 +662,277 @@ def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
             raise PolyError("Sturm counts out of range: the chain is not a Sturm sequence")
         stack.append((a, mid, d, left))
         stack.append((mid, b, d, cnt - left))
-    boxes: list[RootBox] = []
-    for a, b, d in intervals:
-        box = RootBox(*_refine(fi, a, b, d), 1)
-        if len(factors) > 1 or factors[0][1] != 1:
-            mult = next((m for fac, m in factors if box_has_root(fac, box)), 1)
-            box = RootBox(box.lo, box.hi, mult)
-        boxes.append(box)
-    boxes.sort(key=lambda box: box.lo)
-    return tuple(boxes)
+    intervals.sort(key=lambda t: Fraction(t[0], t[2]))
+    return intervals
+
+
+class RealRoots:
+    """The distinct real roots of a polynomial, ascending, isolated once by
+    Sturm bisection and then refined lazily.
+
+    Root k is held as the integer interval [lo/d, hi/d] of the square-free
+    part ``fi``: an open interval with a sign change of fi, or the exact root
+    once lo == hi.  ``bisect`` takes one step of the bisection that
+    ``isolate_real_roots`` runs down to BOX_WIDTH, so a caller refines a box
+    only while its decision is open, and ``boxes`` still gives the boxes of
+    ``isolate_real_roots``.
+    """
+
+    def __init__(self, p: Poly):
+        if p.is_zero():
+            raise PolyError("cannot isolate roots of the zero polynomial")
+        fi = _int_primitive(p)
+        chain = _sturm_chain_int(fi) if len(fi) > 1 else []
+        if chain and len(chain[-1]) > 1:  # a repeated root: take the square-free part
+            fi = _int_primitive(Poly(fi).exact_div(Poly(chain[-1])))
+            chain = _sturm_chain_int(fi)
+        self.fi = fi
+        self.poly = Poly(fi)
+        intervals = _isolate(fi, chain) if chain else []
+        self._lo = [a for a, _, _ in intervals]
+        self._hi = [b for _, b, _ in intervals]
+        self._d = [d for _, _, d in intervals]
+        self._slo = [_int_sign_at(fi, a, d) for a, _, d in intervals]
+        # the interval of each root where it first got narrower than BOX_WIDTH
+        self._fixed: list[Optional[tuple[int, int, int]]] = [None] * len(intervals)
+
+    def __len__(self) -> int:
+        return len(self._lo)
+
+    def interval(self, k: int) -> tuple[int, int, int]:
+        """(lo, hi, d): root k lies in the open interval (lo/d, hi/d), or
+        equals lo/d when lo == hi."""
+        return self._lo[k], self._hi[k], self._d[k]
+
+    def below(self, k: int, width: Fraction) -> bool:
+        """Whether the box of root k is narrower than width."""
+        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        return (hi - lo) * width.denominator < d * width.numerator
+
+    def bisect(self, k: int) -> None:
+        """Halve the box of root k (no-op on an exact root)."""
+        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        if lo != hi:
+            self._narrow(k, hi - lo, d)
+
+    def narrow(self, k: int, width: Fraction) -> tuple[int, int, int]:
+        """Bisect root k until its box is narrower than width."""
+        return self._narrow(k, width.numerator, width.denominator)
+
+    def _narrow(self, k: int, wn: int, wd: int) -> tuple[int, int, int]:
+        # halve the box, keeping the half with the sign change; the interval
+        # where it first gets narrower than BOX_WIDTH is kept for boxes()
+        fi, slo, fixed = self.fi, self._slo[k], self._fixed[k]
+        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        bn, bd = BOX_WIDTH.numerator, BOX_WIDTH.denominator
+        while (hi - lo) * wd >= d * wn:
+            if fixed is None and (hi - lo) * bd < d * bn:
+                fixed = (lo, hi, d)
+            lo, hi, mid, d = _bisect(lo, hi, d)
+            sm = _int_sign_at(fi, mid, d)
+            if sm == 0:
+                lo = hi = mid
+            elif sm == slo:
+                lo = mid
+            else:
+                hi = mid
+        self._lo[k], self._hi[k], self._d[k], self._fixed[k] = lo, hi, d, fixed
+        return lo, hi, d
+
+    def boxes(self) -> tuple[RootBox, ...]:
+        """Every box at its first width below BOX_WIDTH: the boxes of
+        ``isolate_real_roots``, however far a decision refined them since."""
+        out = []
+        for k in range(len(self)):
+            lo, hi, d = self._fixed[k] or self.narrow(k, BOX_WIDTH)
+            out.append(RootBox(Fraction(lo, d), Fraction(hi, d), 1))
+        return tuple(out)
+
+    def has_root(self, k: int, q: Poly) -> bool:
+        """Whether q vanishes at root k, for q whose real roots are roots of
+        the polynomial (so q has at most one root in the box)."""
+        return self._vanishes(_int_vector(q), k)
+
+    def vanishing(self, q: Poly) -> list[bool]:
+        """``has_root`` at every root."""
+        qi = _int_vector(q)
+        return [self._vanishes(qi, k) for k in range(len(self))]
+
+    def _vanishes(self, qi, k: int) -> bool:
+        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        if lo == hi:
+            return _int_sign_at(qi, lo, d) == 0
+        return _int_sign_at(qi, lo, d) * _int_sign_at(qi, hi, d) < 0
+
+    def sign_vs(self, k: int, xn: int, xd: int) -> int:
+        """Sign of root k minus the rational xn/xd (xd > 0)."""
+        while True:
+            lo, hi, d = self.interval(k)
+            if hi * xd <= xn * d:
+                return 0 if lo == hi and hi * xd == xn * d else -1
+            if lo * xd >= xn * d:
+                return 0 if lo == hi and lo * xd == xn * d else 1
+            if _int_sign_at(self.fi, xn, xd) == 0:
+                return 0  # the box isolates root k, and xn/xd is a root inside it
+            self.bisect(k)
+
+    def integers(self) -> list[int]:
+        """The integer roots, ascending: a box narrower than 1 holds at most
+        one integer, which is tested exactly."""
+        out = []
+        for k in range(len(self)):
+            lo, hi, d = self.narrow(k, Fraction(1))
+            if lo == hi:
+                if lo % d == 0:
+                    out.append(lo // d)
+                continue
+            z = lo // d + 1  # the least integer above lo/d
+            if z * d < hi and _int_sign_at(self.fi, z, 1) == 0:
+                out.append(z)
+        return out
+
+
+@lru_cache(maxsize=100_000)
+def real_roots(p: Poly) -> RealRoots:
+    """The lazily refined real roots of p, shared by every caller: a
+    refinement only narrows boxes, so what one caller learns serves all."""
+    return RealRoots(p)
+
+
+@lru_cache(maxsize=100_000)
+def _common_factor(p: Poly, q: Poly) -> Poly:
+    return poly_gcd(p, q)
+
+
+def compare_roots(a: RealRoots, k: int, b: RealRoots, m: int) -> int:
+    """Sign of root k of a minus root m of b.  Boxes that overlap are
+    bisected until they are apart, unless root k is a root of gcd(a, b): then
+    it is root m exactly when its box shrinks inside the box of m, so ties
+    are decided exactly."""
+    common = None
+    while True:
+        alo, ahi, ad = a.interval(k)
+        blo, bhi, bd = b.interval(m)
+        if ahi * bd <= blo * ad:
+            return 0 if alo == ahi and blo == bhi and ahi * bd == blo * ad else -1
+        if bhi * ad <= alo * bd:
+            return 1
+        # the boxes overlap inside: one of them is not exact
+        if alo == ahi or blo == bhi:
+            # an exact root inside the other box is the other root iff it is
+            # a root of the other polynomial
+            if alo == ahi and _int_sign_at(b.fi, alo, ad) == 0:
+                return 0
+            if blo == bhi and _int_sign_at(a.fi, blo, bd) == 0:
+                return 0
+            a.bisect(k)
+            b.bisect(m)
+            continue
+        if common is None:
+            g = _common_factor(a.poly, b.poly)
+            common = g.degree > 0 and a.has_root(k, g)
+        if common:
+            if blo * ad < alo * bd and ahi * bd < bhi * ad:
+                return 0
+        else:
+            b.bisect(m)
+        a.bisect(k)
+
+
+def merge_roots(
+    a: list[tuple[RealRoots, int]], b: list[tuple[RealRoots, int]]
+) -> list[tuple[int, int, bool]]:
+    """Merge two ascending lists of roots into one ascending order: entries
+    (0 for a or 1 for b, position in that list, equal to the entry before),
+    a root of a first when it ties with one of b."""
+    out: list[tuple[int, int, bool]] = []
+    x = y = 0
+    while x < len(a) and y < len(b):
+        c = compare_roots(*a[x], *b[y])
+        if c > 0:
+            out.append((1, y, False))
+            y += 1
+            continue
+        out.append((0, x, False))
+        x += 1
+        if c == 0:
+            out.append((1, y, True))
+            y += 1
+    out += [(0, p, False) for p in range(x, len(a))]
+    out += [(1, p, False) for p in range(y, len(b))]
+    return out
+
+
+def _shift_norm(fi: tuple[int, ...], D: int) -> Poly:
+    """f(t + sqrt(D)) f(t - sqrt(D)) for the integer polynomial fi, as
+    A^2 - D B^2 where f(t + y) = A(t) + y B(t) modulo y^2 - D."""
+    A, B = [0], [0]
+    for c in reversed(fi):
+        # (A + yB)(t + y) + c = (tA + DB + c) + y(tB + A)
+        A, B = (
+            [x + D * y for x, y in zip([c] + A, B + [0])],
+            [x + y for x, y in zip([0] + B, A + [0])],
+        )
+    A, B = Poly(A), Poly(B)
+    return A * A - B * B * D
+
+
+def roots_within(roots: RealRoots, D: int) -> bool:
+    """Whether two consecutive real roots lie at most sqrt(D) apart.
+
+    A pair of boxes decides its gap once (hi' - lo)^2 <= D or
+    (lo' - hi)^2 > D; the boxes of open pairs are bisected.  Once they are all
+    narrower than BOX_WIDTH, f(t) and f(t + sqrt(D)) f(t - sqrt(D)) are tested
+    for a common real root: if there is one, two roots lie exactly sqrt(D)
+    apart, so some consecutive gap is at most sqrt(D); if not, no gap equals
+    sqrt(D) and bisection decides every pair."""
+    pending = list(range(len(roots) - 1))
+    tested = False
+    while pending:
+        still = []
+        for k in pending:
+            alo, ahi, ad = roots.interval(k)
+            blo, bhi, bd = roots.interval(k + 1)
+            scale = D * (ad * bd) ** 2
+            up = bhi * ad - alo * bd
+            if up * up <= scale:
+                return True
+            low = blo * ad - ahi * bd
+            if low <= 0 or low * low <= scale:
+                still.append(k)
+        ends = sorted(set(still) | {k + 1 for k in still})
+        if not tested and all(roots.below(k, BOX_WIDTH) for k in ends):
+            tested = True
+            h = poly_gcd(roots.poly, _shift_norm(roots.fi, D))
+            if h.degree > 0 and any(roots.vanishing(h)):
+                return True
+        for k in ends:
+            roots.bisect(k)
+        pending = still
+    return False
+
+
+@lru_cache(maxsize=100_000)
+def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
+    """Disjoint boxes covering all real roots of p, with multiplicities,
+    sorted by position; boxes refined below width 2^-40.  The boxes come
+    from the shared ``real_roots`` of the square-free part, which decisions
+    refine only as far as they need."""
+    if p.is_zero():
+        raise PolyError("cannot isolate roots of the zero polynomial")
+    if p.degree == 0:
+        return ()
+    factors = squarefree_decomposition(p)
+    f = Poly.one()
+    for fac, _ in factors:
+        f = f * fac
+    boxes = real_roots(f).boxes()
+    if len(factors) > 1 or factors[0][1] != 1:
+        boxes = tuple(
+            RootBox(box.lo, box.hi, next((m for fac, m in factors if box_has_root(fac, box)), 1))
+            for box in boxes
+        )
+    return boxes
 
 
 def box_has_root(p: Poly, box: RootBox) -> bool:
@@ -705,35 +944,11 @@ def box_has_root(p: Poly, box: RootBox) -> bool:
 
 
 def rational_roots_monic_integer(p: Poly) -> list[int]:
-    """Integer roots of a monic integer polynomial (its only rational roots)."""
+    """Integer roots of a monic integer polynomial (its only rational roots),
+    read off its root boxes."""
     if any(c.denominator != 1 for c in p.coeffs) or p.leading != 1:
         raise PolyError("expected a monic integer polynomial")
-    c0 = p.coeffs[0].numerator
-    if c0 == 0:
-        roots = [0]
-        q = p
-        while q(0) == 0:
-            q = q.exact_div(Poly.x())
-        cands = _divisors(abs(q.coeffs[0].numerator)) if q.degree > 0 else []
-    else:
-        roots = []
-        cands = _divisors(abs(c0))
-    for d in cands:
-        for r in (d, -d):
-            if p(r) == 0 and r not in roots:
-                roots.append(r)
-    return sorted(roots)
-
-
-def _divisors(m: int) -> list[int]:
-    if m == 0:
-        return []
-    out = set()
-    for d in range(1, isqrt(m) + 1):
-        if m % d == 0:
-            out.add(d)
-            out.add(m // d)
-    return sorted(out)
+    return real_roots(p).integers()
 
 
 def squarefree_part_int(m: int) -> int:
@@ -759,11 +974,17 @@ def residue_at(f: RatFunc, x: float) -> float:
     return float(f.num(x)) / float(f.den.derivative()(x))
 
 
+def require_simple_poles(f: RatFunc) -> None:
+    """PolyError unless every pole of the reduced rational function is
+    simple."""
+    if f.den.degree > 0 and square_free_part(f.den) != f.den.monic():
+        raise PolyError("repeated poles")
+
+
 def simple_pole_residues(f: RatFunc) -> list[tuple[RootBox, float]]:
     """Residues num(r)/den'(r) at the (simple) poles of a reduced rational
     function, evaluated at refined midpoints; PolyError on a repeated pole."""
+    require_simple_poles(f)
     if f.den.degree == 0:
         return []
-    if square_free_part(f.den) != f.den.monic():
-        raise PolyError("repeated poles")
     return [(box, residue_at(f, box.midpoint)) for box in isolate_real_roots(f.den)]

@@ -15,12 +15,7 @@ from typing import Optional
 
 from . import walk
 from .graphs import Graph, GraphError, laplacian_form
-from .polys import (
-    Poly,
-    isolate_real_roots,
-    rational_roots_monic_integer,
-    squarefree_part_int,
-)
+from .polys import Poly, real_roots, squarefree_part_int
 from .spectra import support_partition, support_poly, is_strongly_cospectral
 
 NOT_STRONGLY_COSPECTRAL = "not_strongly_cospectral"
@@ -88,16 +83,18 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     """Exact fit of the support roots to (a + b_r sqrt(delta))/2, or None when
     the ratio condition fails.
 
-    Each root theta above a/2 gives s = (2 theta - a)^2, which must be the
-    integer b^2 delta; it is read off the root box's rational endpoints, and
-    the fit is accepted only if the quadratics t^2 - a t + (a^2 - s)/4
-    multiply back to the support exactly.
+    The integer roots and each root theta above a/2 are read off the lazily
+    refined root boxes of the support: s = (2 theta - a)^2 must be the
+    integer b^2 delta, and a box is bisected until (2 hi - a)^2 - (2 lo - a)^2
+    < 1 pins s to at most one integer.  The fit is accepted only if the
+    quadratics t^2 - a t + (a^2 - s)/4 multiply back to the support exactly.
     """
     if support.degree < 1:
         raise PstError("support polynomial must be nonconstant")
     if support.leading != 1 or any(c.denominator != 1 for c in support.coeffs):
         return None  # eigenvalues are not algebraic integers
-    int_roots = rational_roots_monic_integer(support)
+    roots = real_roots(support)
+    int_roots = roots.integers()
     q = support
     for z in int_roots:
         q = q.exact_div(Poly.linear(z))
@@ -118,14 +115,17 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
         return None
     squares = []
     rebuilt = Poly.one()
-    for box in isolate_real_roots(q):
-        if 2 * box.lo <= a:
+    for k in range(len(roots)):
+        if roots.sign_vs(k, a, 2) <= 0:
             continue
-        s_lo, s_hi = (2 * box.lo - a) ** 2, (2 * box.hi - a) ** 2
-        if s_hi - s_lo >= 1:
-            raise PstError("root box too wide to pin (2 theta - a)^2 to one integer")
-        s = math.ceil(s_lo)
-        if s > s_hi:
+        while True:
+            lo, hi, d = roots.interval(k)
+            u, v = 2 * lo - a * d, 2 * hi - a * d  # 2 theta - a in (u/d, v/d), u >= 0
+            if v * v - u * u < d * d:
+                break
+            roots.bisect(k)
+        s = -(-u * u // (d * d))
+        if s * d * d > v * v:
             return None
         squares.append(s)
         rebuilt = rebuilt * Poly((Fraction(a * a - s, 4), -a, 1))
@@ -163,10 +163,8 @@ def decide_pst(G: Graph, i: int, j: int, model: str = "adjacency") -> PstCertifi
     spectrum = fit_quadratic_spectrum(support_poly(H, i))
     if spectrum is None:
         return PstCertificate((i, j), model, "NO_PST", RATIO_CONDITION_B)
-    partition = support_partition(H, i, j)
     # support roots ascending; spectrum.b is descending in theta
-    boxes = list(reversed(partition.support_roots))
-    sigmas = tuple(partition.sigma(box) for box in boxes)
+    sigmas = tuple(reversed(support_partition(H, i, j).signs))
     if sigmas[0] != +1:
         raise PstError("largest support eigenvalue must carry sigma = +1")
     b0 = spectrum.b[0]

@@ -1,13 +1,15 @@
 """Cospectrality deciders, eigenvalue supports, and the signed support
 partition.
 
-All yes/no decisions here are exact polynomial algebra; floating point only
-shows up in diagnostic projector tables and refined root midpoints.
+All yes/no decisions here are exact polynomial algebra on the lazily refined
+root boxes of each support (``polys.real_roots``).  Floats are diagnostics
+only: projector tables, root midpoints and the 2^-40 boxes of the JSON
+output, computed when they are read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .graphs import Graph
@@ -20,6 +22,7 @@ from .polys import (
     isolate_real_roots,
     path_sum_poly,
     poly_gcd,
+    real_roots,
     residue_at,
     simple_pole_residues,
     square_free_part,
@@ -80,24 +83,25 @@ def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
     s = path_sum_poly(G, i, j)
     if s.is_zero():
         return s
-    top = isolate_real_roots(support_poly(G, i))[-1]
-    if not box_has_root(sign_quotient(G, i, s).num, top):
-        return -s
-    return s
+    # s = +-adj(tI - A)_ij, so num is the reduced denominator of
+    # (phi^{G\\i} + s)/phi, whose poles are simple support eigenvalues: any
+    # isolating box of the top support root decides
+    roots = real_roots(support_poly(G, i))
+    in_plus = roots.has_root(len(roots) - 1, sign_quotient(G, i, s).num)
+    return s if in_plus else -s
 
 
 @dataclass(frozen=True)
 class SupportPartition:
     """Eigenvalue support of i split into the plus/minus classes of a
-    strongly cospectral pair, as exact square-free polynomials plus certified
-    root boxes."""
+    strongly cospectral pair, as exact square-free polynomials, with the
+    class sign of each support root (ascending).  The 2^-40 root boxes are
+    diagnostics, isolated when first read."""
 
     support: Poly
     plus: Poly
     minus: Poly
-    support_roots: tuple[RootBox, ...]
-    plus_roots: tuple[RootBox, ...]
-    minus_roots: tuple[RootBox, ...]
+    signs: tuple[int, ...]
 
     def sigma(self, box: RootBox) -> int:
         """+1 for a support root in the plus class, -1 in the minus class."""
@@ -106,6 +110,18 @@ class SupportPartition:
         if box_has_root(self.minus, box):
             return -1
         raise SpectraError("root box not classified")
+
+    @cached_property
+    def support_roots(self) -> tuple[RootBox, ...]:
+        return isolate_real_roots(self.support)
+
+    @cached_property
+    def plus_roots(self) -> tuple[RootBox, ...]:
+        return isolate_real_roots(self.plus)
+
+    @cached_property
+    def minus_roots(self) -> tuple[RootBox, ...]:
+        return isolate_real_roots(self.minus) if self.minus.degree else ()
 
     def to_json(self) -> dict:
         return {
@@ -122,7 +138,9 @@ class SupportPartition:
 def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
     """Split the support of i into plus/minus parts for a strongly cospectral
     pair, verifying all structural invariants exactly before returning.  The
-    parts are the monic numerators of alpha+ and alpha- (see sign_quotient)."""
+    parts are the monic numerators of alpha+ and alpha- (see sign_quotient);
+    each support root is classified on its current box, since both parts
+    divide the support."""
     if not is_strongly_cospectral(G, i, j):
         raise SpectraError("vertices are not strongly cospectral")
     s = signed_path_sum(G, i, j)
@@ -132,17 +150,10 @@ def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
         raise SpectraError("partition does not multiply back to the support")
     if poly_gcd(plus, minus).degree != 0:
         raise SpectraError("plus and minus parts are not disjoint")
-    sup_roots = tuple(isolate_real_roots(sup))
-    if not box_has_root(plus, sup_roots[-1]):
+    signs = tuple(+1 if in_plus else -1 for in_plus in real_roots(sup).vanishing(plus))
+    if signs[-1] != +1:
         raise SpectraError("largest support root missing from the plus part")
-    return SupportPartition(
-        support=sup,
-        plus=plus,
-        minus=minus,
-        support_roots=sup_roots,
-        plus_roots=tuple(isolate_real_roots(plus)),
-        minus_roots=tuple(isolate_real_roots(minus)) if minus.degree else (),
-    )
+    return SupportPartition(sup, plus, minus, signs)
 
 
 @dataclass(frozen=True)

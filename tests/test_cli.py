@@ -1,11 +1,14 @@
 import json
 import math
+import time
 
 import pytest
 
 from pstlab import cli, scan
 from pstlab.cli import main
 from pstlab.gapcert import GapError
+from pstlab.pst import PstError
+from pstlab.spectra import SpectraError
 
 
 @pytest.fixture
@@ -195,6 +198,32 @@ def test_analyze_gap_violation_exit_5(capsys, monkeypatch, p4_file):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: planted violation\n"
+
+
+@pytest.mark.parametrize("error", [PstError, SpectraError])
+def test_decide_pst_error_exit_5(capsys, monkeypatch, p3_file, error):
+    def decide_pst(G, i, j, model="adjacency"):
+        raise error("planted failure")
+
+    monkeypatch.setattr(cli, "decide_pst", decide_pst)
+    assert main(["decide-pst", p3_file, "0", "2"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: planted failure\n"
+
+
+def test_decide_pst_large_weights(tmp_path, capsys):
+    # eigenvalues +-2^37 sqrt(2): the fit bisects past 2^-40 to pin
+    # (2 theta)^2 = 2^77, and the walk oracle confirms the verdict
+    w = 2**37
+    f = tmp_path / "p3w.txt"
+    f.write_text(f"3\n0 1 {w}\n1 2 {w}\n")
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["decide-pst", str(f), "0", "2"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and payload["result"] == "PST"
+    assert payload["spectrum"] == {"a": 0, "delta": 2, "b": [2 * w, 0, -2 * w]}
+    assert payload["g"] == w and payload["k"] == [0, 1, 2]
 
 
 def test_simulate_csv(tmp_path, capsys, p3_file):

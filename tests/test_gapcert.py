@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid, mirror_graph, seeded_mirror_graphs, trees_up_to
-from pstlab import gapcert, graphs
+from pstlab import gapcert, graphs, polys, pst, spectra
 from pstlab.gapcert import (
     SQRT2,
     GapError,
@@ -24,12 +24,24 @@ from pstlab.gapcert import (
     residue_mass,
 )
 from pstlab.graphs import Graph, delete_vertices, hypercube, path, star
-from pstlab.polys import Poly, RatFunc, charpoly
+from pstlab.polys import (
+    Poly,
+    PolyError,
+    RatFunc,
+    RootBox,
+    charpoly,
+    isolate_real_roots,
+    poly_gcd,
+    simple_pole_residues,
+)
+from pstlab.pst import decide_pst
+from pstlab.scan import scan_trees
 from pstlab.spectra import (
     is_strongly_cospectral,
     min_support_gap,
     signed_path_sum,
     support_partition,
+    support_poly,
 )
 
 
@@ -426,3 +438,154 @@ def test_certify_gap_evaluates_the_cut_edge_hypotheses_once(monkeypatch):
             assert len(bridge_calls) == len(once)
             pairs += 1
     assert pairs > 50
+
+
+# -- the exact certificate against the earlier float route ------------------
+
+
+def _float_route(G, i, j):
+    """The float decisions that certify_gap used to make, kept as an oracle:
+    float residues clamped to 0 below 1e-12 and rejected below -1e-9, arrow
+    eigenvalues from eigvalsh matched to the class roots within 1e-7, and the
+    support gap compared with SQRT2 + 1e-9.  Returns (common_index,
+    hypotheses_ok, equality_detected, (theta_plus, theta_minus)), or the
+    GapError message."""
+
+    def clamp(mu):
+        if abs(mu) < 1e-12:
+            return 0.0
+        if mu < -1e-9:
+            raise GapError(f"negative residue {mu}")
+        return max(mu, 0.0)
+
+    def shift_and_terms(f):
+        if f.num.degree != f.den.degree + 1:
+            raise GapError("numerator degree must exceed denominator degree by 1")
+        try:
+            residues = simple_pole_residues(f)
+        except PolyError as exc:
+            raise GapError(str(exc)) from exc
+        quot, _ = divmod(f.num, f.den)
+        if quot.degree != 1 or quot.leading != 1:
+            raise GapError("expected a monic linear quotient")
+        return -quot.coeffs[0], [(box, -res) for box, res in residues]
+
+    def arrow_eigenvalues(s0, poles, mus):
+        M = np.zeros((len(poles) + 1, len(poles) + 1))
+        M[0, 0] = float(s0)
+        for k, (r, mu) in enumerate(zip(poles, mus), start=1):
+            M[k, k] = r
+            M[0, k] = M[k, 0] = math.sqrt(max(mu, 0.0))
+        return np.linalg.eigvalsh(M)[::-1]
+
+    try:
+        sc = is_strongly_cospectral(G, i, j)
+        ni = graphs.separating_neighbor(G, i, j)
+        nj = None if ni is None else graphs.separating_neighbor(G, j, i)
+        hypotheses_ok = sc and nj is not None and abs(G.weight(i, ni) * G.weight(j, nj)) <= 1
+        if not sc:
+            return None, hypotheses_ok, False, (None, None)
+        plus, minus = alpha_pair(G, i, j)
+        (s0p, terms_p), (s0m, terms_m) = shift_and_terms(plus), shift_and_terms(minus)
+        union = (plus.den * minus.den).exact_div(poly_gcd(plus.den, minus.den)).monic()
+        boxes = isolate_real_roots(union) if union.degree else ()
+
+        def on_union(terms):
+            return [
+                clamp(next((mu for b, mu in terms if b.lo <= box.hi and box.lo <= b.hi), 0.0))
+                for box in boxes
+            ]
+
+        mus_p, mus_m = on_union(terms_p), on_union(terms_m)
+        if nj is not None and s0p != s0m:
+            raise GapError("shifts differ despite the cut-edge hypotheses")
+        poles = [b.midpoint for b in boxes]
+        ev_p = arrow_eigenvalues(s0p, poles, mus_p)
+        ev_m = arrow_eigenvalues(s0m, poles, mus_m)
+        part = support_partition(G, i, j)
+        plus_roots = [b.midpoint for b in isolate_real_roots(part.plus)]
+        minus_roots = [b.midpoint for b in isolate_real_roots(part.minus)] if part.minus.degree else []
+        common = next(
+            (
+                m
+                for m in range(len(ev_p))
+                if any(abs(ev_p[m] - z) < 1e-7 for z in plus_roots)
+                and any(abs(ev_m[m] - z) < 1e-7 for z in minus_roots)
+            ),
+            None,
+        )
+        if common is None:
+            raise GapError("pigeonhole index not found among arrow eigenvalues")
+        equality = gapcert._detect_equality_case(plus, minus) is not None
+        if equality and not gapcert._component_is_p3(G, i):
+            raise GapError("equality case detected on a graph that is not P3")
+        if hypotheses_ok and support_poly(G, i).degree >= 2:
+            gap = min_support_gap(G, i)
+            if gap > SQRT2 + 1e-9:
+                raise GapError(f"support gap {gap} exceeds sqrt(2)")
+        return common, hypotheses_ok, equality, (float(ev_p[common]), float(ev_m[common]))
+    except GapError as exc:
+        return str(exc)
+
+
+def _exact_route(G, i, j):
+    try:
+        cert = certify_gap(G, i, j)
+    except GapError as exc:
+        return str(exc)
+    thetas = (cert.theta_plus, cert.theta_minus)
+    return cert.common_index, cert.hypotheses_ok, cert.equality_detected, thetas
+
+
+def test_exact_certificate_matches_the_float_route():
+    graphs_ = [T for _, T in trees_up_to(10)]
+    graphs_ += [hypercube(3), grid(3, 3)] + seeded_mirror_graphs(23, 12)
+    pairs = hypotheses = 0
+    for G in graphs_:
+        for i, j in sc_pairs(G):
+            expected = _float_route(G, i, j)
+            assert _exact_route(G, i, j) == expected, (G, i, j)
+            pairs += 1
+            hypotheses += expected[1]
+    assert pairs >= 277 and hypotheses >= 200
+
+
+# -- no float decides ---------------------------------------------------------
+
+
+def _clear_caches():
+    for module in (graphs, polys, spectra, pst, gapcert):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _decisions(mirrors):
+    report = scan_trees(9).to_json()
+    report.pop("wall_time_seconds")
+    verdicts = []
+    for G in mirrors:
+        for i in range(G.n):
+            for j in range(i + 1, G.n):
+                verdicts.append(decide_pst(G, i, j).to_json())
+                if is_strongly_cospectral(G, i, j):
+                    cert = certify_gap(G, i, j)
+                    verdicts.append((cert.common_index, cert.hypotheses_ok, cert.conclusion))
+    return report, verdicts
+
+
+def test_no_float_decides(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a float took part in a decision")
+
+    mirrors = seeded_mirror_graphs(31, 12)
+    _clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(RootBox, "midpoint", property(refuse))
+        m.setattr(polys, "residue_at", refuse)
+        m.setattr(spectra, "residue_at", refuse)
+        m.setattr(np.linalg, "eigvalsh", refuse)
+        floatless = _decisions(mirrors)
+    _clear_caches()
+    assert _decisions(mirrors) == floatless
+    assert sum(len(entry["pst_pairs"]) for entry in floatless[0]["per_order"]) == 2

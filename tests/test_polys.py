@@ -13,16 +13,21 @@ from pstlab.polys import (
     Poly,
     PolyError,
     RatFunc,
+    RealRoots,
     RootBox,
     berkowitz_charpoly,
     box_has_root,
     charpoly,
+    compare_roots,
     isolate_real_roots,
+    merge_roots,
     path_sum_bruteforce,
     path_sum_poly,
     poly_gcd,
     poly_sqrt,
     rational_roots_monic_integer,
+    real_roots,
+    roots_within,
     simple_pole_residues,
     square_free_part,
     squarefree_decomposition,
@@ -343,6 +348,80 @@ def test_rational_roots_monic_integer():
         rational_roots_monic_integer(Poly([Fraction(1, 2), 1]))
 
 
+def test_rational_roots_of_a_huge_constant_term():
+    # trial division of |c0| would not finish; the root boxes answer at once
+    assert rational_roots_monic_integer(lin(-7, 3 * 2**80)) == [-7, 3 * 2**80]
+    assert rational_roots_monic_integer(Poly((-5 * 2**80, 0, 1))) == []
+    assert rational_roots_monic_integer(lin(0, 0, 5) * Poly([1, 0, 1])) == [0, 5]
+
+
+# -- lazily refined root boxes ---------------------------------------------
+
+
+def test_lazy_support_boxes_resume_to_isolate_real_roots():
+    from pstlab.scan import scan_trees
+
+    scan_trees(9)  # the scan refines the shared support boxes as far as it needs
+    supports = {spectra.support_poly(T, v) for _, T in trees_up_to(9) for v in range(T.n)}
+    for sup in supports:
+        assert real_roots(sup).boxes() == isolate_real_roots(sup)
+    assert len(supports) > 100
+    # a root refined past 2^-40 still reports the box it had at 2^-40
+    p = Poly([-2, 0, 1])
+    roots = RealRoots(p)
+    roots.narrow(1, Fraction(1, 2**70))
+    assert roots.boxes() == isolate_real_roots(p)
+    lo, hi, d = roots.interval(1)
+    assert (hi - lo) * 2**70 < d and lo * lo < 2 * d * d < hi * hi
+
+
+def test_real_roots_of_a_repeated_factor():
+    roots = real_roots(lin(1, 1, 2) * Poly([-2, 0, 1]) * Poly([-2, 0, 1]))
+    assert len(roots) == 4
+    assert roots.boxes() == tuple(RootBox(b.lo, b.hi, 1) for b in isolate_real_roots(lin(1, 2) * Poly([-2, 0, 1])))
+    assert roots.integers() == [1, 2]
+
+
+def test_compare_roots_settles_ties_exactly():
+    a = RealRoots(Poly([-2, 0, 1]))  # -sqrt2, sqrt2
+    b = RealRoots(Poly([-2, 0, 1]) * lin(1, Fraction(7, 5)))  # -sqrt2, 1, 7/5, sqrt2
+    assert compare_roots(a, 1, b, 3) == 0
+    assert compare_roots(a, 0, b, 0) == 0
+    assert compare_roots(a, 1, b, 2) == 1
+    assert compare_roots(b, 1, a, 1) == -1
+    # a rational root hit exactly, against an irrational one
+    c = RealRoots(lin(0, Fraction(3, 2)))
+    assert compare_roots(c, 0, a, 1) == -1 and compare_roots(c, 1, a, 1) == 1
+    merged = merge_roots([(a, 0), (a, 1)], [(b, k) for k in range(4)])
+    assert merged == [(0, 0, False), (1, 0, True), (1, 1, False), (1, 2, False),
+                      (0, 1, False), (1, 3, True)]
+
+
+def test_compare_roots_past_box_width():
+    # sqrt2 and sqrt(2 + 2^-60) agree to well below 2^-40
+    a = RealRoots(Poly([-2, 0, 1]))
+    b = RealRoots(Poly([-2 - Fraction(1, 2**60), 0, 1]))
+    assert compare_roots(a, 1, b, 1) == -1
+    assert compare_roots(b, 0, a, 0) == -1
+
+
+def test_roots_within():
+    # t^3 - 2t: consecutive roots exactly sqrt2 apart, settled by the norm gcd
+    tie = real_roots(Poly([0, -2, 0, 1]))
+    assert roots_within(tie, 2)
+    assert not roots_within(tie, 1)
+    # t (t^2 - 2 - 2^-50): gaps just above sqrt2, decided past 2^-40
+    assert not roots_within(real_roots(Poly([0, -2 - Fraction(1, 2**50), 0, 1])), 2)
+    # t ((t + 2^-50)^2 - 2): one gap just below sqrt2
+    eps = Fraction(1, 2**50)
+    assert roots_within(real_roots(lin(0) * (lin(-eps) * lin(-eps) - Poly([2]))), 2)
+    # the bridge bound: P4's support 1.618.., 0.618.. and their negatives
+    assert roots_within(real_roots(Poly([1, 0, -3, 0, 1])), 1)
+    assert not roots_within(real_roots(lin(-1, 1)), 1)
+    assert roots_within(real_roots(lin(-1, 0, 1)), 1)  # an exact tie at 1
+    assert not roots_within(real_roots(lin(5)), 2)
+
+
 def test_squarefree_part_int():
     assert squarefree_part_int(1) == 1
     assert squarefree_part_int(8) == 2
@@ -509,6 +588,7 @@ def test_isolate_raises_on_a_corrupted_sturm_chain(monkeypatch, roots, signs):
         tuple(sign * c for c in member) for sign, member in zip(signs, true_chain(fi))
     ])
     isolate_real_roots.cache_clear()
+    real_roots.cache_clear()
     with pytest.raises(PolyError):
         isolate_real_roots(lin(*roots))
 

@@ -396,14 +396,23 @@ def test_fit_large_lucas_quadratic():
     assert qs == QuadraticSpectrum(lucas_40, 5, (fib_40, -fib_40))
 
 
-def test_fit_refuses_to_guess_past_box_precision():
+def test_fit_pins_large_roots_past_box_precision():
     # L56 ~ 2^38: the interval of (2 theta - a)^2 over a 2^-40 box is wider
-    # than 1, so the exact fit cannot pin the integer and must say so
-    lucas = [2, 1]
+    # than 1, so the fit bisects the box further until it pins one integer
+    lucas, fib = [2, 1], [0, 1]
     while len(lucas) <= 56:
         lucas.append(lucas[-1] + lucas[-2])
-    with pytest.raises(PstError):
-        fit_quadratic_spectrum(Poly((1, -lucas[56], 1)))
+        fib.append(fib[-1] + fib[-2])
+    qs = fit_quadratic_spectrum(Poly((1, -lucas[56], 1)))
+    assert qs == QuadraticSpectrum(lucas[56], 5, (fib[56], -fib[56]))
+
+
+def test_fit_huge_constant_term():
+    # trial division of the constant term would stall here; the root boxes
+    # give no integer root at once and pin (2 theta)^2 = 5 * 2^82
+    assert fit_quadratic_spectrum(Poly((-5 * 2**80, 0, 1))) == QuadraticSpectrum(
+        0, 5, (2**41, -(2**41))
+    )
 
 
 def test_fit_uses_no_float(monkeypatch):
