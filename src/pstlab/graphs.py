@@ -76,6 +76,10 @@ class Graph:
                 nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
+    @cached_property
+    def _bridges(self) -> frozenset[tuple[int, int]]:
+        return _lowlink_bridges(self)
+
     def weight(self, u: int, v: int) -> Fraction:
         if u > v:
             u, v = v, u
@@ -263,8 +267,13 @@ def eccentricity(G: Graph, v: int) -> int:
     return max(dist)
 
 
-def bridges(G: Graph) -> set[tuple[int, int]]:
-    """All cut-edges, as (u, v) with u < v.  Iterative lowlink DFS."""
+def bridges(G: Graph) -> frozenset[tuple[int, int]]:
+    """All cut-edges, as (u, v) with u < v; found once per graph."""
+    return G._bridges
+
+
+def _lowlink_bridges(G: Graph) -> frozenset[tuple[int, int]]:
+    """The cut-edges by an iterative lowlink DFS."""
     disc = [-1] * G.n
     low = [0] * G.n
     out: set[tuple[int, int]] = set()
@@ -295,7 +304,7 @@ def bridges(G: Graph) -> set[tuple[int, int]]:
                     low[parent] = min(low[parent], low[v])
                     if low[v] > disc[parent]:
                         out.add((min(parent, v), max(parent, v)))
-    return out
+    return frozenset(out)
 
 
 def separating_cut_edge(G: Graph, e: tuple[int, int], i: int, j: int) -> bool:

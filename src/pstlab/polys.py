@@ -4,10 +4,15 @@ Characteristic polynomials, gcd and square-free machinery, exact square
 roots, path-sum polynomials, and Sturm-sequence real-root isolation.
 Integral coefficients are stored as ``int`` and only the others as
 ``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
-forests get their characteristic polynomial from the rooted-subtree
-recursion and every other graph from the Berkowitz recurrence on sparse
-integer rows (weights scaled by their common denominator), and root
-isolation bisects integer numerators over a common denominator.
+and root isolation bisects integer numerators over a common denominator.
+
+A loopless integer-weighted forest gets one table of branch polynomials
+(``_forest_tables``), built once: its characteristic polynomial, every
+vertex-deleted one, each path sum |w(P)| phi(G \\ P) and each two-vertex
+deletion are read off it.  Every other graph takes the Berkowitz recurrence
+on sparse integer rows (weights scaled by their common denominator), and
+its path sums are square roots of the Wronskian; both routes stay the test
+oracles of the tables.
 
 Decisions read ``real_roots``: each polynomial is isolated once and its
 boxes are bisected only while a comparison that reads them is open, with
@@ -18,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional
 
-from .graphs import Graph, delete_vertices
+from .graphs import Graph, GraphError, delete_vertices
 
 #: refined root boxes are bisected below this width
 BOX_WIDTH = Fraction(1, 2**40)
@@ -54,6 +59,8 @@ def _div(a, b):
 
 def _mul(a, b) -> list:
     """Product of two nonempty coefficient sequences, low degree first."""
+    if len(b) == 1:
+        return [x * b[0] for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for k, x in enumerate(a):
         if x:
@@ -265,6 +272,12 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return Poly(a).monic()
 
 
+def divides(g: Poly, p: Poly) -> bool:
+    """Whether the nonzero g divides p, by a pseudo-remainder over the
+    integers."""
+    return not p.coeffs or not _prem(_int_vector(p), _int_primitive(g))
+
+
 def square_free_part(p: Poly) -> Poly:
     if p.is_zero():
         raise PolyError("square-free part of zero")
@@ -405,85 +418,201 @@ def berkowitz_charpoly(G: Graph) -> Poly:
     return Poly(tuple(reversed(coeffs)))
 
 
-def _forest_charpoly(G: Graph) -> Optional[Poly]:
-    """det(tI - A(G)) of a loopless integer-weighted forest by the
-    rooted-subtree recursion (the forest's matchings polynomial); None for
-    any other graph.
+def _quo_monic(a: list, b: list) -> list:
+    """a / b for integer coefficient lists (low degree first) with b monic
+    and dividing a exactly; [] when a is zero."""
+    db = len(b) - 1
+    rem = list(a)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    if db == 1 and not b[0]:
+        return rem[1:]  # b = t
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + db]
+        if c:
+            for m in range(db):
+                rem[k + m] -= c * b[m]
+    return quot
 
-    With phi_v = phi(T_v) and psi_v = phi(T_v - v) = prod over children c of
-    phi_c:  phi_v = t psi_v - sum_c w_vc^2 psi_c prod_{c' != c} phi_c'.
+
+def _sub(a: list, b: list) -> list:
+    """a - b for coefficient lists, low degree first."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, x in enumerate(b):
+        out[k] -= x
+    return out
+
+
+class _ForestTables:
+    """Branch polynomials of a loopless integer-weighted forest G, each
+    component rooted at its least vertex; coefficient lists of ints, low
+    degree first.
+
+    The downward pass gives phi_v = phi(T_v) and psi_v = phi(T_v - v), the
+    product of phi_c over the children c, for each rooted subtree T_v:
+    phi_v = t psi_v - sum_c w_vc^2 psi_c prod_{c' != c} phi_c'.
+
+    The upward pass, run when first read, gives up_v = phi(G - T_v), so that
+    phi(G - v) = up_v psi_v is the product of the branches at v (Schwenk
+    1974); a root starts from the other components, up_r = phi(G) / phi_r.
+    Expanding phi(G) along the bridge from a child c to its parent v gives
+    phi(G) = phi_c up_c - w_vc^2 psi_c Q with Q = phi(G - T_c - v) =
+    phi(G - v) / phi_c, so up_c = (phi(G) + w_vc^2 psi_c Q) / phi_c: two exact
+    divisions by the monic phi_c per edge.
     """
+
+    def __init__(self, parent: list[int], depth: list[int], weight: list[int],
+                 order: list[int], children: list[list[int]]):
+        # order lists every vertex after its parent; weight[c] = |w(c, parent)|
+        self.parent, self.depth, self.weight = parent, depth, weight
+        self.order, self.children = order, children
+        n = len(parent)
+        phi: list = [None] * n
+        psi: list = [None] * n
+        for v in reversed(order):
+            prod, tail = [1], [0]
+            for c in children[v]:
+                # tail = sum over the children c so far of w^2 psi_c prod phi_c'
+                if children[c]:
+                    extra = _mul(psi[c], prod)
+                    tail, prod = _mul(tail, phi[c]), _mul(prod, phi[c])
+                else:  # a leaf: phi_c = t, psi_c = 1
+                    extra = prod
+                    tail, prod = [0] + tail, [0] + prod
+                w2 = weight[c] * weight[c]
+                for k, x in enumerate(extra):
+                    tail[k] += w2 * x
+            phi[v], psi[v] = _sub([0] + prod, tail), prod
+        self.phi, self.psi = phi, psi
+        total = [1]
+        for v in order:
+            if parent[v] < 0:
+                total = _mul(total, phi[v])
+        self.total = total
+        self.charpoly = Poly(total)
+
+    @cached_property
+    def _upward(self) -> tuple[list, list]:
+        """(up_v, phi(G - v)) for every vertex v."""
+        phi, psi, total = self.phi, self.psi, self.total
+        up: list = [None] * len(phi)
+        deleted: list = [None] * len(phi)
+        for v in self.order:
+            if self.parent[v] < 0:
+                up[v] = _quo_monic(total, phi[v])
+            dv = deleted[v] = _mul(up[v], psi[v])
+            for c in self.children[v]:
+                q = _quo_monic(dv, phi[c])
+                w2 = self.weight[c] * self.weight[c]
+                up[c] = _quo_monic(_sub(total, [-w2 * x for x in _mul(psi[c], q)]), phi[c])
+        return up, deleted
+
+    @cached_property
+    def deleted(self) -> tuple[Poly, ...]:
+        """phi(G - v) for every vertex v."""
+        return tuple(map(Poly, self._upward[1]))
+
+    def path_sum(self, i: int, j: int) -> list:
+        """|w(P)| phi(G - P) for the i-j path P, [] when there is none:
+        phi(G - P) is the product of the branches off P, which are the
+        children off P of the path's vertices and the branch above its top."""
+        parent, depth = self.parent, self.depth
+        on_path, weight = {i, j}, 1
+        while i != j:
+            if depth[i] < depth[j]:
+                i, j = j, i
+            if parent[i] < 0:
+                return []  # different components
+            weight *= self.weight[i]
+            i = parent[i]
+            on_path.add(i)
+        out = [weight * x for x in self._upward[0][i]]
+        for v in on_path:
+            for c in self.children[v]:
+                if c not in on_path:
+                    out = _mul(out, self.phi[c])
+        return out
+
+
+@lru_cache(maxsize=16)
+def _forest_tables(G: Graph) -> Optional[_ForestTables]:
+    """The branch tables of a loopless integer-weighted forest, None for any
+    other graph.  Callers ask about one graph at a time, so a few are kept."""
     n = G.n
     if len(G.edges) >= n or not G.is_integer_weighted() or G.has_loops():
         return None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in G.edges:
-        w2 = w.numerator * w.numerator
-        adj[u].append((v, w2))
-        adj[v].append((u, w2))
-    parent = [-1] * n
+        adj[u].append((v, abs(w.numerator)))
+        adj[v].append((u, abs(w.numerator)))
+    parent, depth, weight = [-1] * n, [0] * n, [0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
     seen = [False] * n
-    order, roots = [], []
+    order: list[int] = []
     for root in range(n):
         if seen[root]:
             continue
-        roots.append(root)
         seen[root] = True
         stack = [root]
         while stack:
             v = stack.pop()
             order.append(v)
-            for u, _ in adj[v]:
+            for u, w in adj[v]:
                 if not seen[u]:
                     seen[u] = True
-                    parent[u] = v
+                    parent[u], depth[u], weight[u] = v, depth[v] + 1, w
+                    children[v].append(u)
                     stack.append(u)
-    if len(G.edges) != n - len(roots):
+    if len(G.edges) != n - parent.count(-1):
         return None  # a cycle
-    phi: list = [None] * n
-    psi: list = [None] * n
-    for v in reversed(order):
-        prod, tail = [1], [0]
-        for c, w2 in adj[v]:
-            if c == parent[v]:
-                continue
-            # tail = sum over the children c so far of w^2 psi_c prod phi_c'
-            tail = _mul(tail, phi[c])
-            extra = _mul(psi[c], prod)
-            for k, x in enumerate(extra):
-                tail[k] += w2 * x
-            prod = _mul(prod, phi[c])
-        shifted = [0] + prod
-        for k, x in enumerate(tail):
-            shifted[k] -= x
-        phi[v], psi[v] = shifted, prod
-    total = [1]
-    for root in roots:
-        total = _mul(total, phi[root])
-    return Poly(total)
+    return _ForestTables(parent, depth, weight, order, children)
+
+
+def _require_vertices(G: Graph, vertices) -> None:
+    """GraphError unless every vertex lies in 0..n-1: the tables are lists,
+    where a negative index would silently wrap."""
+    if any(not 0 <= v < G.n for v in vertices):
+        raise GraphError(f"vertex out of range for n={G.n}")
 
 
 @lru_cache(maxsize=200_000)
 def charpoly(G: Graph) -> Poly:
     """Monic characteristic polynomial det(tI - A(G)), exactly.
 
-    Loopless integer-weighted forests take the subtree recursion, every
-    other graph Berkowitz.  The empty graph gets the constant 1.
+    Loopless integer-weighted forests read it off their branch tables, every
+    other graph takes Berkowitz.  The empty graph gets the constant 1.
     """
     if G.n == 0:
         return Poly.one()
-    forest = _forest_charpoly(G)
-    return forest if forest is not None else berkowitz_charpoly(G)
+    tables = _forest_tables(G)
+    return tables.charpoly if tables is not None else berkowitz_charpoly(G)
 
 
 @lru_cache(maxsize=100_000)
 def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
     """charpoly(G \\ vertices), memoized.  Any order or repetition of the
-    vertices resolves to the entry of the sorted vertex set."""
+    vertices resolves to the entry of the sorted vertex set.
+
+    On a loopless integer-weighted forest one and two vertices are read off
+    the branch tables: phi^{G\\{i,j}} = (phi^{G\\i} phi^{G\\j} - S^2) / phi^G
+    for the path sum S, divided exactly.  Every other case deletes the
+    vertices and takes ``charpoly``.
+    """
     key = tuple(sorted(set(vertices)))
     if vertices != key:
         return vertex_deleted_charpoly(G, *key)
-    return charpoly(delete_vertices(G, vertices))
+    if not key:
+        return charpoly(G)
+    _require_vertices(G, key)
+    tables = _forest_tables(G) if len(key) <= 2 else None
+    if tables is None:
+        return charpoly(delete_vertices(G, key))
+    if len(key) == 1:
+        return tables.deleted[key[0]]
+    s = tables.path_sum(*key)
+    di, dj = (tables.deleted[v].coeffs for v in key)
+    return Poly(_quo_monic(_sub(_mul(di, dj), _mul(s, s) if s else []), tables.total))
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +620,21 @@ def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
 
 
 def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
-    """Signed square root of phi^{G\\i} phi^{G\\j} - phi^{G\\{i,j}} phi^G,
-    normalized to positive leading coefficient.  Zero when i and j sit in
-    different components."""
+    """The path-sum polynomial S_ij = sum over the i-j paths P of
+    w(P) phi^{G\\P}, up to sign, normalized to positive leading coefficient;
+    zero when i and j sit in different components.
+
+    A loopless integer-weighted forest has at most one i-j path, so S_ij is
+    |w(P)| phi^{G\\P}, read off the branch tables.  Every other graph takes
+    the signed square root of the Wronskian
+    phi^{G\\i} phi^{G\\j} - phi^{G\\{i,j}} phi^G = S_ij^2.
+    """
     if i == j:
         raise PolyError("need distinct vertices")
+    tables = _forest_tables(G)
+    if tables is not None:
+        _require_vertices(G, (i, j))
+        return Poly(tables.path_sum(i, j))
     w = vertex_deleted_charpoly(G, i) * vertex_deleted_charpoly(G, j) \
         - vertex_deleted_charpoly(G, i, j) * charpoly(G)
     if w.is_zero():
@@ -952,12 +1091,15 @@ def rational_roots_monic_integer(p: Poly) -> list[int]:
 
 
 def squarefree_part_int(m: int) -> int:
-    """Square-free part of a positive integer (trial division)."""
+    """Square-free part of a positive integer.  Trial division runs only
+    while d^3 <= m: what is left then has no prime factor below d and is 1,
+    p, p^2 or pq, so its square-free part is 1 for a square and itself
+    otherwise."""
     if m <= 0:
         raise ValueError("need a positive integer")
     out = 1
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             cnt = 0
             while m % d == 0:
@@ -966,7 +1108,7 @@ def squarefree_part_int(m: int) -> int:
             if cnt % 2:
                 out *= d
         d += 1
-    return out * m
+    return out if isqrt(m) ** 2 == m else out * m
 
 
 def residue_at(f: RatFunc, x: float) -> float:

@@ -2,9 +2,11 @@
 partition.
 
 All yes/no decisions here are exact polynomial algebra on the lazily refined
-root boxes of each support (``polys.real_roots``).  Floats are diagnostics
-only: projector tables, root midpoints and the 2^-40 boxes of the JSON
-output, computed when they are read.
+root boxes of each support (``polys.real_roots``).  Strong cospectrality is
+one divisibility test per cospectral pair, against gcd(phi, phi') taken
+once per graph.  Floats are diagnostics only: projector tables, root
+midpoints and the 2^-40 boxes of the JSON output, computed when they are
+read.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .polys import (
     RootBox,
     box_has_root,
     charpoly,
+    divides,
     isolate_real_roots,
     path_sum_poly,
     poly_gcd,
@@ -42,13 +45,28 @@ def is_cospectral(G: Graph, i: int, j: int) -> bool:
 
 
 @lru_cache(maxsize=100_000)
+def _repeated_part(G: Graph) -> Poly:
+    """gcd(phi^G, phi^G'): each eigenvalue of multiplicity m >= 2 as a root
+    of multiplicity m - 1, and no other root."""
+    phi = charpoly(G)
+    return poly_gcd(phi, phi.derivative())
+
+
+@lru_cache(maxsize=100_000)
 def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
-    """Cospectral and all poles of phi^{G\\{i,j}}/phi^G are simple."""
+    """Cospectral, and every pole of phi^{G\\{i,j}}/phi^G is simple.
+
+    By interlacing, deleting two vertices lowers the multiplicity m of an
+    eigenvalue theta to no less than m - 2, so the pole at theta has order
+    at most 2, and it is double exactly when theta has multiplicity m - 2 in
+    phi^{G\\{i,j}} (Godsil & Smith, "Strongly cospectral vertices").  So the
+    poles are simple iff gcd(phi^G, phi^G'), with theta of multiplicity
+    m - 1, divides phi^{G\\{i,j}}: one divisibility test per pair, against a
+    gcd taken once per graph, and none when the spectrum is simple."""
     if not is_cospectral(G, i, j):
         return False
-    f = RatFunc.make(vertex_deleted_charpoly(G, i, j), charpoly(G))
-    den = f.den
-    return den.degree == 0 or square_free_part(den) == den
+    g = _repeated_part(G)
+    return g.degree == 0 or divides(g, vertex_deleted_charpoly(G, i, j))
 
 
 @lru_cache(maxsize=100_000)

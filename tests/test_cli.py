@@ -226,6 +226,20 @@ def test_decide_pst_large_weights(tmp_path, capsys):
     assert payload["g"] == w and payload["k"] == [0, 1, 2]
 
 
+def test_decide_pst_on_p3_with_large_prime_weights(tmp_path, capsys):
+    # (2 theta)^2 = 8 w^2 with w = 2^31 - 1 prime: its square-free part is
+    # found without trial division up to w
+    w = 2**31 - 1
+    f = tmp_path / "p3p.txt"
+    f.write_text(f"3\n0 1 {w}\n1 2 {w}\n")
+    start = time.perf_counter()
+    code, payload = run_json(capsys, ["decide-pst", str(f), "0", "2"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and payload["result"] == "PST"
+    assert payload["spectrum"] == {"a": 0, "delta": 2, "b": [2 * w, 0, -2 * w]}
+    assert payload["g"] == w and payload["k"] == [0, 1, 2]
+
+
 def test_simulate_csv(tmp_path, capsys, p3_file):
     out = tmp_path / "series.csv"
     code = main(

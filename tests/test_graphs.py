@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pstlab import graphs
 from pstlab.graphs import (
     Graph,
     GraphError,
@@ -139,6 +140,26 @@ def test_bridges_on_tree_and_cycle():
     # tadpole: triangle plus pendant
     T = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1)])
     assert bridges(T) == {(2, 3)}
+
+
+def test_bridges_are_found_once_per_graph(monkeypatch):
+    passes = []
+    real_lowlink = graphs._lowlink_bridges
+
+    def counting_lowlink(G):
+        passes.append(G)
+        return real_lowlink(G)
+
+    monkeypatch.setattr(graphs, "_lowlink_bridges", counting_lowlink)
+    T = Graph.from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1)])
+    cut = bridges(T)
+    assert cut == {(2, 3), (3, 4), (3, 5)} and isinstance(cut, frozenset)
+    for v in range(T.n):
+        for other in range(T.n):
+            if v != other:
+                separating_neighbor(T, v, other)
+    assert bridges(T) is cut
+    assert passes == [T]
 
 
 def test_separating_cut_edge():

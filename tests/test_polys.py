@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid, random_weighted_graph, trees_up_to
-from pstlab.graphs import Graph, delete_vertices, hypercube, laplacian_form, path, star
+from pstlab.graphs import Graph, GraphError, delete_vertices, hypercube, laplacian_form, path, star
 from pstlab import polys, spectra
 from pstlab.polys import (
     NotASquareError,
@@ -261,10 +261,13 @@ def test_path_sum_sign_convention_positive_lead():
 
 
 def test_path_sum_matches_bruteforce_trees():
-    for _, T in trees_up_to(7):
+    for n, T in trees_up_to(9):
         for i in range(T.n):
             for j in range(i + 1, T.n):
-                assert path_sum_poly(T, i, j) == path_sum_bruteforce(T, i, j)
+                s = path_sum_poly(T, i, j)
+                assert s == _wronskian_path_sum(T, i, j)
+                if n <= 7:
+                    assert s == path_sum_bruteforce(T, i, j)
 
 
 # -- rational functions -----------------------------------------------------
@@ -422,12 +425,38 @@ def test_roots_within():
     assert not roots_within(real_roots(lin(5)), 2)
 
 
+def _squarefree_part_by_trial_division(m):
+    """Test-local oracle: strip every square factor d^2, d up to sqrt(m)."""
+    out, d = 1, 2
+    while d * d <= m:
+        while m % (d * d) == 0:
+            m //= d * d
+        if m % d == 0:
+            m //= d
+            out *= d
+        d += 1
+    return out * m
+
+
 def test_squarefree_part_int():
     assert squarefree_part_int(1) == 1
     assert squarefree_part_int(8) == 2
     assert squarefree_part_int(360) == 10
     with pytest.raises(ValueError):
         squarefree_part_int(0)
+    for m in range(1, 10**4 + 1):
+        assert squarefree_part_int(m) == _squarefree_part_by_trial_division(m), m
+
+
+def test_squarefree_part_int_of_large_prime_squares():
+    # (2 theta)^2 of P3 with both weights w = 2^31 - 1 (a prime) is 8 w^2;
+    # trial division to sqrt(m) would run 2^33 steps
+    w = 2**31 - 1
+    assert squarefree_part_int(8 * w * w) == 2
+    assert squarefree_part_int(w * w) == 1
+    assert squarefree_part_int(2 * w) == 2 * w
+    assert squarefree_part_int(3 * w * (2**19 - 1)) == 3 * w * (2**19 - 1)
+    assert squarefree_part_int(12 * (2**19 - 1) ** 2) == 3
 
 
 def test_simple_pole_residues():
@@ -607,27 +636,72 @@ def _forest(parent_choices, weight_choices, cuts, perm_keys):
     return Graph.from_edges(n, [(perm[u], perm[v], w) for u, v, w in items])
 
 
-@settings(max_examples=120, deadline=None)
+def _deletions(G):
+    """Every set of at most two vertices, the empty one first."""
+    yield ()
+    for i in range(G.n):
+        yield (i,)
+        for j in range(i + 1, G.n):
+            yield (i, j)
+
+
+def _wronskian_path_sum(G, i, j):
+    """Test-local oracle: the positive square root of the Wronskian
+    phi^{G\\i} phi^{G\\j} - phi^{G\\{i,j}} phi^G, every charpoly by Berkowitz."""
+    def phi(*S):
+        return berkowitz_charpoly(delete_vertices(G, set(S)))
+
+    w = phi(i) * phi(j) - phi(i, j) * phi()
+    return Poly.zero() if w.is_zero() else poly_sqrt(w)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.integers(0, 100), min_size=0, max_size=10),
-    st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=11),
-    st.sets(st.integers(1, 10), max_size=4),
+    st.lists(st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), min_size=1, max_size=11),
+    st.sets(st.integers(1, 10), max_size=5),
     st.lists(st.integers(0, 20), min_size=1, max_size=11),
 )
 def test_forest_charpoly_matches_berkowitz(parents, weights, cuts, perm_keys):
+    # the branch tables against Berkowitz, brute force and the Wronskian
     F = _forest(parents, weights, cuts, perm_keys)
     assert charpoly(F) == berkowitz_charpoly(F)
-    for v in range(F.n):
-        H = delete_vertices(F, {v})
-        assert charpoly(H) == berkowitz_charpoly(H)
+    for S in _deletions(F):
+        H = delete_vertices(F, S)
+        assert vertex_deleted_charpoly(F, *S) == charpoly(H) == berkowitz_charpoly(H)
+    for i in range(F.n):
+        for j in range(i + 1, F.n):
+            s, b = path_sum_poly(F, i, j), path_sum_bruteforce(F, i, j)
+            assert s == (b if b.leading >= 0 else -b) == _wronskian_path_sum(F, i, j)
 
 
 def test_forest_charpoly_matches_berkowitz_on_all_trees_to_n10():
     for _, T in trees_up_to(10, min_n=1):
         assert charpoly(T) == berkowitz_charpoly(T)
-        for v in range(T.n):
-            H = delete_vertices(T, {v})
-            assert charpoly(H) == berkowitz_charpoly(H)
+        for S in _deletions(T):
+            H = delete_vertices(T, S)
+            assert vertex_deleted_charpoly(T, *S) == charpoly(H) == berkowitz_charpoly(H)
+
+
+def test_forest_tables_edge_cases():
+    empty = Graph.from_edges(0, [])
+    assert vertex_deleted_charpoly(empty) == charpoly(empty) == Poly.one()
+    single = Graph.from_edges(1, [])
+    assert vertex_deleted_charpoly(single) == X
+    assert vertex_deleted_charpoly(single, 0) == Poly.one()
+    isolated = Graph.from_edges(3, [])
+    assert vertex_deleted_charpoly(isolated, 0, 2) == X
+    assert path_sum_poly(isolated, 0, 1).is_zero()
+    # a signed path: |w(P)| phi(G \\ P), the sign of w(P) is normalized away
+    P = Graph.from_edges(4, [(0, 1, -2), (1, 2, 3), (2, 3, 1)])
+    assert path_sum_poly(P, 0, 2) == Poly.constant(6) * X
+    for G in (path(4), hypercube(3)):
+        with pytest.raises(GraphError):
+            vertex_deleted_charpoly(G, G.n)
+        with pytest.raises(GraphError):
+            vertex_deleted_charpoly(G, -1, 0)
+        with pytest.raises(GraphError):
+            path_sum_poly(G, -1, 0)
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_weighted_graph, trees_up_to
-from pstlab.graphs import Graph, delete_vertices, double_star, hypercube, path, star
-from pstlab.polys import Poly, charpoly
+from conftest import grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
+from pstlab import spectra
+from pstlab.graphs import (
+    Graph,
+    delete_vertices,
+    double_star,
+    hypercube,
+    laplacian_form,
+    path,
+    star,
+)
+from pstlab.polys import Poly, RatFunc, berkowitz_charpoly, charpoly, square_free_part
 from pstlab.spectra import (
     SpectraError,
     is_cospectral,
@@ -46,6 +55,84 @@ def test_strong_cospectrality_hypercube_antipodes():
     Q = hypercube(3)
     assert is_strongly_cospectral(Q, 0, 7)
     assert not is_strongly_cospectral(Q, 0, 1)
+
+
+def _simple_poles(G, i, j):
+    """Test-local oracle: whether phi^{G\\{i,j}}/phi^G, reduced, has a
+    square-free denominator, every charpoly by Berkowitz."""
+    f = RatFunc.make(berkowitz_charpoly(delete_vertices(G, {i, j})), berkowitz_charpoly(G))
+    return f.den.degree == 0 or square_free_part(f.den) == f.den
+
+
+def _graphs_with_loops(seed, count):
+    """Random rational-weighted graphs, some with loops, and the Laplacians
+    of the loopless ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        G = random_weighted_graph(rng, rng.randint(2, 7), density=0.4)
+        loops = [
+            (v, v, Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2])))
+            for v in range(G.n)
+            if rng.random() < 0.4
+        ]
+        out += [laplacian_form(G), Graph.from_edges(G.n, list(G.edges) + loops)]
+    return out
+
+
+def _check_strong_against_pole_route(G, every_pair):
+    """is_strongly_cospectral against cospectrality plus the pole oracle on
+    the cospectral pairs; with every_pair, also the divisibility by
+    gcd(phi, phi') against the oracle on every pair, which interlacing makes
+    equivalent for any two vertices."""
+    g = spectra._repeated_part(G)
+    strong = 0
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            cosp = is_cospectral(G, i, j)
+            if cosp or every_pair:
+                simple = _simple_poles(G, i, j)
+                assert is_strongly_cospectral(G, i, j) == (cosp and simple)
+                divides = (vertex_deleted_charpoly(G, i, j) % g).is_zero()
+                assert divides == simple
+                strong += cosp and simple
+            else:
+                assert not is_strongly_cospectral(G, i, j)
+    return strong
+
+
+def test_strong_cospectrality_matches_the_pole_route_on_trees_to_n10():
+    strong = 0
+    for n, T in trees_up_to(10):
+        strong += _check_strong_against_pole_route(T, every_pair=n <= 7)
+    assert strong > 100
+
+
+def test_strong_cospectrality_matches_the_pole_route_on_other_graphs():
+    graphs = [hypercube(3), hypercube(4), grid(3, 3)]
+    graphs += [laplacian_form(G) for G in graphs]
+    graphs += seeded_mirror_graphs(19, 12) + _graphs_with_loops(23, 30)
+    strong = sum(_check_strong_against_pole_route(G, every_pair=G.n <= 9) for G in graphs)
+    assert strong > 40
+
+
+def test_strong_cospectrality_takes_one_gcd_per_graph(monkeypatch):
+    calls = []
+    real_gcd = spectra.poly_gcd
+
+    def counting_gcd(p, q):
+        calls.append((p, q))
+        return real_gcd(p, q)
+
+    monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
+    for G in (hypercube(3), grid(3, 3), star(5), path(6)):
+        spectra._repeated_part.cache_clear()
+        is_strongly_cospectral.cache_clear()
+        calls.clear()
+        for i in range(G.n):
+            for j in range(i + 1, G.n):
+                is_strongly_cospectral(G, i, j)
+        assert len(calls) == 1
 
 
 def test_support_poly_p3():
