@@ -446,9 +446,6 @@ def test_squarefree_part_int():
         squarefree_part_int(0)
     for m in range(1, 10**4 + 1):
         assert squarefree_part_int(m) == _squarefree_part_by_trial_division(m), m
-
-
-def test_squarefree_part_int_of_large_prime_squares():
     # (2 theta)^2 of P3 with both weights w = 2^31 - 1 (a prime) is 8 w^2;
     # trial division to sqrt(m) would run 2^33 steps
     w = 2**31 - 1
