@@ -4,15 +4,18 @@ Characteristic polynomials, gcd and square-free machinery, exact square
 roots, path-sum polynomials, and Sturm-sequence real-root isolation.
 Integral coefficients are stored as ``int`` and only the others as
 ``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
-and root isolation bisects integer numerators over a common denominator.
+exact divisions divide integer primitive parts, and root isolation bisects
+integer numerators over a common denominator.
 
-A loopless integer-weighted forest gets one table of branch polynomials
-(``_forest_tables``), built once: its characteristic polynomial, every
-vertex-deleted one, each path sum |w(P)| phi(G \\ P) and each two-vertex
-deletion are read off it.  Every other graph takes the Berkowitz recurrence
-on sparse integer rows (weights scaled by their common denominator), and
-its path sums are square roots of the Wronskian; both routes stay the test
-oracles of the tables.
+Every graph gets one table (``_tables``) that its characteristic
+polynomial, its vertex-deleted ones and its path sums are read off.  A
+loopless integer-weighted forest gets branch polynomials
+(``_ForestTables``); every other graph an adjugate table
+(``_AdjugateTable``): Berkowitz on sparse integer rows (weights scaled by
+their common denominator) and, per vertex, a column of adj(tI - A) by
+Faddeev-LeVerrier.  Both give each two-vertex deletion as the exact quotient
+(phi(G \\ i) phi(G \\ j) - S_ij^2) / phi(G).  ``berkowitz_charpoly`` on
+deleted subgraphs and ``path_sum_bruteforce`` stay as their test oracles.
 
 Decisions read ``real_roots``: each polynomial is isolated once and its
 boxes are bisected only while a comparison that reads them is open, with
@@ -182,10 +185,18 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise PolyError("division is not exact")
-        return q
+        """self / other, or PolyError when other does not divide self.
+
+        The integer primitive parts are divided by exact integer long
+        division: by Gauss's lemma their quotient is integral when other
+        divides self, so a step that is not integral means the division is
+        not exact.  The rational quotient of the contents is applied last."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        a, ca = _content_split(self)
+        b, cb = _content_split(other)
+        q = Poly(_quo_exact(a, b))
+        return q if ca == cb else q.scale(ca / cb)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
@@ -222,16 +233,59 @@ def _primitive(cs) -> tuple[int, ...]:
     return tuple(c // content for c in cs)
 
 
-def _int_vector(p: Poly):
-    """Integer coefficients of p times a positive integer."""
+def _scaled_ints(p: Poly):
+    """(L times the coefficients of p, L) for the least positive integer L
+    that makes them integers."""
     cs = p.coeffs
     scale = 1
     for c in cs:
         if type(c) is not int:
             scale = lcm(scale, c.denominator)
     if scale == 1:
-        return cs
-    return [int(c * scale) for c in cs]
+        return cs, 1
+    return [int(c * scale) for c in cs], scale
+
+
+def _int_vector(p: Poly):
+    """Integer coefficients of p times a positive integer."""
+    return _scaled_ints(p)[0]
+
+
+def _content_split(p: Poly) -> tuple[tuple[int, ...], Fraction]:
+    """(the primitive integer vector of p, the positive rational c) with p
+    = c times the vector; (), 1 for zero."""
+    cs, scale = _scaled_ints(p)
+    content = gcd(*cs) or 1
+    return _primitive(cs), Fraction(content, scale)
+
+
+def _quo_exact(a, b) -> list:
+    """a / b for integer coefficient lists (low degree first) when the
+    quotient is integral, as for a primitive b dividing a (Gauss's lemma);
+    PolyError when a step or the remainder shows it is not.  [] when a is
+    zero."""
+    db, lead = len(b) - 1, b[-1]
+    rem = list(a)
+    while rem and rem[-1] == 0:
+        rem.pop()
+    if db == 1 and not b[0] and lead == 1:  # b = t
+        if rem and rem[0]:
+            raise PolyError("division is not exact")
+        return rem[1:]
+    quot = [0] * max(len(rem) - db, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db]
+        if lead != 1:
+            c, r = divmod(c, lead)
+            if r:
+                raise PolyError("division is not exact")
+        if c:
+            quot[k] = c
+            for m in range(db):
+                rem[k + m] -= c * b[m]
+    if any(rem[:db]):
+        raise PolyError("division is not exact")
+    return quot
 
 
 def _int_primitive(p: Poly) -> tuple[int, ...]:
@@ -394,15 +448,10 @@ def _berkowitz(diag: list[int], lower: list[list[tuple[int, int]]]) -> list[int]
     return coeffs
 
 
-def berkowitz_charpoly(G: Graph) -> Poly:
-    """det(tI - A(G)) for any graph, by the division-free Berkowitz
-    recurrence on sparse integer rows; the general path of ``charpoly`` and
-    the test oracle of the forest recursion.
-
-    With L the lcm of the weight denominators, det(tI - A) =
-    L^-n det((Lt)I - LA), so the coefficient of t^(n-m) is that of the
-    integer matrix LA divided exactly by L^m.
-    """
+def _scaled_rows(G: Graph) -> tuple[int, list[int], list[list[tuple[int, int]]]]:
+    """(L, diag, lower) for the integer matrix L A(G), with L the lcm of the
+    weight denominators: its diagonal, and ``lower[p] = [(q, L A[p][q]) for
+    q < p]``."""
     scale = lcm(*(w.denominator for _, _, w in G.edges))
     diag = [0] * G.n
     lower: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
@@ -412,28 +461,29 @@ def berkowitz_charpoly(G: Graph) -> Poly:
             diag[u] = w
         else:
             lower[v].append((u, w))
-    coeffs = _berkowitz(diag, lower)
-    if scale != 1:
-        coeffs = [_div(c, scale**m) for m, c in enumerate(coeffs)]
-    return Poly(tuple(reversed(coeffs)))
+    return scale, diag, lower
 
 
-def _quo_monic(a: list, b: list) -> list:
-    """a / b for integer coefficient lists (low degree first) with b monic
-    and dividing a exactly; [] when a is zero."""
-    db = len(b) - 1
-    rem = list(a)
-    while rem and rem[-1] == 0:
-        rem.pop()
-    if db == 1 and not b[0]:
-        return rem[1:]  # b = t
-    quot = [0] * max(len(rem) - db, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem[k + db]
-        if c:
-            for m in range(db):
-                rem[k + m] -= c * b[m]
-    return quot
+def _unscale(cs: list, scale: int, d: int) -> Poly:
+    """The polynomial in t behind cs (low degree first), a polynomial of
+    formal degree d in s = L t taken from the matrix L A: its coefficient of
+    s^m is L^(d - m) times that of t^m."""
+    if scale == 1:
+        return Poly(cs)
+    return Poly([_div(c, scale ** (d - m)) for m, c in enumerate(cs)])
+
+
+def berkowitz_charpoly(G: Graph) -> Poly:
+    """det(tI - A(G)) for any graph, by the division-free Berkowitz
+    recurrence on sparse integer rows that the adjugate table starts from;
+    the test oracle of both tables.
+
+    With L the lcm of the weight denominators, det(tI - A) =
+    L^-n det((Lt)I - LA), so the coefficient of t^(n-m) is that of the
+    integer matrix LA divided exactly by L^m.
+    """
+    scale, diag, lower = _scaled_rows(G)
+    return _unscale(_berkowitz(diag, lower)[::-1], scale, G.n)
 
 
 def _sub(a: list, b: list) -> list:
@@ -444,7 +494,45 @@ def _sub(a: list, b: list) -> list:
     return out
 
 
-class _ForestTables:
+class _Table:
+    """The polynomials of one graph that the deletions and path sums are
+    read from, as integer coefficient lists (low degree first) of the
+    integer matrix ``scale`` * A: ``total`` is its monic characteristic
+    polynomial, ``deleted_raw(v)`` that of G - v and ``path_raw(i, j)`` the
+    path sum S_ij ([] when it is zero).
+
+    Both tables give phi(G - {i, j}) = (phi(G - i) phi(G - j) - S_ij^2) /
+    phi(G), Jacobi's identity for the 2 x 2 minors of adj(tI - A), as one
+    exact division by the monic phi(G)."""
+
+    n: int
+    scale = 1
+    total: list
+    charpoly: Poly
+
+    def deleted_raw(self, v: int) -> list:
+        raise NotImplementedError
+
+    def path_raw(self, i: int, j: int) -> list:
+        raise NotImplementedError
+
+    def deleted(self, v: int) -> Poly:
+        return _unscale(self.deleted_raw(v), self.scale, self.n - 1)
+
+    def deleted_all(self) -> tuple[Poly, ...]:
+        return tuple(map(self.deleted, range(self.n)))
+
+    def path_sum(self, i: int, j: int) -> Poly:
+        return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
+
+    def deleted_pair(self, i: int, j: int) -> Poly:
+        s = self.path_raw(i, j)
+        di, dj = self.deleted_raw(i), self.deleted_raw(j)
+        quot = _quo_exact(_sub(_mul(di, dj), _mul(s, s) if s else []), self.total)
+        return _unscale(quot, self.scale, self.n - 2)
+
+
+class _ForestTables(_Table):
     """Branch polynomials of a loopless integer-weighted forest G, each
     component rooted at its least vertex; coefficient lists of ints, low
     degree first.
@@ -459,7 +547,8 @@ class _ForestTables:
     Expanding phi(G) along the bridge from a child c to its parent v gives
     phi(G) = phi_c up_c - w_vc^2 psi_c Q with Q = phi(G - T_c - v) =
     phi(G - v) / phi_c, so up_c = (phi(G) + w_vc^2 psi_c Q) / phi_c: two exact
-    divisions by the monic phi_c per edge.
+    divisions by the monic phi_c per edge.  A forest has at most one i-j path
+    P, so S_ij is w(P) phi(G - P); the table keeps |w(P)|.
     """
 
     def __init__(self, parent: list[int], depth: list[int], weight: list[int],
@@ -467,7 +556,7 @@ class _ForestTables:
         # order lists every vertex after its parent; weight[c] = |w(c, parent)|
         self.parent, self.depth, self.weight = parent, depth, weight
         self.order, self.children = order, children
-        n = len(parent)
+        self.n = n = len(parent)
         phi: list = [None] * n
         psi: list = [None] * n
         for v in reversed(order):
@@ -500,20 +589,18 @@ class _ForestTables:
         deleted: list = [None] * len(phi)
         for v in self.order:
             if self.parent[v] < 0:
-                up[v] = _quo_monic(total, phi[v])
+                up[v] = _quo_exact(total, phi[v])
             dv = deleted[v] = _mul(up[v], psi[v])
             for c in self.children[v]:
-                q = _quo_monic(dv, phi[c])
+                q = _quo_exact(dv, phi[c])
                 w2 = self.weight[c] * self.weight[c]
-                up[c] = _quo_monic(_sub(total, [-w2 * x for x in _mul(psi[c], q)]), phi[c])
+                up[c] = _quo_exact(_sub(total, [-w2 * x for x in _mul(psi[c], q)]), phi[c])
         return up, deleted
 
-    @cached_property
-    def deleted(self) -> tuple[Poly, ...]:
-        """phi(G - v) for every vertex v."""
-        return tuple(map(Poly, self._upward[1]))
+    def deleted_raw(self, v: int) -> list:
+        return self._upward[1][v]
 
-    def path_sum(self, i: int, j: int) -> list:
+    def path_raw(self, i: int, j: int) -> list:
         """|w(P)| phi(G - P) for the i-j path P, [] when there is none:
         phi(G - P) is the product of the branches off P, which are the
         children off P of the path's vertices and the branch above its top."""
@@ -535,10 +622,9 @@ class _ForestTables:
         return out
 
 
-@lru_cache(maxsize=16)
 def _forest_tables(G: Graph) -> Optional[_ForestTables]:
     """The branch tables of a loopless integer-weighted forest, None for any
-    other graph.  Callers ask about one graph at a time, so a few are kept."""
+    other graph."""
     n = G.n
     if len(G.edges) >= n or not G.is_integer_weighted() or G.has_loops():
         return None
@@ -569,6 +655,76 @@ def _forest_tables(G: Graph) -> Optional[_ForestTables]:
     return _ForestTables(parent, depth, weight, order, children)
 
 
+class _AdjugateTable(_Table):
+    """Columns of adj(sI - A') for the integer matrix A' = L A of any graph
+    (L the lcm of the weight denominators), each computed when first read.
+
+    Berkowitz gives phi' = det(sI - A') = s^n + c_1 s^(n-1) + ... + c_n.
+    By Faddeev-LeVerrier, adj(sI - A') = sum_k B_k s^(n-1-k) with B_0 = I
+    and B_k = A' B_(k-1) + c_k I, so column i is B_k e_i = A' B_(k-1) e_i +
+    c_k e_i for k < n: n - 1 sparse integer mat-vecs.  Entry (i, i) is
+    phi'(G - i) and entry (i, j) the signed path sum, the sum over the i-j
+    paths P of w'(P) phi'(G - P) (Godsil).  Since adj(sI - A') = L^(n-1)
+    adj((s/L)I - A), ``_unscale`` turns an entry into the one of A; only
+    the entries that are read are rescaled.
+    """
+
+    def __init__(self, G: Graph):
+        self.n = G.n
+        self.scale, diag, lower = _scaled_rows(G)
+        self._c = _berkowitz(diag, lower)
+        self.total = self._c[::-1]
+        self.charpoly = _unscale(self.total, self.scale, self.n)
+        # row r of A' as (neighbor, weight) pairs, the diagonal included
+        rows: list[list[tuple[int, int]]] = [[(r, d)] if d else [] for r, d in enumerate(diag)]
+        for r, pairs in enumerate(lower):
+            for q, w in pairs:
+                rows[r].append((q, w))
+                rows[q].append((r, w))
+        self._rows = rows
+        self._columns: dict[int, list[list[int]]] = {}
+
+    def _column(self, i: int) -> list[list[int]]:
+        """[B_k e_i for k < n], computed once."""
+        col = self._columns.get(i)
+        if col is None:
+            rows, c = self._rows, self._c
+            v = [0] * self.n
+            v[i] = 1
+            col = [v]
+            for k in range(1, self.n):
+                v = [sum([w * v[q] for q, w in row]) for row in rows]
+                v[i] += c[k]
+                col.append(v)
+            self._columns[i] = col
+        return col
+
+    def _entry(self, i: int, j: int) -> list:
+        """Entry (i, j) of adj(sI - A'), low degree first, trailing zeros
+        trimmed; read off column j when it is there, by symmetry."""
+        if i not in self._columns and j in self._columns:
+            i, j = j, i
+        cs = [v[j] for v in reversed(self._column(i))]
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    def deleted_raw(self, v: int) -> list:
+        return self._entry(v, v)
+
+    def path_raw(self, i: int, j: int) -> list:
+        return self._entry(i, j)
+
+
+@lru_cache(maxsize=16)
+def _tables(G: Graph) -> _Table:
+    """The branch tables of a loopless integer-weighted forest, the
+    adjugate table of any other graph.  Callers ask about one graph at a
+    time, so a few are kept."""
+    tables = _forest_tables(G)
+    return tables if tables is not None else _AdjugateTable(G)
+
+
 def _require_vertices(G: Graph, vertices) -> None:
     """GraphError unless every vertex lies in 0..n-1: the tables are lists,
     where a negative index would silently wrap."""
@@ -578,15 +734,11 @@ def _require_vertices(G: Graph, vertices) -> None:
 
 @lru_cache(maxsize=200_000)
 def charpoly(G: Graph) -> Poly:
-    """Monic characteristic polynomial det(tI - A(G)), exactly.
-
-    Loopless integer-weighted forests read it off their branch tables, every
-    other graph takes Berkowitz.  The empty graph gets the constant 1.
-    """
-    if G.n == 0:
-        return Poly.one()
-    tables = _forest_tables(G)
-    return tables.charpoly if tables is not None else berkowitz_charpoly(G)
+    """Monic characteristic polynomial det(tI - A(G)), exactly, read off the
+    graph's table: the subtree recursion on a loopless integer-weighted
+    forest, Berkowitz on any other graph.  The empty graph gets the constant
+    1."""
+    return _tables(G).charpoly
 
 
 @lru_cache(maxsize=100_000)
@@ -594,10 +746,11 @@ def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
     """charpoly(G \\ vertices), memoized.  Any order or repetition of the
     vertices resolves to the entry of the sorted vertex set.
 
-    On a loopless integer-weighted forest one and two vertices are read off
-    the branch tables: phi^{G\\{i,j}} = (phi^{G\\i} phi^{G\\j} - S^2) / phi^G
-    for the path sum S, divided exactly.  Every other case deletes the
-    vertices and takes ``charpoly``.
+    One and two vertices are read off the graph's table (the forest's branch
+    table, or the adjugate table of any other graph): phi^{G\\i} is a
+    diagonal entry, and phi^{G\\{i,j}} = (phi^{G\\i} phi^{G\\j} - S^2) /
+    phi^G for the path sum S, divided exactly.  More vertices are deleted
+    and the rest takes ``charpoly``.
     """
     key = tuple(sorted(set(vertices)))
     if vertices != key:
@@ -605,14 +758,15 @@ def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
     if not key:
         return charpoly(G)
     _require_vertices(G, key)
-    tables = _forest_tables(G) if len(key) <= 2 else None
-    if tables is None:
+    if len(key) > 2:
         return charpoly(delete_vertices(G, key))
-    if len(key) == 1:
-        return tables.deleted[key[0]]
-    s = tables.path_sum(*key)
-    di, dj = (tables.deleted[v].coeffs for v in key)
-    return Poly(_quo_monic(_sub(_mul(di, dj), _mul(s, s) if s else []), tables.total))
+    tables = _tables(G)
+    return tables.deleted(*key) if len(key) == 1 else tables.deleted_pair(*key)
+
+
+def vertex_deleted_charpolys(G: Graph) -> tuple[Poly, ...]:
+    """phi^{G\\v} for every vertex v, in one read of the graph's table."""
+    return _tables(G).deleted_all()
 
 
 # ---------------------------------------------------------------------------
@@ -624,25 +778,15 @@ def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
     w(P) phi^{G\\P}, up to sign, normalized to positive leading coefficient;
     zero when i and j sit in different components.
 
-    A loopless integer-weighted forest has at most one i-j path, so S_ij is
-    |w(P)| phi^{G\\P}, read off the branch tables.  Every other graph takes
-    the signed square root of the Wronskian
-    phi^{G\\i} phi^{G\\j} - phi^{G\\{i,j}} phi^G = S_ij^2.
+    It is read off the graph's table: |w(P)| phi^{G\\P} for the unique path
+    of a loopless integer-weighted forest, and entry (i, j) of adj(tI - A),
+    which is S_ij with its sign, for any other graph.
     """
     if i == j:
         raise PolyError("need distinct vertices")
-    tables = _forest_tables(G)
-    if tables is not None:
-        _require_vertices(G, (i, j))
-        return Poly(tables.path_sum(i, j))
-    w = vertex_deleted_charpoly(G, i) * vertex_deleted_charpoly(G, j) \
-        - vertex_deleted_charpoly(G, i, j) * charpoly(G)
-    if w.is_zero():
-        return Poly.zero()
-    try:
-        return poly_sqrt(w)
-    except NotASquareError as exc:  # identity guarantees squareness
-        raise PolyError(f"Wronskian is not a perfect square: {exc}") from exc
+    _require_vertices(G, (i, j))
+    s = _tables(G).path_sum(i, j)
+    return -s if s.leading < 0 else s
 
 
 def path_sum_bruteforce(G: Graph, i: int, j: int) -> Poly:

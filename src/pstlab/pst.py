@@ -16,7 +16,7 @@ from typing import Optional
 from . import walk
 from .graphs import Graph, GraphError, laplacian_form
 from .polys import Poly, real_roots, squarefree_part_int
-from .spectra import support_partition, support_poly, is_strongly_cospectral
+from .spectra import cospectral_pairs, is_strongly_cospectral, support_partition, support_poly
 
 NOT_STRONGLY_COSPECTRAL = "not_strongly_cospectral"
 RATIO_CONDITION_B = "ratio_condition_b"
@@ -200,11 +200,13 @@ def decide_pst(G: Graph, i: int, j: int, model: str = "adjacency") -> PstCertifi
 def pst_pairs(
     G: Graph, model: str = "adjacency"
 ) -> list[tuple[int, int, PstCertificate]]:
-    """All unordered pairs admitting PST, in lexicographic order."""
+    """All unordered pairs admitting PST, in lexicographic order.
+
+    PST needs strong cospectrality, so only pairs inside a class of equal
+    vertex-deleted characteristic polynomials are decided."""
     out = []
-    for i in range(G.n):
-        for j in range(i + 1, G.n):
-            cert = decide_pst(G, i, j, model)
-            if cert.result == "PST":
-                out.append((i, j, cert))
+    for i, j in cospectral_pairs(_prepare_model(G, model)):
+        cert = decide_pst(G, i, j, model)
+        if cert.result == "PST":
+            out.append((i, j, cert))
     return out

@@ -13,7 +13,7 @@ from multiprocessing import Pool
 from . import __version__
 from .gapcert import GapError, certify_gap
 from .pst import decide_pst
-from .spectra import is_strongly_cospectral, vertex_deleted_charpoly
+from .spectra import cospectral_pairs, is_strongly_cospectral
 from .trees import MAX_TREE_ORDER, enumerate_trees
 
 SCHEMA_VERSION = 1
@@ -35,13 +35,7 @@ class TreeResult:
 
 def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
     n, index, T = args
-    deleted = [vertex_deleted_charpoly(T, v) for v in range(n)]
-    cosp = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if deleted[i] == deleted[j]
-    ]
+    cosp = cospectral_pairs(T)
     strong = [(i, j) for i, j in cosp if is_strongly_cospectral(T, i, j)]
     pst, violations = [], []
     for i, j in strong:

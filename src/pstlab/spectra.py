@@ -30,6 +30,7 @@ from .polys import (
     simple_pole_residues,
     square_free_part,
     vertex_deleted_charpoly,  # re-exported under its old name
+    vertex_deleted_charpolys,
 )
 
 
@@ -42,6 +43,20 @@ def is_cospectral(G: Graph, i: int, j: int) -> bool:
     if i == j:
         raise SpectraError("need distinct vertices")
     return vertex_deleted_charpoly(G, i) == vertex_deleted_charpoly(G, j)
+
+
+def cospectral_pairs(G: Graph) -> list[tuple[int, int]]:
+    """Every cospectral pair i < j, in lexicographic order, from one read of
+    the vertex-deleted characteristic polynomials grouped into classes."""
+    classes: dict[Poly, list[int]] = {}
+    for v, p in enumerate(vertex_deleted_charpolys(G)):
+        classes.setdefault(p, []).append(v)
+    return sorted(
+        (i, j)
+        for members in classes.values()
+        for a, i in enumerate(members)
+        for j in members[a + 1:]
+    )
 
 
 @lru_cache(maxsize=100_000)

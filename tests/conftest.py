@@ -52,6 +52,10 @@ def grid(a, b):
     return Graph.from_edges(a * b, items)
 
 
+def cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n, 1) for v in range(n)])
+
+
 def mirror_graph(base, join, w_join, anchor):
     """Two copies of the weighted graph ``base`` = (k, items), joined by an
     edge of weight w_join between vertex ``join`` and its copy, with a

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid, random_weighted_graph, trees_up_to
+from conftest import cycle, grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
 from pstlab.graphs import Graph, GraphError, delete_vertices, hypercube, laplacian_form, path, star
 from pstlab import polys, spectra
 from pstlab.polys import (
@@ -33,6 +33,7 @@ from pstlab.polys import (
     squarefree_decomposition,
     squarefree_part_int,
     vertex_deleted_charpoly,
+    vertex_deleted_charpolys,
 )
 
 X = Poly.x()
@@ -96,6 +97,41 @@ def test_divmod_identity(a, b):
     quot, rem = divmod(p, q)
     assert quot * q + rem == p
     assert rem.is_zero() or rem.degree < q.degree
+
+
+def _divmod_exact_div(p, q):
+    """Test-local oracle: exact division as long division over Q."""
+    quot, rem = divmod(p, q)
+    if not rem.is_zero():
+        raise PolyError("division is not exact")
+    return quot
+
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_rationals, min_size=1, max_size=5),
+    st.lists(_rationals, min_size=0, max_size=5),
+    st.lists(_rationals, min_size=0, max_size=3),
+)
+def test_exact_div_matches_long_division_over_q(q, cofactor, noise):
+    q, cofactor = Poly(q), Poly(cofactor)
+    if q.is_zero():
+        return
+    exact = cofactor * q
+    assert exact.exact_div(q) == _divmod_exact_div(exact, q) == cofactor
+    p = exact + Poly(noise)  # exact only when q divides the noise
+    try:
+        want = _divmod_exact_div(p, q)
+    except PolyError:
+        with pytest.raises(PolyError):
+            p.exact_div(q)
+    else:
+        assert p.exact_div(q) == want
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(Poly.zero())
 
 
 # -- gcd and square-free ----------------------------------------------------
@@ -712,6 +748,83 @@ def test_forest_tables_edge_cases():
 )
 def test_charpoly_of_non_forests_matches_berkowitz(G):
     assert charpoly(G) == berkowitz_charpoly(G)
+
+
+def _assert_adjugate_table(G, brute_force=True):
+    """The adjugate table against Berkowitz on every deleted subgraph, and
+    its signed path sums against the brute-force path sum (or, past its
+    guard, the test-local Wronskian, which fixes them up to sign)."""
+    table = polys._AdjugateTable(G)  # built directly, also for a forest
+    assert table.charpoly == charpoly(G) == berkowitz_charpoly(G)
+    deleted = [berkowitz_charpoly(delete_vertices(G, {v})) for v in range(G.n)]
+    assert list(table.deleted_all()) == list(vertex_deleted_charpolys(G)) == deleted
+    assert spectra.cospectral_pairs(G) == [
+        (i, j) for i in range(G.n) for j in range(i + 1, G.n) if deleted[i] == deleted[j]
+    ]
+    for i in range(G.n):
+        assert vertex_deleted_charpoly(G, i) == deleted[i]
+        for j in range(i + 1, G.n):
+            pair = berkowitz_charpoly(delete_vertices(G, {i, j}))
+            assert table.deleted_pair(i, j) == vertex_deleted_charpoly(G, i, j) == pair
+            s = table.path_sum(i, j)
+            assert s == table.path_sum(j, i)
+            if brute_force:
+                assert s == path_sum_bruteforce(G, i, j)
+            else:
+                w = _wronskian_path_sum(G, i, j)
+                assert s in (w, -w)
+            assert path_sum_poly(G, i, j) == (-s if s.leading < 0 else s)
+
+
+def _laplacian_family():
+    mirrors = [M for M in seeded_mirror_graphs(41, 8) if not M.has_loops()]
+    bases = [hypercube(3), grid(3, 3), star(4), cycle(5)] + mirrors
+    return [laplacian_form(G) for G in bases]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [hypercube(3), grid(3, 3), Graph.from_edges(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])]
+    + [cycle(n) for n in (3, 4, 5, 6)]
+    + seeded_mirror_graphs(41, 8)
+    + _laplacian_family(),
+)
+def test_adjugate_table_matches_berkowitz_and_brute_force(G):
+    _assert_adjugate_table(G)
+
+
+@pytest.mark.parametrize("G", [hypercube(4), laplacian_form(hypercube(4))])
+def test_adjugate_table_past_the_brute_force_guard(G):
+    _assert_adjugate_table(G, brute_force=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjugate_table_on_random_graphs(data):
+    # loops, negative and rational weights, and graphs in pieces
+    n = data.draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    weight = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    _assert_adjugate_table(Graph.from_edges(n, [(u, v, data.draw(weight)) for u, v in chosen]))
+
+
+def test_adjugate_table_edge_cases():
+    empty = Graph.from_edges(0, [])
+    assert isinstance(polys._tables(empty), polys._AdjugateTable)
+    assert charpoly(empty) == Poly.one() and vertex_deleted_charpolys(empty) == ()
+    loop = Graph.from_edges(1, [(0, 0, Fraction(-2, 3))])
+    assert charpoly(loop) == Poly([Fraction(2, 3), 1])
+    assert vertex_deleted_charpolys(loop) == (Poly.one(),)
+    # one edge of weight -1/2 and a triangle: the signed entry is -1/2 phi(G \ P)
+    G = Graph.from_edges(5, [(0, 1, Fraction(-1, 2)), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
+    assert polys._tables(G).path_sum(0, 1) == charpoly(cycle(3)).scale(Fraction(-1, 2))
+    assert path_sum_poly(G, 0, 1) == charpoly(cycle(3)).scale(Fraction(1, 2))
+    assert path_sum_poly(G, 0, 2).is_zero()
+    with pytest.raises(GraphError):
+        vertex_deleted_charpoly(G, 5)
+    with pytest.raises(GraphError):
+        path_sum_poly(G, 0, -1)
 
 
 def _dense_berkowitz(rows):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid, trees_up_to
-from pstlab.graphs import Graph, hypercube, laplacian_form, path, star
+from conftest import cycle, grid, seeded_mirror_graphs, trees_up_to
+from pstlab.graphs import Graph, GraphError, hypercube, laplacian_form, path, star
 from pstlab.polys import (
     Poly,
     RootBox,
@@ -145,6 +145,40 @@ def test_pst_pairs_collects_all():
     # Q3 pairs antipodal vertices: 4 pairs
     q_pairs = [(i, j) for i, j, _ in pst_pairs(hypercube(3))]
     assert q_pairs == [(0, 7), (1, 6), (2, 5), (3, 4)]
+
+
+def _exhaustive_pst_pairs(G, model):
+    """Test-local oracle: decide_pst on every pair."""
+    return [
+        (i, j, cert)
+        for i in range(G.n)
+        for j in range(i + 1, G.n)
+        for cert in [decide_pst(G, i, j, model)]
+        if cert.result == "PST"
+    ]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [path(2), path(3), path(4), star(4), hypercube(3), grid(3, 3), cycle(4), cycle(6),
+     Graph.from_edges(4, [(0, 1, 2), (1, 2, 2), (2, 3, 1), (0, 0, 1)])]
+    + seeded_mirror_graphs(43, 4),
+)
+def test_pst_pairs_matches_every_pair(G):
+    models = ["adjacency"]
+    if G.is_integer_weighted() and not G.has_loops():
+        models.append("laplacian")
+    for model in models:
+        assert pst_pairs(G, model) == _exhaustive_pst_pairs(G, model)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_pst_pairs_rejects_a_bad_model_up_front(n):
+    with pytest.raises(PstError):
+        pst_pairs(path(n) if n else Graph.from_edges(0, []), "hamiltonian")
+    rational = Graph.from_edges(max(n, 1), [(0, 0, Fraction(1, 2))])
+    with pytest.raises(GraphError):
+        pst_pairs(rational, "laplacian")
 
 
 def test_no_pst_on_small_trees_beyond_p3():
