@@ -5,7 +5,9 @@ roots, path-sum polynomials, and Sturm-sequence real-root isolation.
 Integral coefficients are stored as ``int`` and only the others as
 ``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
 exact divisions divide integer primitive parts, and root isolation bisects
-integer numerators over a common denominator.
+integer numerators over a common denominator.  Small helpers reduce
+integer lists modulo a monic f and a small prime p (remainder, product,
+x^q, gcd) for the modular witness of ``pst.ratio_witness``.
 
 Every graph gets one table (``_tables``) that its characteristic
 polynomial, its vertex-deleted ones and its path sums are read off.  A
@@ -330,6 +332,52 @@ def divides(g: Poly, p: Poly) -> bool:
     """Whether the nonzero g divides p, by a pseudo-remainder over the
     integers."""
     return not p.coeffs or not _prem(_int_vector(p), _int_primitive(g))
+
+
+# -- F_p[u] on integer lists, low degree first, for a small prime p --------
+
+
+def _rem_mod(a, f, p: int) -> list[int]:
+    """a mod (f, p) for a monic f, coefficients in [0, p); [] for zero."""
+    df = len(f) - 1
+    rem = [c % p for c in a]
+    for k in range(len(rem) - 1 - df, -1, -1):
+        c = rem.pop()
+        if c:
+            for m in range(df):
+                rem[k + m] = (rem[k + m] - c * f[m]) % p
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _monic_mod(a, p: int) -> list[int]:
+    """The nonzero a over F_p scaled to leading coefficient 1."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mul_mod(a, b, f, p: int) -> list[int]:
+    """a b mod (f, p) for a monic f."""
+    return _rem_mod(_mul(a, b), f, p) if a and b else []
+
+
+def pow_x_mod(q: int, f, p: int) -> list[int]:
+    """x^q mod (f, p) for a monic f, by square and multiply."""
+    r = [1]
+    for bit in bin(q)[2:]:
+        r = _mul_mod(r, r, f, p)
+        if bit == "1":
+            r = _rem_mod([0] + r, f, p)
+    return r
+
+
+def gcd_mod(f, b, p: int) -> list[int]:
+    """Monic gcd over F_p of a monic f and any b."""
+    a, b = [c % p for c in f], _rem_mod(b, f, p)
+    while b:
+        a, b = b, _rem_mod(a, _monic_mod(b, p), p)
+    return _monic_mod(a, p)
 
 
 def square_free_part(p: Poly) -> Poly:

@@ -3,8 +3,10 @@ certificates.
 
 The decision runs entirely in exact arithmetic: the quadratic-field shape of
 the support spectrum is read off rational root boxes and accepted only after
-exact polynomial reconstruction.  No float takes part until the numeric walk
-oracle, which cross-checks each positive verdict before it is returned.
+exact polynomial reconstruction.  On an even or odd support a modular
+witness (``ratio_witness``) rejects most ratio-condition failures before any
+root is isolated.  No float takes part until the numeric walk oracle, which
+cross-checks each positive verdict before it is returned.
 """
 from __future__ import annotations
 
@@ -15,12 +17,15 @@ from typing import Optional
 
 from . import walk
 from .graphs import Graph, GraphError, laplacian_form
-from .polys import Poly, real_roots, squarefree_part_int
+from .polys import Poly, gcd_mod, pow_x_mod, real_roots, squarefree_part_int
 from .spectra import cospectral_pairs, is_strongly_cospectral, support_partition, support_poly
 
 NOT_STRONGLY_COSPECTRAL = "not_strongly_cospectral"
 RATIO_CONDITION_B = "ratio_condition_b"
 PARITY_CONDITION_C = "parity_condition_c"
+
+#: the primes ``ratio_witness`` tries, in order
+WITNESS_PRIMES = (3, 5, 7, 11, 13)
 
 
 class PstError(ValueError):
@@ -55,6 +60,7 @@ class PstCertificate:
     k: tuple[int, ...] = ()
     t_min: Optional[float] = None
     phase: Optional[complex] = None
+    witness_prime: Optional[int] = None  # from ratio_witness; not in to_json
 
     def to_json(self) -> dict:
         out = {
@@ -143,6 +149,35 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     return QuadraticSpectrum(a, delta, tuple(order))
 
 
+def ratio_witness(support: Poly) -> Optional[int]:
+    """A prime p that proves the ratio condition fails on the support, or
+    None when no prime in WITNESS_PRIMES does (the fit then decides).
+
+    Only a monic integer support that is even or odd, S(t) = t^e R(t^2), is
+    tested.  There the root sum is 0, so a fit that passes has a = 0 and
+    every root theta has 4 theta^2 = b^2 delta an integer: the monic integer
+    f(u) = 4^m R(u/4) splits into linear factors over Z, and so mod p.  When
+    f is square-free mod p it then divides u^p - u, so u^p != u mod (f, p)
+    is an exact witness (the distinct-degree step of Berlekamp and
+    Cantor-Zassenhaus).  A prime where f is not square-free mod p is
+    skipped."""
+    cs, d = support.coeffs, support.degree
+    if support.leading != 1 or any(c.denominator != 1 for c in cs):
+        return None
+    if any(cs[(d + 1) % 2::2]):
+        return None  # neither even nor odd
+    r = cs[d % 2::2]
+    m = len(r) - 1
+    if m < 2:
+        return None  # a linear f always splits
+    f = [c * 4 ** (m - k) for k, c in enumerate(r)]
+    df = [k * c for k, c in enumerate(f) if k]
+    for p in WITNESS_PRIMES:
+        if len(gcd_mod(f, df, p)) == 1 and pow_x_mod(p, f, p) != [0, 1]:
+            return p
+    return None
+
+
 def _prepare_model(G: Graph, model: str) -> Graph:
     if model == "adjacency":
         return G
@@ -157,10 +192,18 @@ def decide_pst(G: Graph, i: int, j: int, model: str = "adjacency") -> PstCertifi
     """Full characterization-based PST decision for the pair (i, j)."""
     if i == j:
         raise PstError("need distinct vertices")
-    H = _prepare_model(G, model)
+    return _decide(_prepare_model(G, model), i, j, model)
+
+
+def _decide(H: Graph, i: int, j: int, model: str) -> PstCertificate:
+    """decide_pst on the matrix of the model, H = _prepare_model(G, model)."""
     if not is_strongly_cospectral(H, i, j):
         return PstCertificate((i, j), model, "NO_PST", NOT_STRONGLY_COSPECTRAL)
-    spectrum = fit_quadratic_spectrum(support_poly(H, i))
+    support = support_poly(H, i)
+    prime = ratio_witness(support)
+    if prime is not None:
+        return PstCertificate((i, j), model, "NO_PST", RATIO_CONDITION_B, witness_prime=prime)
+    spectrum = fit_quadratic_spectrum(support)
     if spectrum is None:
         return PstCertificate((i, j), model, "NO_PST", RATIO_CONDITION_B)
     # support roots ascending; spectrum.b is descending in theta
@@ -204,9 +247,10 @@ def pst_pairs(
 
     PST needs strong cospectrality, so only pairs inside a class of equal
     vertex-deleted characteristic polynomials are decided."""
+    H = _prepare_model(G, model)
     out = []
-    for i, j in cospectral_pairs(_prepare_model(G, model)):
-        cert = decide_pst(G, i, j, model)
+    for i, j in cospectral_pairs(H):
+        cert = _decide(H, i, j, model)
         if cert.result == "PST":
             out.append((i, j, cert))
     return out

@@ -1,16 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pstlab.pst as pst_module
 from conftest import cycle, grid, seeded_mirror_graphs, trees_up_to
 from pstlab.graphs import Graph, GraphError, hypercube, laplacian_form, path, star
 from pstlab.polys import (
     Poly,
     RootBox,
+    gcd_mod,
     isolate_real_roots,
+    pow_x_mod,
     rational_roots_monic_integer,
     squarefree_part_int,
 )
@@ -18,13 +22,21 @@ from pstlab.pst import (
     NOT_STRONGLY_COSPECTRAL,
     PARITY_CONDITION_C,
     RATIO_CONDITION_B,
+    WITNESS_PRIMES,
     PstError,
     QuadraticSpectrum,
     decide_pst,
     fit_quadratic_spectrum,
     pst_pairs,
+    ratio_witness,
 )
-from pstlab.spectra import is_strongly_cospectral, support_partition, support_poly
+from pstlab.spectra import (
+    cospectral_pairs,
+    is_strongly_cospectral,
+    support_partition,
+    support_poly,
+)
+from test_trees import prufer_to_edges
 from pstlab.walk import fidelity
 
 
@@ -457,3 +469,221 @@ def test_fit_uses_no_float(monkeypatch):
     assert fit_quadratic_spectrum(Poly([-1, -1, 1])) == QuadraticSpectrum(1, 5, (1, -1))
     assert fit_quadratic_spectrum(support_poly(grid(3, 3), 0)).delta == 2
     assert fit_quadratic_spectrum(support_poly(path(4), 0)) is None
+
+
+# -- the modular ratio witness against the exact fit ------------------------
+
+
+def _reduce(q, p):
+    """An integral Poly with its coefficients reduced into [0, p)."""
+    assert all(c.denominator == 1 for c in q.coeffs)
+    return Poly([c.numerator % p for c in q.coeffs])
+
+
+def _even_part(support):
+    """f(u) = 4^m R(u/4) for S(t) = t^e R(t^2), as a Poly."""
+    cs, d = support.coeffs, support.degree
+    assert not any(cs[(d + 1) % 2::2])
+    r = cs[d % 2::2]
+    return Poly([c * 4 ** (len(r) - 1 - k) for k, c in enumerate(r)])
+
+
+def _square_free_mod(f, p):
+    """Euclid over F_p with Poly division by monic divisors."""
+    a, b = _reduce(f, p), _reduce(f.derivative(), p)
+    while not b.is_zero():
+        b = _reduce(b.scale(pow(b.leading.numerator, -1, p)), p)
+        a, b = b, _reduce(a % b, p)
+    return a.degree == 0
+
+
+def _x_power_mod(f, q, p):
+    """u^q mod (f, p) by q multiplications by u over Q, reduced mod p."""
+    power = Poly.one()
+    for _ in range(q):
+        power = _reduce(power * Poly.x() % f, p)
+    return power
+
+
+def _replay_witness(support, p):
+    """Test-local replay of a fired witness, not through the F_p helpers."""
+    f = _even_part(support)
+    assert f.leading == 1 and f.degree >= 2
+    assert _square_free_mod(f, p)
+    assert _x_power_mod(f, p, p) != Poly.x()
+
+
+def _fit_only(G, i, j, monkeypatch):
+    """decide_pst with the witness switched off: the exact fit alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pst_module, "ratio_witness", lambda support: None)
+        return decide_pst(G, i, j)
+
+
+def _assert_witness_agrees_with_fit(G, monkeypatch):
+    """On every strong pair: a witness replays, implies no fit, and
+    decide_pst matches the fit-only path.  Returns the pairs the fit
+    accepts and the number of witnesses."""
+    accepted, fired = [], 0
+    for i, j in cospectral_pairs(G):
+        if not is_strongly_cospectral(G, i, j):
+            continue
+        support = support_poly(G, i)
+        prime = ratio_witness(support)
+        fit = fit_quadratic_spectrum(support)
+        if prime is not None:
+            fired += 1
+            assert fit is None, (G, i, j, prime)
+            _replay_witness(support, prime)
+        if fit is not None:
+            accepted.append((i, j))
+        cert = decide_pst(G, i, j)
+        assert cert.witness_prime == prime
+        oracle = _fit_only(G, i, j, monkeypatch)
+        assert (cert.result, cert.failing_condition) == (oracle.result, oracle.failing_condition)
+        assert cert.to_json() == oracle.to_json()
+    return accepted, fired
+
+
+DOUBLE_STAR = Graph.from_edges(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (3, 5, 1)])
+
+
+def test_witness_agrees_with_fit_on_trees(monkeypatch):
+    accepted, fired = {}, 0
+    for n, T in trees_up_to(10):
+        pairs, k = _assert_witness_agrees_with_fit(T, monkeypatch)
+        fired += k
+        if pairs:
+            accepted[n] = (T, pairs)
+    # past P2 and P3 (the end pair of each), only the double star has pairs
+    # whose fit succeeds
+    assert {n: pairs for n, (_, pairs) in accepted.items()} == {
+        2: [(0, 1)], 3: [(1, 2)], 6: [(0, 3), (1, 2), (4, 5)]
+    }
+    assert accepted[6][0] == DOUBLE_STAR
+    assert fired > 100
+
+
+def test_witness_agrees_with_fit_on_seeded_prufer_trees(monkeypatch):
+    rng = random.Random(11)
+    fired = 0
+    for n in range(17, 41):
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        T = Graph.from_edges(n, [(u, v, 1) for u, v in prufer_to_edges(seq, n)])
+        accepted, k = _assert_witness_agrees_with_fit(T, monkeypatch)
+        assert accepted == []
+        fired += k
+    assert fired > 0
+
+
+def test_witness_skips_a_prime_where_f_is_not_square_free():
+    # S = (t^2 - 1)(t^2 - 4) for the pair (0, 3): f = u^2 - 20u + 64 =
+    # (u - 4)(u - 16) = (u - 1)^2 mod 3, and u^3 = 1 != u mod (f, 3), so a
+    # test that did not skip p = 3 would reject a pair whose fit succeeds
+    f = [64, -20, 1]
+    assert gcd_mod(f, [-20, 2], 3) == [2, 1]
+    assert pow_x_mod(3, f, 3) == [1]
+    assert _even_part(support_poly(DOUBLE_STAR, 0)) == Poly(f)
+    for i, j in [(0, 3), (1, 2), (4, 5)]:
+        assert ratio_witness(support_poly(DOUBLE_STAR, i)) is None
+        cert = decide_pst(DOUBLE_STAR, i, j)
+        assert (cert.result, cert.failing_condition) == ("NO_PST", PARITY_CONDITION_C)
+        assert cert.witness_prime is None
+
+
+def test_witness_rejects_p4_at_three():
+    # S = t^4 - 3t^2 + 1 (the golden ratio): f = u^2 - 12u + 16 = u^2 + 1 mod
+    # 3, irreducible, so u^3 = -u
+    support = support_poly(path(4), 0)
+    assert ratio_witness(support) == 3
+    _replay_witness(support, 3)
+    cert = decide_pst(path(4), 0, 3)
+    assert (cert.failing_condition, cert.witness_prime) == (RATIO_CONDITION_B, 3)
+    assert "witness_prime" not in cert.to_json()
+
+
+def test_witness_ignores_supports_without_parity():
+    assert ratio_witness(Poly([-1, -1, 1])) is None  # golden ratio, a = 1
+    assert ratio_witness(Poly([Fraction(-1, 4), 0, 1])) is None  # not integral
+    assert ratio_witness(Poly([-5, 0, 2])) is None  # not monic
+    assert ratio_witness(Poly([0, 1])) is None
+    assert ratio_witness(Poly([1])) is None
+    for d in (3, 4, 5):  # Laplacian of Q_d: integer spectrum 0, 2, ..., 2d
+        support = support_poly(laplacian_form(hypercube(d)), 0)
+        assert fit_quadratic_spectrum(support) is not None
+        assert ratio_witness(support) is None
+
+
+@pytest.mark.parametrize(
+    "G", [hypercube(d) for d in range(1, 6)] + [grid(3, 3)], ids=lambda G: f"n{G.n}"
+)
+def test_witness_never_fires_on_pst_families(G):
+    for v in range(G.n):
+        support = support_poly(G, v)
+        assert fit_quadratic_spectrum(support) is not None
+        assert ratio_witness(support) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(w1=st.integers(1, 2**31 - 1), w2=st.integers(1, 2**31 - 1))
+def test_witness_never_fires_on_weighted_p3(w1, w2):
+    G = Graph.from_edges(3, [(0, 1, w1), (1, 2, w2)])
+    for v in range(3):
+        support = support_poly(G, v)
+        assert ratio_witness(support) is None
+    cert = decide_pst(G, 0, 2)
+    assert cert.witness_prime is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bs=st.sets(st.integers(1, 20), min_size=1, max_size=6),
+    delta=st.sampled_from([1, 2, 3, 5, 6, 7]),
+    odd=st.booleans(),
+    extra=st.sets(st.integers(1, 400), max_size=2),
+)
+def test_witness_never_fires_on_products_of_square_factors(bs, delta, odd, extra):
+    # t^e prod (t^2 - c): every root of f is 4c, an integer, so no prime can
+    # witness.  With c = b^2 delta alone the fit accepts.
+    cs = {b * b * delta for b in bs}
+    support = Poly([0, 1]) if odd else Poly.one()
+    for c in cs | extra:
+        support = support * Poly([-c, 0, 1])
+    assert ratio_witness(support) is None
+    if extra <= cs:
+        assert fit_quadratic_spectrum(support) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    f=st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+    b=st.lists(st.integers(-50, 50), max_size=8),
+    p=st.sampled_from(WITNESS_PRIMES),
+    q=st.integers(0, 40),
+)
+def test_fp_helpers_match_poly_arithmetic_mod_p(f, b, p, q):
+    f = f + [1]
+    assert Poly(pow_x_mod(q, f, p)) == _x_power_mod(Poly(f), q, p)
+    g = Poly(gcd_mod(f, b, p))
+    assert g.leading == 1
+    for a in (Poly(f), Poly(b)):
+        assert _reduce(a % g, p).is_zero()  # g divides both mod p
+    derivative = [k * c for k, c in enumerate(f) if k]
+    assert (len(gcd_mod(f, derivative, p)) == 1) == _square_free_mod(Poly(f), p)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pst_pairs_prepares_the_laplacian_once(d, monkeypatch):
+    G = hypercube(d)
+    H = laplacian_form(G)
+    per_pair = [
+        (i, j, cert)
+        for i, j in cospectral_pairs(H)
+        for cert in [decide_pst(G, i, j, "laplacian")]
+        if cert.result == "PST"
+    ]
+    calls = []
+    monkeypatch.setattr(pst_module, "laplacian_form", lambda G: calls.append(G) or laplacian_form(G))
+    assert pst_pairs(G, "laplacian") == per_pair
+    assert len(calls) == 1
+    assert [(i, j) for i, j, _ in per_pair] == [(i, (1 << d) - 1 - i) for i in range(1 << (d - 1))]
