@@ -29,10 +29,8 @@ from .polys import (
     merge_roots,
     poly_gcd,
     real_roots,
-    require_simple_poles,
     roots_within,
     simple_pole_residues,
-    squarefree_decomposition,
     vertex_deleted_charpoly,
 )
 from .spectra import (
@@ -140,18 +138,15 @@ class PartialFraction:
         }
 
 
-def _shift(f: RatFunc, real_poles: int) -> Fraction:
+def _shift(f: RatFunc, poles: RealRoots) -> Fraction:
     """s0 of f = t - s0 - sum mu/(t - r), after the exact checks of that
-    form: the degrees, simple poles and a monic linear quotient.  Poles are
-    simple without a gcd when the ``real_poles`` distinct real poles of f
-    number deg den."""
+    form: the degrees, simple poles and a monic linear quotient.  ``poles``
+    are the roots of a multiple of den, so den is square-free when their
+    Sturm chain finds no repeated part."""
     if f.num.degree != f.den.degree + 1:
         raise GapError("numerator degree must exceed denominator degree by 1")
-    if real_poles != f.den.degree:
-        try:
-            require_simple_poles(f)
-        except PolyError as exc:
-            raise GapError(str(exc)) from exc
+    if poles.repeated is not None:
+        raise GapError("repeated poles")
     quot, _ = divmod(f.num, f.den)
     if quot.degree != 1 or quot.leading != 1:
         raise GapError("expected a monic linear quotient")
@@ -200,18 +195,15 @@ def _display_residue(mu: float) -> float:
 def partial_fraction(f: RatFunc) -> PartialFraction:
     """Partial-fraction form t - s0 - sum mu/(t - r) of a reduced rational
     function with numerator degree = denominator degree + 1.  Each mu >= 0 is
-    checked exactly: the real roots of each odd-multiplicity factor of the
-    numerator are merged with the poles."""
+    checked exactly: the real roots of odd multiplicity of the numerator are
+    merged with the poles."""
     pole_roots = real_roots(f.den)
-    s0 = _shift(f, len(pole_roots))
+    s0 = _shift(f, pole_roots)
     poles = [(pole_roots, u) for u in range(len(pole_roots))]
-    num_above = [0] * len(poles)
-    for fac, m in squarefree_decomposition(f.num):
-        if m % 2:
-            fr = real_roots(fac)
-            first, _ = _merge_positions([(fr, k) for k in range(len(fr))], poles)
-            num_above = [x + len(fr) - y for x, y in zip(num_above, first)]
-    negative = _negative_pole([True] * len(poles), num_above)
+    num_roots = real_roots(f.num)
+    odd = [(num_roots, k) for k, m in enumerate(num_roots.multiplicities()) if m % 2]
+    first, _ = _merge_positions(odd, poles)
+    negative = _negative_pole([True] * len(poles), [len(odd) - x for x in first])
     if negative is not None:
         raise GapError(f"negative residue {_float_terms(f)[negative][1]}")
 
@@ -226,14 +218,11 @@ def partial_fraction(f: RatFunc) -> PartialFraction:
     return PartialFraction(s0, diagnostics=diagnostics)
 
 
-def _on_union(f: RatFunc, boxes: tuple[RootBox, ...]) -> list[float]:
-    """The float mu of f whose pole box overlaps each union box, 0 where f
-    has no pole."""
-    terms = _float_terms(f)
-    return [
-        next((mu for b, mu in terms if b.lo <= box.hi and box.lo <= b.hi), 0.0)
-        for box in boxes
-    ]
+def _on_union(f: RatFunc, own: list[bool]) -> list[float]:
+    """The float mu of f at each union pole that f owns, in order, and 0
+    where f has no pole."""
+    mus = iter(mu for _, mu in _float_terms(f))
+    return [next(mus) if o else 0.0 for o in own]
 
 
 @lru_cache(maxsize=50_000)
@@ -250,9 +239,10 @@ def merged_alphas(
     plus, minus = alpha_pair(G, i, j)
     union = poly_gcd(plus.den, minus.den)
     union_poly = (plus.den * minus.den).exact_div(union).monic()
+    # the lcm of the two denominators is square-free iff both are
     pole_roots = real_roots(union_poly)
+    shifts = [_shift(f, pole_roots) for f in (plus, minus)]
     owns = [pole_roots.vanishing(f.den) for f in (plus, minus)]
-    shifts = [_shift(f, sum(own)) for f, own in zip((plus, minus), owns)]
     part = support_partition(G, i, j)
     sup_roots = real_roots(part.support)
     first, tie = _merge_positions(
@@ -268,7 +258,7 @@ def merged_alphas(
         above = [from_k[x] for x in first]
         negative = _negative_pole(own, above)
         if negative is not None:
-            mu = _on_union(f, isolate_real_roots(union_poly))[negative]
+            mu = _on_union(f, own)[negative]
             raise GapError(f"negative residue {mu}")
         # arrow eigenvalues, largest first: the class roots and the poles f
         # lacks, flagged True at class roots and at poles equal to one
@@ -282,17 +272,17 @@ def merged_alphas(
     if _cut_edge_hypotheses(G, i, j) is not None and shifts[0] != shifts[1]:
         raise GapError("shifts differ despite the cut-edge hypotheses")
 
-    def diagnostics(f: RatFunc) -> Callable[[], Floats]:
+    def diagnostics(f: RatFunc, own: list[bool]) -> Callable[[], Floats]:
         def compute() -> Floats:
-            boxes = isolate_real_roots(union_poly) if union_poly.degree else ()
-            mus = tuple(_display_residue(mu) for mu in _on_union(f, boxes))
+            boxes = isolate_real_roots(union_poly)
+            mus = tuple(_display_residue(mu) for mu in _on_union(f, own))
             return tuple(b.midpoint for b in boxes), mus, boxes
 
         return compute
 
     return (
-        PartialFraction(shifts[0], diagnostics=diagnostics(plus), numerator_eigen=eigen[0]),
-        PartialFraction(shifts[1], diagnostics=diagnostics(minus), numerator_eigen=eigen[1]),
+        PartialFraction(shifts[0], diagnostics=diagnostics(plus, owns[0]), numerator_eigen=eigen[0]),
+        PartialFraction(shifts[1], diagnostics=diagnostics(minus, owns[1]), numerator_eigen=eigen[1]),
     )
 
 
@@ -601,14 +591,18 @@ class BridgeGapReport:
 
 def bridge_gap_check(G: Graph, i: int, j: int) -> BridgeGapReport:
     """For a cospectral pair joined by a bridge: the support of i contains
-    two eigenvalues at distance at most 1, unless the graph is P2."""
+    two eigenvalues at distance at most 1, unless the component of the pair
+    is P2: i and j are each other's only neighbor and carry no loop."""
     if not G.has_edge(i, j):
         raise GapError("vertices are not adjacent")
     if (min(i, j), max(i, j)) not in bridges(G):
         raise GapError("edge ij is not a bridge")
     if not is_cospectral(G, i, j):
         raise GapError("vertices are not cospectral")
-    is_p2 = G.n == 2 and len(G.edges) == 1
+    is_p2 = (
+        G.neighbors(i) == (j,) and G.neighbors(j) == (i,)
+        and not G.has_edge(i, i) and not G.has_edge(j, j)
+    )
     gap = min_support_gap(G, i)
     ok = roots_within(real_roots(support_poly(G, i)), 1)
     if not ok and not is_p2:

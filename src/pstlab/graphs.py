@@ -104,9 +104,6 @@ class Graph:
     def has_loops(self) -> bool:
         return any(u == v for u, v, _ in self.edges)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(self.neighbors(v)) for v in range(self.n)))
-
 
 # ---------------------------------------------------------------------------
 # parsing

@@ -1,9 +1,8 @@
 """Exact polynomial arithmetic over the rationals, on an integer kernel.
 
-Characteristic polynomials, gcd and square-free machinery, exact square
-roots, path-sum polynomials, and Sturm-sequence real-root isolation.
-Integral coefficients are stored as ``int`` and only the others as
-``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
+Characteristic polynomials, gcds, exact square roots, path-sum
+polynomials, and Sturm-sequence real-root isolation.  Integral coefficients
+are stored as ``int`` and only the others as ``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
 exact divisions divide integer primitive parts, and root isolation bisects
 integer numerators over a common denominator.  Small helpers reduce
 integer lists modulo a monic f and a small prime p (remainder, product,
@@ -21,8 +20,12 @@ deleted subgraphs and ``path_sum_bruteforce`` stay as their test oracles.
 
 Decisions read ``real_roots``: each polynomial is isolated once and its
 boxes are bisected only while a comparison that reads them is open, with
-gcds for ties.  Floats are diagnostics only: root midpoints and the residues
-of ``residue_at``, on the 2^-40 boxes of ``isolate_real_roots``.
+gcds for ties.  The last member of its Sturm chain is gcd(p, p'): that
+repeated part gives the root multiplicities (a root has multiplicity 1 plus
+its multiplicity in gcd(p, p')) and decides whether poles are simple, so no
+separate square-free decomposition runs.  Floats are diagnostics only:
+root midpoints and the residues of ``residue_at``, on the 2^-40 boxes of
+``isolate_real_roots``.
 """
 from __future__ import annotations
 
@@ -222,10 +225,6 @@ class Poly:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(data: Iterable[str]) -> "Poly":
-        return Poly(Fraction(s) for s in data)
-
 
 def _primitive(cs) -> tuple[int, ...]:
     """Integer vector divided by its (positive) content."""
@@ -386,35 +385,6 @@ def square_free_part(p: Poly) -> Poly:
     if p.degree == 0:
         return Poly.one()
     return p.exact_div(poly_gcd(p, p.derivative())).monic()
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: [(f_m, m)] with p = lead * prod f_m^m, f_m square-free,
-    pairwise coprime, monic, nonconstant."""
-    if p.is_zero():
-        raise PolyError("decomposition of zero")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
-    w = p.exact_div(g)
-    y = p.derivative().exact_div(g)
-    z = y - w.derivative()
-    m = 1
-    while not z.is_zero():
-        f = poly_gcd(w, z)
-        if f.degree > 0:
-            out.append((f.monic(), m))
-        w = w.exact_div(f)
-        y = z.exact_div(f)
-        z = y - w.derivative()
-        m += 1
-    if w.degree > 0:
-        out.append((w.monic(), m))
-    return out
 
 
 def _fraction_sqrt(c: Fraction) -> Fraction:
@@ -1007,6 +977,11 @@ class RealRoots:
     ``isolate_real_roots`` runs down to BOX_WIDTH, so a caller refines a box
     only while its decision is open, and ``boxes`` still gives the boxes of
     ``isolate_real_roots``.
+
+    ``repeated`` is the last member of the Sturm chain of p, gcd(p, p') up
+    to a constant factor, or None when p is square-free: p has a repeated
+    root, real or not, exactly when it is not None.  ``multiplicities`` and
+    the simple-pole checks read it.
     """
 
     def __init__(self, p: Poly):
@@ -1014,8 +989,10 @@ class RealRoots:
             raise PolyError("cannot isolate roots of the zero polynomial")
         fi = _int_primitive(p)
         chain = _sturm_chain_int(fi) if len(fi) > 1 else []
+        self.repeated: Optional[Poly] = None
         if chain and len(chain[-1]) > 1:  # a repeated root: take the square-free part
-            fi = _int_primitive(Poly(fi).exact_div(Poly(chain[-1])))
+            self.repeated = Poly(chain[-1])
+            fi = _int_primitive(Poly(fi).exact_div(self.repeated))
             chain = _sturm_chain_int(fi)
         self.fi = fi
         self.poly = Poly(fi)
@@ -1078,6 +1055,16 @@ class RealRoots:
             lo, hi, d = self._fixed[k] or self.narrow(k, BOX_WIDTH)
             out.append(RootBox(Fraction(lo, d), Fraction(hi, d), 1))
         return tuple(out)
+
+    def multiplicities(self) -> list[int]:
+        """The multiplicity in p of each root: 1 plus its multiplicity in
+        gcd(p, p').  A root of gcd(p, p') is found by the square-free part
+        of that gcd, since a root of even multiplicity changes no sign."""
+        if self.repeated is None:
+            return [1] * len(self)
+        inner = real_roots(self.repeated)
+        deeper = iter(inner.multiplicities())
+        return [1 + next(deeper) if v else 1 for v in self.vanishing(inner.poly)]
 
     def has_root(self, k: int, q: Poly) -> bool:
         """Whether q vanishes at root k, for q whose real roots are roots of
@@ -1247,23 +1234,14 @@ def roots_within(roots: RealRoots, D: int) -> bool:
 def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
     """Disjoint boxes covering all real roots of p, with multiplicities,
     sorted by position; boxes refined below width 2^-40.  The boxes come
-    from the shared ``real_roots`` of the square-free part, which decisions
-    refine only as far as they need."""
+    from the shared ``real_roots`` of p, which decisions refine only as far
+    as they need, and the multiplicities from its Sturm chain."""
     if p.is_zero():
         raise PolyError("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return ()
-    factors = squarefree_decomposition(p)
-    f = Poly.one()
-    for fac, _ in factors:
-        f = f * fac
-    boxes = real_roots(f).boxes()
-    if len(factors) > 1 or factors[0][1] != 1:
-        boxes = tuple(
-            RootBox(box.lo, box.hi, next((m for fac, m in factors if box_has_root(fac, box)), 1))
-            for box in boxes
-        )
-    return boxes
+    roots = real_roots(p)
+    return tuple(
+        RootBox(box.lo, box.hi, m) for box, m in zip(roots.boxes(), roots.multiplicities())
+    )
 
 
 def box_has_root(p: Poly, box: RootBox) -> bool:
@@ -1272,14 +1250,6 @@ def box_has_root(p: Poly, box: RootBox) -> bool:
     if box.lo == box.hi:
         return p(box.lo) == 0
     return p.sign_at(box.lo) * p.sign_at(box.hi) < 0
-
-
-def rational_roots_monic_integer(p: Poly) -> list[int]:
-    """Integer roots of a monic integer polynomial (its only rational roots),
-    read off its root boxes."""
-    if any(c.denominator != 1 for c in p.coeffs) or p.leading != 1:
-        raise PolyError("expected a monic integer polynomial")
-    return real_roots(p).integers()
 
 
 def squarefree_part_int(m: int) -> int:
@@ -1308,17 +1278,10 @@ def residue_at(f: RatFunc, x: float) -> float:
     return float(f.num(x)) / float(f.den.derivative()(x))
 
 
-def require_simple_poles(f: RatFunc) -> None:
-    """PolyError unless every pole of the reduced rational function is
-    simple."""
-    if f.den.degree > 0 and square_free_part(f.den) != f.den.monic():
-        raise PolyError("repeated poles")
-
-
 def simple_pole_residues(f: RatFunc) -> list[tuple[RootBox, float]]:
     """Residues num(r)/den'(r) at the (simple) poles of a reduced rational
-    function, evaluated at refined midpoints; PolyError on a repeated pole."""
-    require_simple_poles(f)
-    if f.den.degree == 0:
-        return []
+    function, evaluated at refined midpoints; PolyError on a repeated pole,
+    read off the Sturm chain of the denominator."""
+    if real_roots(f.den).repeated is not None:
+        raise PolyError("repeated poles")
     return [(box, residue_at(f, box.midpoint)) for box in isolate_real_roots(f.den)]

@@ -25,7 +25,7 @@ RATIO_CONDITION_B = "ratio_condition_b"
 PARITY_CONDITION_C = "parity_condition_c"
 
 #: the primes ``ratio_witness`` tries, in order
-WITNESS_PRIMES = (3, 5, 7, 11, 13)
+WITNESS_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 class PstError(ValueError):

@@ -101,7 +101,6 @@ def scan_trees(max_n: int, jobs: int = 1) -> ScanReport:
                 results = pool.map(analyze_tree, tasks)
             else:
                 results = [analyze_tree(t) for t in tasks]
-            results.sort(key=lambda r: r.index)
             entry = {
                 "n": n,
                 "tree_count": len(tasks),

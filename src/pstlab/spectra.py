@@ -93,10 +93,6 @@ def support_poly(G: Graph, i: int) -> Poly:
     return phi.exact_div(g).monic()
 
 
-def support_size(G: Graph, i: int) -> int:
-    return support_poly(G, i).degree
-
-
 @lru_cache(maxsize=100_000)
 def sign_quotient(G: Graph, i: int, s: Poly) -> RatFunc:
     """phi^G / (phi^{G\\i} + s), reduced.  For the path sum s of a strongly

@@ -288,6 +288,17 @@ def test_bridge_check_command(capsys, p4_file):
     assert main(["bridge-check", p4_file, "0", "1"]) == 2  # not cospectral
 
 
+@pytest.mark.parametrize("text", ["3\n0 1\n", "5\n0 1\n2 3\n3 4\n"], ids=["P2+K1", "P2+P3"])
+def test_bridge_check_exempts_a_p2_component(tmp_path, capsys, text):
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    code, payload = run_json(capsys, ["bridge-check", str(f), "0", "1"])
+    assert code == 0
+    assert payload["is_p2"] is True
+    assert payload["within_unit_bound"] is False
+    assert capsys.readouterr().err == ""
+
+
 def test_graph6_input(tmp_path, capsys):
     f = tmp_path / "p4.g6"
     f.write_text("Ch\n")

@@ -393,6 +393,30 @@ def test_bridge_gap_check_p2_exempt():
     assert report.gap == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "G",
+    [
+        Graph.from_edges(3, [(0, 1, 1)]),  # P2 and an isolated vertex
+        Graph.from_edges(5, [(0, 1, 1), (2, 3, 1), (3, 4, 1)]),  # P2 and P3
+    ],
+    ids=["P2+K1", "P2+P3"],
+)
+def test_bridge_gap_check_p2_component_exempt(G):
+    # the exemption is the component of the pair, as in certify_gap
+    report = bridge_gap_check(G, 0, 1)
+    assert report.is_p2
+    assert not report.within_unit_bound
+    assert report.gap == pytest.approx(2.0)
+
+
+def test_bridge_gap_check_p2_with_loops_is_not_exempt():
+    # equal loops keep 0 and 1 cospectral, but the component is not P2: its
+    # support 0, 2 has gap 2
+    G = Graph.from_edges(3, [(0, 0, 1), (1, 1, 1), (0, 1, 1)])
+    with pytest.raises(GapError, match="bridge pair with support gap"):
+        bridge_gap_check(G, 0, 1)
+
+
 def test_bridge_gap_check_mid_p4():
     report = bridge_gap_check(path(4), 1, 2)
     assert not report.is_p2

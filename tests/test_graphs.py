@@ -319,7 +319,7 @@ def test_generators_shapes():
     assert len(star(5).edges) == 4
     D = double_star(2, 3)
     assert D.n == 7
-    assert D.degree_sequence() == (1, 1, 1, 1, 1, 3, 4)
+    assert sorted(len(D.neighbors(v)) for v in range(D.n)) == [1, 1, 1, 1, 1, 3, 4]
     Q = hypercube(3)
     assert Q.n == 8
     assert all(len(Q.neighbors(v)) == 3 for v in range(8))

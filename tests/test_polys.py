@@ -25,12 +25,10 @@ from pstlab.polys import (
     path_sum_poly,
     poly_gcd,
     poly_sqrt,
-    rational_roots_monic_integer,
     real_roots,
     roots_within,
     simple_pole_residues,
     square_free_part,
-    squarefree_decomposition,
     squarefree_part_int,
     vertex_deleted_charpoly,
     vertex_deleted_charpolys,
@@ -83,7 +81,7 @@ def test_poly_immutable():
 
 def test_json_round_trip():
     p = Poly([Fraction(1, 3), Fraction(-2), Fraction(7, 5)])
-    assert Poly.from_json(p.to_json()) == p
+    assert Poly(Fraction(s) for s in p.to_json()) == p
 
 
 @given(
@@ -135,6 +133,35 @@ def test_exact_div_matches_long_division_over_q(q, cofactor, noise):
 
 
 # -- gcd and square-free ----------------------------------------------------
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Test-local oracle, Yun's algorithm: [(f_m, m)] with p = lead * prod
+    f_m^m, f_m square-free, pairwise coprime, monic, nonconstant."""
+    if p.is_zero():
+        raise PolyError("decomposition of zero")
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    out: list[tuple[Poly, int]] = []
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return [(p, 1)]
+    w = p.exact_div(g)
+    y = p.derivative().exact_div(g)
+    z = y - w.derivative()
+    m = 1
+    while not z.is_zero():
+        f = poly_gcd(w, z)
+        if f.degree > 0:
+            out.append((f.monic(), m))
+        w = w.exact_div(f)
+        y = z.exact_div(f)
+        z = y - w.derivative()
+        m += 1
+    if w.degree > 0:
+        out.append((w.monic(), m))
+    return out
 
 
 def test_poly_gcd():
@@ -337,6 +364,22 @@ def test_isolate_multiplicities():
     assert [b.multiplicity for b in boxes] == [2, 1]
 
 
+def test_isolate_multiplicities_through_the_sturm_chain():
+    # repeated part gcd(p, p') = (t^2 - 2) t^3 (t - 1)^2: the root 1 has even
+    # multiplicity there and changes no sign of it, so membership is read
+    # off the square-free part of the gcd
+    s2 = Poly([-2, 0, 1])
+    p = s2 * s2 * lin(0, 0, 0, 0) * lin(1, 1, 1)
+    roots = real_roots(p)
+    assert roots.repeated.monic() == poly_gcd(p, p.derivative())
+    assert roots.multiplicities() == [2, 4, 3, 2]
+    boxes = isolate_real_roots(p)
+    assert [b.multiplicity for b in boxes] == [2, 4, 3, 2]
+    assert [(b.lo, b.hi, b.multiplicity) for b in boxes] == _fraction_isolate(p)
+    assert real_roots(s2).repeated is None
+    assert real_roots(Poly.constant(3)).multiplicities() == []
+
+
 def test_isolate_no_real_roots():
     assert isolate_real_roots(Poly([1, 0, 1])) == ()
 
@@ -381,17 +424,17 @@ def test_box_has_root():
 
 
 def test_rational_roots_monic_integer():
+    # the rational roots of a monic integer polynomial are its integer roots
     p = lin(0, 0, 2, -3)
-    assert rational_roots_monic_integer(p) == [-3, 0, 2]
-    with pytest.raises(PolyError):
-        rational_roots_monic_integer(Poly([Fraction(1, 2), 1]))
+    assert real_roots(p).integers() == [-3, 0, 2]
+    assert real_roots(lin(Fraction(1, 2), 1)).integers() == [1]
 
 
 def test_rational_roots_of_a_huge_constant_term():
     # trial division of |c0| would not finish; the root boxes answer at once
-    assert rational_roots_monic_integer(lin(-7, 3 * 2**80)) == [-7, 3 * 2**80]
-    assert rational_roots_monic_integer(Poly((-5 * 2**80, 0, 1))) == []
-    assert rational_roots_monic_integer(lin(0, 0, 5) * Poly([1, 0, 1])) == [0, 5]
+    assert real_roots(lin(-7, 3 * 2**80)).integers() == [-7, 3 * 2**80]
+    assert real_roots(Poly((-5 * 2**80, 0, 1))).integers() == []
+    assert real_roots(lin(0, 0, 5) * Poly([1, 0, 1])).integers() == [0, 5]
 
 
 # -- lazily refined root boxes ---------------------------------------------
@@ -502,6 +545,10 @@ def test_simple_pole_residues():
     assert abs(res[-1] + 0.5) < 1e-9
     with pytest.raises(PolyError):
         simple_pole_residues(RatFunc.make(Poly.one(), lin(1) * lin(1)))
+    # a repeated pole that is not real is still a repeated pole
+    with pytest.raises(PolyError):
+        simple_pole_residues(RatFunc.make(Poly.one(), lin(2) * Poly([1, 0, 1]) * Poly([1, 0, 1])))
+    assert simple_pole_residues(RatFunc.make(Poly.one(), Poly.constant(2))) == []
 
 
 # -- integer kernel vs its Fraction-arithmetic references -------------------

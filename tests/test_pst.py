@@ -15,7 +15,7 @@ from pstlab.polys import (
     gcd_mod,
     isolate_real_roots,
     pow_x_mod,
-    rational_roots_monic_integer,
+    real_roots,
     squarefree_part_int,
 )
 from pstlab.pst import (
@@ -342,7 +342,7 @@ def _float_proposed_fit(support):
     if support.leading != 1 or any(c.denominator != 1 for c in support.coeffs):
         return None
     int_roots = [
-        z for z in rational_roots_monic_integer(support)
+        z for z in real_roots(support).integers()
         if support(Fraction(z)) == 0
     ]
     q = support
@@ -574,6 +574,25 @@ def test_witness_agrees_with_fit_on_seeded_prufer_trees(monkeypatch):
         assert accepted == []
         fired += k
     assert fired > 0
+
+
+def test_witness_fires_at_17_past_the_primes_to_13():
+    # the third tree of order 100 when three Pruefer trees per order
+    # 30, 40, ..., 100 are drawn from one random.Random(1): the pair (39, 89)
+    # has a degree-78 support whose f is not square-free mod 3, 5, 7, 11 or 13
+    rng = random.Random(1)
+    for n in range(30, 101, 10):
+        for _ in range(3):
+            seq = [rng.randrange(n) for _ in range(n - 2)]
+    T = Graph.from_edges(100, [(u, v, 1) for u, v in prufer_to_edges(seq, 100)])
+    support = support_poly(T, 39)
+    assert support.degree == 78
+    f = _even_part(support)
+    assert not any(_square_free_mod(f, p) for p in (3, 5, 7, 11, 13))
+    assert ratio_witness(support) == 17
+    _replay_witness(support, 17)
+    cert = decide_pst(T, 39, 89)
+    assert (cert.failing_condition, cert.witness_prime) == (RATIO_CONDITION_B, 17)
 
 
 def test_witness_skips_a_prime_where_f_is_not_square_free():

@@ -26,7 +26,6 @@ from pstlab.spectra import (
     signed_path_sum,
     support_partition,
     support_poly,
-    support_size,
     vertex_deleted_charpoly,
 )
 
@@ -141,8 +140,8 @@ def test_support_poly_p3():
     assert support_poly(P, 0) == Poly([0, -2, 0, 1])
     # center support omits 0
     assert support_poly(P, 1) == Poly([-2, 0, 1])
-    assert support_size(P, 0) == 3
-    assert support_size(P, 1) == 2
+    assert support_poly(P, 0).degree == 3
+    assert support_poly(P, 1).degree == 2
 
 
 def test_support_is_pole_set_of_walk_generating_function():
