@@ -24,10 +24,8 @@ from .polys import (  # noqa: F401
     RootBox,
     charpoly,
     isolate_real_roots,
-    path_sum_bruteforce,
     path_sum_poly,
     poly_gcd,
-    poly_sqrt,
     square_free_part,
 )
 from .spectra import (  # noqa: F401

@@ -170,8 +170,9 @@ def cmd_simulate(args) -> int:
     _check_vertices(G, args.i, args.j)
     try:
         series = fidelity_scan(G, args.i, args.j, args.t_max, args.steps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a time grid that does not fit in memory
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_PARSE
     if args.out:
         _atomic_write(args.out, series.to_csv())

@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic over the rationals, on an integer kernel.
 
-Characteristic polynomials, gcds, exact square roots, path-sum
-polynomials, and Sturm-sequence real-root isolation.  Integral coefficients
-are stored as ``int`` and only the others as ``Fraction``.  Gcds run as a primitive remainder sequence over the integers,
-exact divisions divide integer primitive parts, and root isolation bisects
-integer numerators over a common denominator.  Small helpers reduce
-integer lists modulo a monic f and a small prime p (remainder, product,
-x^q, gcd) for the modular witness of ``pst.ratio_witness``.
+Characteristic polynomials, gcds, path-sum polynomials, and
+Sturm-sequence real-root isolation.  Integral coefficients are stored as
+``int`` and only the others as ``Fraction``.  Gcds run as a primitive
+remainder sequence over the integers, exact divisions divide integer
+primitive parts, and root isolation and refinement evaluate integer
+numerators over a common denominator.  Small helpers reduce integer lists
+modulo a monic f and a small prime p (remainder, product, x^q, gcd) for the
+modular witness of ``pst.ratio_witness``.
 
 Every graph gets one table (``_tables``) that its characteristic
 polynomial, its vertex-deleted ones and its path sums are read off.  A
@@ -15,12 +16,14 @@ loopless integer-weighted forest gets branch polynomials
 (``_AdjugateTable``): Berkowitz on sparse integer rows (weights scaled by
 their common denominator) and, per vertex, a column of adj(tI - A) by
 Faddeev-LeVerrier.  Both give each two-vertex deletion as the exact quotient
-(phi(G \\ i) phi(G \\ j) - S_ij^2) / phi(G).  ``berkowitz_charpoly`` on
-deleted subgraphs and ``path_sum_bruteforce`` stay as their test oracles.
+(phi(G \\ i) phi(G \\ j) - S_ij^2) / phi(G).
 
-Decisions read ``real_roots``: each polynomial is isolated once and its
-boxes are bisected only while a comparison that reads them is open, with
-gcds for ties.  The last member of its Sturm chain is gcd(p, p'): that
+Decisions read ``real_roots``: each polynomial is isolated once, by Sturm
+bisection with one chain evaluation per split, and its boxes are refined
+only while a comparison that reads them is open, with gcds for ties.
+Refinement to a width runs quadratic interval refinement on the bisection
+grid, so it reaches the boxes that bisection would, in fewer exact
+evaluations.  The last member of its Sturm chain is gcd(p, p'): that
 repeated part gives the root multiplicities (a root has multiplicity 1 plus
 its multiplicity in gcd(p, p')) and decides whether poles are simple, so no
 separate square-free decomposition runs.  Floats are diagnostics only:
@@ -43,10 +46,6 @@ BOX_WIDTH = Fraction(1, 2**40)
 
 
 class PolyError(ValueError):
-    pass
-
-
-class NotASquareError(PolyError):
     pass
 
 
@@ -387,41 +386,6 @@ def square_free_part(p: Poly) -> Poly:
     return p.exact_div(poly_gcd(p, p.derivative())).monic()
 
 
-def _fraction_sqrt(c: Fraction) -> Fraction:
-    if c < 0:
-        raise NotASquareError("negative leading coefficient")
-    np_, dp = isqrt(c.numerator), isqrt(c.denominator)
-    if np_ * np_ != c.numerator or dp * dp != c.denominator:
-        raise NotASquareError(f"{c} is not a rational square")
-    return Fraction(np_, dp)
-
-
-def poly_sqrt(p: Poly) -> Poly:
-    """Exact square root with positive leading coefficient, or
-    NotASquareError."""
-    if p.is_zero():
-        raise PolyError("square root of zero polynomial is ambiguous")
-    if p.degree % 2:
-        raise NotASquareError("odd degree")
-    m = p.degree // 2
-    lead = _rational(_fraction_sqrt(p.leading))
-    q = [0] * (m + 1)
-    q[m] = lead
-    # solve p_{m+k} = sum_{i+j=m+k} q_i q_j for q_k, k = m-1 .. 0
-    for k in range(m - 1, -1, -1):
-        acc = 0
-        for i in range(k + 1, m + 1):
-            j = m + k - i
-            if k < j <= m:
-                acc += q[i] * q[j]
-        target = p.coeffs[m + k] if m + k <= p.degree else 0
-        q[k] = _div(target - acc, 2 * lead)
-    root = Poly(q)
-    if root * root != p:
-        raise NotASquareError("polynomial is not a perfect square")
-    return root
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial (Berkowitz, division-free)
 
@@ -489,19 +453,6 @@ def _unscale(cs: list, scale: int, d: int) -> Poly:
     if scale == 1:
         return Poly(cs)
     return Poly([_div(c, scale ** (d - m)) for m, c in enumerate(cs)])
-
-
-def berkowitz_charpoly(G: Graph) -> Poly:
-    """det(tI - A(G)) for any graph, by the division-free Berkowitz
-    recurrence on sparse integer rows that the adjugate table starts from;
-    the test oracle of both tables.
-
-    With L the lcm of the weight denominators, det(tI - A) =
-    L^-n det((Lt)I - LA), so the coefficient of t^(n-m) is that of the
-    integer matrix LA divided exactly by L^m.
-    """
-    scale, diag, lower = _scaled_rows(G)
-    return _unscale(_berkowitz(diag, lower)[::-1], scale, G.n)
 
 
 def _sub(a: list, b: list) -> list:
@@ -807,25 +758,6 @@ def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
     return -s if s.leading < 0 else s
 
 
-def path_sum_bruteforce(G: Graph, i: int, j: int) -> Poly:
-    """Oracle: sum over simple i-j paths P of rho_P * charpoly(G \\ P)."""
-    if i == j:
-        raise PolyError("need distinct vertices")
-    if G.n > 14:
-        raise PolyError("brute-force guard: n <= 14")
-    total = Poly.zero()
-    stack: list[tuple[int, list[int], Fraction]] = [(i, [i], Fraction(1))]
-    while stack:
-        v, pathv, rho = stack.pop()
-        if v == j:
-            total = total + rho * charpoly(delete_vertices(G, set(pathv)))
-            continue
-        for u in G.neighbors(v):
-            if u not in pathv:
-                stack.append((u, pathv + [u], rho * G.weight(v, u)))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -893,13 +825,20 @@ class RootBox:
         }
 
 
-def _int_sign_at(ic: tuple[int, ...], xn: int, xd: int) -> int:
-    """Sign of the integer polynomial at the rational xn/xd (xd > 0)."""
+def _int_value_at(ic: tuple[int, ...], xn: int, xd: int) -> int:
+    """xd^deg times the integer polynomial at the rational xn/xd (xd > 0):
+    an integer with the sign of the value."""
     acc = 0
     power = 1
     for c in reversed(ic):
         acc = acc * xn + c * power
         power *= xd
+    return acc
+
+
+def _int_sign_at(ic: tuple[int, ...], xn: int, xd: int) -> int:
+    """Sign of the integer polynomial at the rational xn/xd (xd > 0)."""
+    acc = _int_value_at(ic, xn, xd)
     return (acc > 0) - (acc < 0)
 
 
@@ -915,9 +854,9 @@ def _sturm_chain_int(fi: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> int:
-    signs = [_int_sign_at(ic, xn, xd) for ic in chain]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+    """Sign changes along the chain at xn/xd, zeros skipped."""
+    signs = [v > 0 for v in [_int_value_at(ic, xn, xd) for ic in chain] if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _root_bound(fi: tuple[int, ...]) -> Fraction:
@@ -938,33 +877,74 @@ def _bisect(a: int, b: int, d: int) -> tuple[int, int, int, int]:
 def _isolate(fi: tuple[int, ...], chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
     """Sturm bisection of the square-free integer polynomial fi with its
     Sturm chain: one interval (a, b, d) per real root, [a/d, b/d] with a sign
-    change of fi and no root at either end, in ascending order."""
+    change of fi and no root at either end, in ascending order.  The stack
+    keeps the variation count at both ends of each interval, so a split
+    evaluates the chain once, at its midpoint."""
     bound = _root_bound(fi)
     # interval endpoints are integer numerators over a shared denominator
     b, d = bound.numerator, bound.denominator
-    total = _variations(chain, -b, d) - _variations(chain, b, d)
-    if total < 0:
+    va, vb = _variations(chain, -b, d), _variations(chain, b, d)
+    if va < vb:
         raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
     intervals: list[tuple[int, int, int]] = []
-    stack = [(-b, b, d, total)]
+    stack = [(-b, b, d, va, vb)]
     while stack:
-        a, b, d, cnt = stack.pop()
-        if cnt == 0:
+        a, b, d, va, vb = stack.pop()
+        if va - vb == 0:
             continue
-        if cnt == 1:
+        if va - vb == 1:
             intervals.append((a, b, d))
             continue
         a, b, mid, d = _bisect(a, b, d)
         while _int_sign_at(fi, mid, d) == 0:
             # nudge off an exact root so counts stay clean
             a, b, mid, d = 2 * a, 2 * b, a + mid, 2 * d
-        left = _variations(chain, a, d) - _variations(chain, mid, d)
-        if not 0 <= left <= cnt:
+        vm = _variations(chain, mid, d)
+        if not vb <= vm <= va:
             raise PolyError("Sturm counts out of range: the chain is not a Sturm sequence")
-        stack.append((a, mid, d, left))
-        stack.append((mid, b, d, cnt - left))
+        stack.append((a, mid, d, va, vm))
+        stack.append((mid, b, d, vm, vb))
     intervals.sort(key=lambda t: Fraction(t[0], t[2]))
     return intervals
+
+
+def _halvings(w: int, d: int, wn: int, wd: int) -> int:
+    """How many halvings take a box of width w/d >= wn/wd below wn/wd."""
+    a, b = w * wd, d * wn
+    h = a.bit_length() - b.bit_length()
+    return h + (a >= b << h)
+
+
+def _qir_cell(fi, slo: int, lo: int, hi: int, d: int, vlo: int, vhi: int, step: int):
+    """One step of quadratic interval refinement (Abbott) of the root of fi
+    in (lo/d, hi/d), where fi has the sign slo at lo/d and the values vlo
+    and vhi (``_int_value_at``) at the ends.
+
+    The box is cut into n = 2^step equal cells on the grid over d 2^step.
+    The secant through the end values guesses the cell of the root; the
+    exact signs at its ends confirm it, or point to the neighbour cell,
+    which is tried next.  Returns (lo, hi, d, vlo, vhi) for the cell (lo ==
+    hi when a grid point is the root), or None when both cells miss."""
+    n, w, scale = 1 << step, hi - lo, step * (len(fi) - 1)
+    x0, d = lo << step, d << step
+    vlo, vhi = vlo << scale, vhi << scale
+
+    def at(j: int) -> int:
+        return vlo if j == 0 else vhi if j == n else _int_value_at(fi, x0 + j * w, d)
+
+    i = (vlo << step) // (vlo - vhi)  # 0 <= i < n, as vlo and vhi differ in sign
+    va, vb = at(i), at(i + 1)
+    if va and vb and (va > 0) == (vb > 0):
+        if (va > 0) == (slo > 0):  # the root lies right of the cell
+            i, va, vb = i + 1, vb, at(i + 2)
+        else:
+            i, va, vb = i - 1, at(i - 1), va
+    if not va or not vb:
+        x = x0 + (i if not va else i + 1) * w
+        return x, x, d, 0, 0
+    if (va > 0) == (vb > 0):
+        return None
+    return x0 + i * w, x0 + (i + 1) * w, d, va, vb
 
 
 class RealRoots:
@@ -973,10 +953,11 @@ class RealRoots:
 
     Root k is held as the integer interval [lo/d, hi/d] of the square-free
     part ``fi``: an open interval with a sign change of fi, or the exact root
-    once lo == hi.  ``bisect`` takes one step of the bisection that
-    ``isolate_real_roots`` runs down to BOX_WIDTH, so a caller refines a box
-    only while its decision is open, and ``boxes`` still gives the boxes of
-    ``isolate_real_roots``.
+    once lo == hi.  Every box is a cell of the dyadic grid that bisection of
+    the isolating interval visits: ``bisect`` takes one halving, ``narrow``
+    jumps down the grid to the first cell below a width, so a caller refines
+    a box only while its decision is open, and ``boxes`` still gives the
+    boxes of ``isolate_real_roots``.
 
     ``repeated`` is the last member of the Sturm chain of p, gcd(p, p') up
     to a constant factor, or None when p is square-free: p has a repeated
@@ -1024,26 +1005,49 @@ class RealRoots:
             self._narrow(k, hi - lo, d)
 
     def narrow(self, k: int, width: Fraction) -> tuple[int, int, int]:
-        """Bisect root k until its box is narrower than width."""
+        """Refine root k to the box that bisection reaches first below
+        width, by quadratic interval refinement on the bisection grid: a
+        step of 2^m cells goes m halvings deep, m doubles after each hit and
+        halves after a miss, which takes one bisection step instead.  A step
+        never passes the width, nor the BOX_WIDTH depth before the box there
+        is kept for ``boxes``.  A step of one halving needs no end values,
+        so a shallow refinement costs what bisection costs."""
         return self._narrow(k, width.numerator, width.denominator)
 
     def _narrow(self, k: int, wn: int, wd: int) -> tuple[int, int, int]:
-        # halve the box, keeping the half with the sign change; the interval
-        # where it first gets narrower than BOX_WIDTH is kept for boxes()
         fi, slo, fixed = self.fi, self._slo[k], self._fixed[k]
         lo, hi, d = self._lo[k], self._hi[k], self._d[k]
         bn, bd = BOX_WIDTH.numerator, BOX_WIDTH.denominator
+        deg, m = len(fi) - 1, 1
+        vlo = vhi = None  # the values of fi at the ends, once known
         while (hi - lo) * wd >= d * wn:
             if fixed is None and (hi - lo) * bd < d * bn:
                 fixed = (lo, hi, d)
-            lo, hi, mid, d = _bisect(lo, hi, d)
-            sm = _int_sign_at(fi, mid, d)
-            if sm == 0:
-                lo = hi = mid
-            elif sm == slo:
-                lo = mid
+            step = min(m, _halvings(hi - lo, d, wn, wd))
+            if fixed is None:
+                step = min(step, _halvings(hi - lo, d, bn, bd))
+            if step > 1:
+                if vlo is None:
+                    vlo = _int_value_at(fi, lo, d)
+                if vhi is None:
+                    vhi = _int_value_at(fi, hi, d)
+                cell = _qir_cell(fi, slo, lo, hi, d, vlo, vhi, step)
+                if cell is not None:
+                    lo, hi, d, vlo, vhi = cell
+                    m <<= 1
+                    continue
+                m >>= 1
             else:
-                hi = mid
+                m <<= 1
+            # one bisection step; a known end value scales with d
+            lo, hi, mid, d = lo << 1, hi << 1, lo + hi, d << 1
+            vm = _int_value_at(fi, mid, d)
+            if not vm:
+                lo = hi = mid
+            elif (vm > 0) == (slo > 0):
+                lo, vlo, vhi = mid, vm, vhi and vhi << deg
+            else:
+                hi, vlo, vhi = mid, vlo and vlo << deg, vm
         self._lo[k], self._hi[k], self._d[k], self._fixed[k] = lo, hi, d, fixed
         return lo, hi, d
 

@@ -1,0 +1,235 @@
+"""Test oracles: slow, independent routes to what the package computes.
+
+- ``berkowitz_charpoly``: det(tI - A) by Berkowitz, for any graph.
+- ``path_sum_bruteforce``: the path sum S_ij, path by path.
+- ``poly_sqrt``: exact polynomial square root (``NotASquareError`` if none),
+  for the Wronskian route to S_ij.
+- ``squarefree_decomposition``: Yun's algorithm, for root multiplicities.
+- ``bisection_isolate``, ``BisectionRoots`` and ``bisection_boxes``: Sturm
+  isolation with two chain evaluations per split and refinement by plain
+  bisection, for the root boxes of ``polys.RealRoots`` and
+  ``polys.isolate_real_roots``.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt
+from typing import Optional
+
+from pstlab.graphs import Graph, delete_vertices
+from pstlab.polys import (
+    BOX_WIDTH,
+    Poly,
+    PolyError,
+    RealRoots,
+    RootBox,
+    _berkowitz,
+    _bisect,
+    _div,
+    _int_primitive,
+    _int_sign_at,
+    _rational,
+    _root_bound,
+    _scaled_rows,
+    _sturm_chain_int,
+    _unscale,
+    box_has_root,
+    charpoly,
+    poly_gcd,
+)
+
+
+class NotASquareError(PolyError):
+    pass
+
+
+def _fraction_sqrt(c: Fraction) -> Fraction:
+    if c < 0:
+        raise NotASquareError("negative leading coefficient")
+    np_, dp = isqrt(c.numerator), isqrt(c.denominator)
+    if np_ * np_ != c.numerator or dp * dp != c.denominator:
+        raise NotASquareError(f"{c} is not a rational square")
+    return Fraction(np_, dp)
+
+
+def poly_sqrt(p: Poly) -> Poly:
+    """Exact square root with positive leading coefficient, or
+    NotASquareError."""
+    if p.is_zero():
+        raise PolyError("square root of zero polynomial is ambiguous")
+    if p.degree % 2:
+        raise NotASquareError("odd degree")
+    m = p.degree // 2
+    lead = _rational(_fraction_sqrt(p.leading))
+    q = [0] * (m + 1)
+    q[m] = lead
+    # solve p_{m+k} = sum_{i+j=m+k} q_i q_j for q_k, k = m-1 .. 0
+    for k in range(m - 1, -1, -1):
+        acc = 0
+        for i in range(k + 1, m + 1):
+            j = m + k - i
+            if k < j <= m:
+                acc += q[i] * q[j]
+        target = p.coeffs[m + k] if m + k <= p.degree else 0
+        q[k] = _div(target - acc, 2 * lead)
+    root = Poly(q)
+    if root * root != p:
+        raise NotASquareError("polynomial is not a perfect square")
+    return root
+
+
+def berkowitz_charpoly(G: Graph) -> Poly:
+    """det(tI - A(G)) for any graph, by the division-free Berkowitz
+    recurrence on sparse integer rows that the adjugate table starts from.
+
+    With L the lcm of the weight denominators, det(tI - A) =
+    L^-n det((Lt)I - LA), so the coefficient of t^(n-m) is that of the
+    integer matrix LA divided exactly by L^m.
+    """
+    scale, diag, lower = _scaled_rows(G)
+    return _unscale(_berkowitz(diag, lower)[::-1], scale, G.n)
+
+
+def path_sum_bruteforce(G: Graph, i: int, j: int) -> Poly:
+    """Sum over simple i-j paths P of rho_P * charpoly(G \\ P)."""
+    if i == j:
+        raise PolyError("need distinct vertices")
+    if G.n > 14:
+        raise PolyError("brute-force guard: n <= 14")
+    total = Poly.zero()
+    stack: list[tuple[int, list[int], Fraction]] = [(i, [i], Fraction(1))]
+    while stack:
+        v, pathv, rho = stack.pop()
+        if v == j:
+            total = total + rho * charpoly(delete_vertices(G, set(pathv)))
+            continue
+        for u in G.neighbors(v):
+            if u not in pathv:
+                stack.append((u, pathv + [u], rho * G.weight(v, u)))
+    return total
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm: [(f_m, m)] with p = lead * prod f_m^m, f_m
+    square-free, pairwise coprime, monic, nonconstant."""
+    if p.is_zero():
+        raise PolyError("decomposition of zero")
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    out: list[tuple[Poly, int]] = []
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return [(p, 1)]
+    w = p.exact_div(g)
+    y = p.derivative().exact_div(g)
+    z = y - w.derivative()
+    m = 1
+    while not z.is_zero():
+        f = poly_gcd(w, z)
+        if f.degree > 0:
+            out.append((f.monic(), m))
+        w = w.exact_div(f)
+        y = z.exact_div(f)
+        z = y - w.derivative()
+        m += 1
+    if w.degree > 0:
+        out.append((w.monic(), m))
+    return out
+
+
+def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> int:
+    signs = [_int_sign_at(ic, xn, xd) for ic in chain]
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def bisection_isolate(fi: tuple[int, ...], chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """Sturm bisection of the square-free integer polynomial fi, evaluating
+    the chain at both ends of every interval it splits: one interval
+    (a, b, d) per real root, in ascending order."""
+    bound = _root_bound(fi)
+    b, d = bound.numerator, bound.denominator
+    total = _variations(chain, -b, d) - _variations(chain, b, d)
+    if total < 0:
+        raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
+    intervals: list[tuple[int, int, int]] = []
+    stack = [(-b, b, d, total)]
+    while stack:
+        a, b, d, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            intervals.append((a, b, d))
+            continue
+        a, b, mid, d = _bisect(a, b, d)
+        while _int_sign_at(fi, mid, d) == 0:
+            a, b, mid, d = 2 * a, 2 * b, a + mid, 2 * d
+        left = _variations(chain, a, d) - _variations(chain, mid, d)
+        if not 0 <= left <= cnt:
+            raise PolyError("Sturm counts out of range: the chain is not a Sturm sequence")
+        stack.append((a, mid, d, left))
+        stack.append((mid, b, d, cnt - left))
+    intervals.sort(key=lambda t: Fraction(t[0], t[2]))
+    return intervals
+
+
+class BisectionRoots(RealRoots):
+    """``RealRoots`` isolated by ``bisection_isolate`` and refined by plain
+    bisection, one exact evaluation per halving; the other methods
+    (``boxes``, ``integers``, ``multiplicities``, ...) are inherited and
+    read these boxes."""
+
+    def __init__(self, p: Poly):
+        if p.is_zero():
+            raise PolyError("cannot isolate roots of the zero polynomial")
+        fi = _int_primitive(p)
+        chain = _sturm_chain_int(fi) if len(fi) > 1 else []
+        self.repeated: Optional[Poly] = None
+        if chain and len(chain[-1]) > 1:
+            self.repeated = Poly(chain[-1])
+            fi = _int_primitive(Poly(fi).exact_div(self.repeated))
+            chain = _sturm_chain_int(fi)
+        self.fi = fi
+        self.poly = Poly(fi)
+        intervals = bisection_isolate(fi, chain) if chain else []
+        self._lo = [a for a, _, _ in intervals]
+        self._hi = [b for _, b, _ in intervals]
+        self._d = [d for _, _, d in intervals]
+        self._slo = [_int_sign_at(fi, a, d) for a, _, d in intervals]
+        self._fixed: list[Optional[tuple[int, int, int]]] = [None] * len(intervals)
+
+    def bisect(self, k: int) -> None:
+        lo, hi, d = self.interval(k)
+        if lo != hi:
+            self.narrow(k, Fraction(hi - lo, d))
+
+    def narrow(self, k: int, width: Fraction) -> tuple[int, int, int]:
+        fi, slo, fixed = self.fi, self._slo[k], self._fixed[k]
+        lo, hi, d = self.interval(k)
+        wn, wd = width.numerator, width.denominator
+        bn, bd = BOX_WIDTH.numerator, BOX_WIDTH.denominator
+        while (hi - lo) * wd >= d * wn:
+            if fixed is None and (hi - lo) * bd < d * bn:
+                fixed = (lo, hi, d)
+            lo, hi, mid, d = _bisect(lo, hi, d)
+            sm = _int_sign_at(fi, mid, d)
+            if sm == 0:
+                lo = hi = mid
+            elif sm == slo:
+                lo = mid
+            else:
+                hi = mid
+        self._lo[k], self._hi[k], self._d[k], self._fixed[k] = lo, hi, d, fixed
+        return lo, hi, d
+
+
+def bisection_boxes(p: Poly) -> tuple[RootBox, ...]:
+    """``isolate_real_roots`` by the oracles: the boxes of
+    ``BisectionRoots``, each with the multiplicity of the Yun factor that
+    vanishes in it."""
+    factors = squarefree_decomposition(p)
+    return tuple(
+        RootBox(box.lo, box.hi, next(m for f, m in factors if box_has_root(f, box)))
+        for box in BisectionRoots(p).boxes()
+    )

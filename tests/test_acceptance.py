@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_weighted_graph
+from oracles import path_sum_bruteforce
 from pstlab.gapcert import (
     SQRT2,
     GapError,
@@ -26,7 +27,6 @@ from pstlab.graphs import eccentricity, path
 from pstlab.polys import (
     RatFunc,
     charpoly,
-    path_sum_bruteforce,
     path_sum_poly,
     simple_pole_residues,
 )

@@ -85,6 +85,15 @@ def test_simulate_bad_arguments_exit_2(capsys, p3_file, options):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_simulate_unallocatable_grid_exit_2(capsys, p3_file):
+    # 10^17 float64 samples (694 PiB) exceed any address space, so numpy
+    # refuses the grid at once and allocates nothing
+    assert main(["simulate", p3_file, "0", "2", "--steps", str(10**17)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_laplacian_non_integer_exit_4(tmp_path, capsys):
     f = tmp_path / "half.txt"
     f.write_text("2\n0 1 1/2\n")

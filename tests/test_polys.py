@@ -6,25 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle, grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
+from oracles import (
+    NotASquareError,
+    berkowitz_charpoly,
+    path_sum_bruteforce,
+    poly_sqrt,
+    squarefree_decomposition,
+)
 from pstlab.graphs import Graph, GraphError, delete_vertices, hypercube, laplacian_form, path, star
 from pstlab import polys, spectra
 from pstlab.polys import (
-    NotASquareError,
     Poly,
     PolyError,
     RatFunc,
     RealRoots,
     RootBox,
-    berkowitz_charpoly,
     box_has_root,
     charpoly,
     compare_roots,
     isolate_real_roots,
     merge_roots,
-    path_sum_bruteforce,
     path_sum_poly,
     poly_gcd,
-    poly_sqrt,
     real_roots,
     roots_within,
     simple_pole_residues,
@@ -133,35 +136,6 @@ def test_exact_div_matches_long_division_over_q(q, cofactor, noise):
 
 
 # -- gcd and square-free ----------------------------------------------------
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Test-local oracle, Yun's algorithm: [(f_m, m)] with p = lead * prod
-    f_m^m, f_m square-free, pairwise coprime, monic, nonconstant."""
-    if p.is_zero():
-        raise PolyError("decomposition of zero")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return [(p, 1)]
-    w = p.exact_div(g)
-    y = p.derivative().exact_div(g)
-    z = y - w.derivative()
-    m = 1
-    while not z.is_zero():
-        f = poly_gcd(w, z)
-        if f.degree > 0:
-            out.append((f.monic(), m))
-        w = w.exact_div(f)
-        y = z.exact_div(f)
-        z = y - w.derivative()
-        m += 1
-    if w.degree > 0:
-        out.append((w.monic(), m))
-    return out
 
 
 def test_poly_gcd():

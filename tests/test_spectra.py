@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
+from oracles import berkowitz_charpoly
 from pstlab import spectra
 from pstlab.graphs import (
     Graph,
@@ -16,7 +17,7 @@ from pstlab.graphs import (
     path,
     star,
 )
-from pstlab.polys import Poly, RatFunc, berkowitz_charpoly, charpoly, square_free_part
+from pstlab.polys import Poly, RatFunc, charpoly, square_free_part
 from pstlab.spectra import (
     SpectraError,
     is_cospectral,
