@@ -80,7 +80,7 @@ class Poly:
     """Dense univariate polynomial with rational coefficients, low degree
     first.  Integral coefficients are ints, the others Fractions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [c if type(c) is int else _rational(c) for c in coeffs]
@@ -128,7 +128,19 @@ class Poly:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # computed once: the memos keyed by polynomials hash them on every
+        # lookup, and a Fraction hashes slowly
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # rebuilt from the coefficients: the slots cannot be restored through
+        # the guarded __setattr__, and the hash is recomputed when read
+        return Poly, (self.coeffs,)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
@@ -243,7 +255,8 @@ def _scaled_ints(p: Poly):
             scale = lcm(scale, c.denominator)
     if scale == 1:
         return cs, 1
-    return [int(c * scale) for c in cs], scale
+    return [c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+            for c in cs], scale
 
 
 def _int_vector(p: Poly):
@@ -494,11 +507,24 @@ class _Table:
     def path_sum(self, i: int, j: int) -> Poly:
         return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
 
+    @cached_property
+    def _pair_quotients(self) -> dict:
+        return {}
+
     def deleted_pair(self, i: int, j: int) -> Poly:
-        s = self.path_raw(i, j)
-        di, dj = self.deleted_raw(i), self.deleted_raw(j)
-        quot = _quo_exact(_sub(_mul(di, dj), _mul(s, s) if s else []), self.total)
-        return _unscale(quot, self.scale, self.n - 2)
+        """phi(G - {i, j}), memoized on what the quotient reads: phi(G - i)
+        and phi(G - j) as an unordered pair and S_ij.  The memo lives on the
+        table, so the table's own total and scale are part of its key.  The
+        pairs of a symmetric graph carry equal lists, so they share one
+        exact division (Q6: 6 quotients for its 2016 cospectral pairs)."""
+        s = tuple(self.path_raw(i, j))
+        di, dj = tuple(self.deleted_raw(i)), tuple(self.deleted_raw(j))
+        key = (di, dj, s) if di <= dj else (dj, di, s)
+        quot = self._pair_quotients.get(key)
+        if quot is None:
+            raw = _quo_exact(_sub(_mul(di, dj), _mul(s, s) if s else []), self.total)
+            quot = self._pair_quotients[key] = _unscale(raw, self.scale, self.n - 2)
+        return quot
 
 
 class _ForestTables(_Table):
@@ -742,6 +768,7 @@ def vertex_deleted_charpolys(G: Graph) -> tuple[Poly, ...]:
 # path-sum polynomial
 
 
+@lru_cache(maxsize=100_000)
 def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
     """The path-sum polynomial S_ij = sum over the i-j paths P of
     w(P) phi^{G\\P}, up to sign, normalized to positive leading coefficient;
@@ -749,7 +776,9 @@ def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
 
     It is read off the graph's table: |w(P)| phi^{G\\P} for the unique path
     of a loopless integer-weighted forest, and entry (i, j) of adj(tI - A),
-    which is S_ij with its sign, for any other graph.
+    which is S_ij with its sign, for any other graph.  Memoized like the
+    deleted polynomials, since the pair memos of ``spectra`` read S_ij to
+    build their keys each time a pair quantity is asked for.
     """
     if i == j:
         raise PolyError("need distinct vertices")

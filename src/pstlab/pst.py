@@ -5,14 +5,17 @@ The decision runs entirely in exact arithmetic: the quadratic-field shape of
 the support spectrum is read off rational root boxes and accepted only after
 exact polynomial reconstruction.  On an even or odd support a modular
 witness (``ratio_witness``) rejects most ratio-condition failures before any
-root is isolated.  No float takes part until the numeric walk oracle, which
-cross-checks each positive verdict before it is returned.
+root is isolated.  Both read only the support, so they are memoized on it and
+pairs with equal supports share them.  No float takes part until the numeric
+walk oracle, which cross-checks each positive verdict, pair by pair, before it
+is returned.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import walk
@@ -85,6 +88,7 @@ class PstCertificate:
         return self.spectrum.delta if self.spectrum else None
 
 
+@lru_cache(maxsize=100_000)
 def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     """Exact fit of the support roots to (a + b_r sqrt(delta))/2, or None when
     the ratio condition fails.
@@ -149,6 +153,7 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     return QuadraticSpectrum(a, delta, tuple(order))
 
 
+@lru_cache(maxsize=100_000)
 def ratio_witness(support: Poly) -> Optional[int]:
     """A prime p that proves the ratio condition fails on the support, or
     None when no prime in WITNESS_PRIMES does (the fit then decides).

@@ -8,7 +8,6 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from . import __version__
 from .gapcert import GapError, certify_gap
@@ -21,6 +20,14 @@ SCHEMA_VERSION = 1
 
 class ScanInvariantError(RuntimeError):
     pass
+
+
+def Pool(processes: int):
+    """A multiprocessing pool.  multiprocessing is imported here, when a pool
+    starts, so that importing pstlab does not pay for it."""
+    from multiprocessing import Pool
+
+    return Pool(processes)
 
 
 @dataclass

@@ -67,7 +67,6 @@ def _repeated_part(G: Graph) -> Poly:
     return poly_gcd(phi, phi.derivative())
 
 
-@lru_cache(maxsize=100_000)
 def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     """Cospectral, and every pole of phi^{G\\{i,j}}/phi^G is simple.
 
@@ -76,47 +75,67 @@ def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     at most 2, and it is double exactly when theta has multiplicity m - 2 in
     phi^{G\\{i,j}} (Godsil & Smith, "Strongly cospectral vertices").  So the
     poles are simple iff gcd(phi^G, phi^G'), with theta of multiplicity
-    m - 1, divides phi^{G\\{i,j}}: one divisibility test per pair, against a
-    gcd taken once per graph, and none when the spectrum is simple."""
+    m - 1, divides phi^{G\\{i,j}}: one divisibility test per distinct
+    phi^{G\\{i,j}}, against a gcd taken once per graph, and none when the
+    spectrum is simple."""
     if not is_cospectral(G, i, j):
         return False
     g = _repeated_part(G)
-    return g.degree == 0 or divides(g, vertex_deleted_charpoly(G, i, j))
+    return g.degree == 0 or _divides(g, vertex_deleted_charpoly(G, i, j))
 
 
-@lru_cache(maxsize=100_000)
+# the divisibility of the strong test, memoized on (g, phi^{G\{i,j}})
+_divides = lru_cache(maxsize=100_000)(divides)
+
+
+# The support quantities below are functions of phi^G, phi^{G\i} and the
+# path sum alone.  Each public function reads those polynomials off the graph
+# and asks a memo keyed by them, so the pairs of a symmetric graph, which
+# carry equal polynomials, share one computation.
+
+
 def support_poly(G: Graph, i: int) -> Poly:
     """Monic square-free polynomial whose roots are the eigenvalue support of
     i: phi^G / gcd(phi^G, phi^{G\\i})."""
-    phi = charpoly(G)
-    g = poly_gcd(phi, vertex_deleted_charpoly(G, i))
-    return phi.exact_div(g).monic()
+    return _support_poly(charpoly(G), vertex_deleted_charpoly(G, i))
 
 
 @lru_cache(maxsize=100_000)
+def _support_poly(phi: Poly, phi_i: Poly) -> Poly:
+    return phi.exact_div(poly_gcd(phi, phi_i)).monic()
+
+
 def sign_quotient(G: Graph, i: int, s: Poly) -> RatFunc:
     """phi^G / (phi^{G\\i} + s), reduced.  For the path sum s of a strongly
     cospectral pair its monic numerator is the plus class of the support of
     i (-s gives the minus class), and since (phi^{G\\i} - s)(phi^{G\\i} + s)
     = phi^{G\\{i,j}} phi^G it is alpha+ = (phi^{G\\i} - s) / phi^{G\\{i,j}}."""
-    return RatFunc.make(charpoly(G), vertex_deleted_charpoly(G, i) + s)
+    return _sign_quotient(charpoly(G), vertex_deleted_charpoly(G, i), s)
 
 
 @lru_cache(maxsize=100_000)
+def _sign_quotient(phi: Poly, phi_i: Poly, s: Poly) -> RatFunc:
+    return RatFunc.make(phi, phi_i + s)
+
+
 def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
     """The path-sum polynomial S with its sign pinned so the largest element
     of the support of i lands in the plus part of the partition (Perron
     consistency).  Requires cospectral i, j for the sign check to be
     meaningful; for the positive-leading-coefficient default this is a no-op
     on unit-weight connected graphs."""
-    s = path_sum_poly(G, i, j)
+    return _signed_path_sum(charpoly(G), vertex_deleted_charpoly(G, i), path_sum_poly(G, i, j))
+
+
+@lru_cache(maxsize=100_000)
+def _signed_path_sum(phi: Poly, phi_i: Poly, s: Poly) -> Poly:
     if s.is_zero():
         return s
     # s = +-adj(tI - A)_ij, so num is the reduced denominator of
     # (phi^{G\\i} + s)/phi, whose poles are simple support eigenvalues: any
     # isolating box of the top support root decides
-    roots = real_roots(support_poly(G, i))
-    in_plus = roots.has_root(len(roots) - 1, sign_quotient(G, i, s).num)
+    roots = real_roots(_support_poly(phi, phi_i))
+    in_plus = roots.has_root(len(roots) - 1, _sign_quotient(phi, phi_i, s).num)
     return s if in_plus else -s
 
 
@@ -163,18 +182,23 @@ class SupportPartition:
         }
 
 
-@lru_cache(maxsize=100_000)
 def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
     """Split the support of i into plus/minus parts for a strongly cospectral
     pair, verifying all structural invariants exactly before returning.  The
     parts are the monic numerators of alpha+ and alpha- (see sign_quotient);
     each support root is classified on its current box, since both parts
-    divide the support."""
+    divide the support.  Strong cospectrality is checked for every pair; the
+    partition is memoized on phi^G, phi^{G\\i} and the signed path sum."""
     if not is_strongly_cospectral(G, i, j):
         raise SpectraError("vertices are not strongly cospectral")
     s = signed_path_sum(G, i, j)
-    plus, minus = (sign_quotient(G, i, t).num.monic() for t in (s, -s))
-    sup = support_poly(G, i)
+    return _support_partition(charpoly(G), vertex_deleted_charpoly(G, i), s)
+
+
+@lru_cache(maxsize=100_000)
+def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
+    plus, minus = (_sign_quotient(phi, phi_i, t).num.monic() for t in (s, -s))
+    sup = _support_poly(phi, phi_i)
     if plus * minus != sup:
         raise SpectraError("partition does not multiply back to the support")
     if poly_gcd(plus, minus).degree != 0:

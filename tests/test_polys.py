@@ -82,6 +82,17 @@ def test_poly_immutable():
         p.coeffs = (5,)
 
 
+def test_scaled_ints_match_the_fraction_products():
+    seen = []
+    for G in seeded_mirror_graphs(41, 12):
+        seen += [charpoly(G), *vertex_deleted_charpolys(G)]
+        seen += [path_sum_poly(G, 0, j) for j in range(1, G.n)]
+    assert sum(polys._scaled_ints(p)[1] > 1 for p in seen) > 50
+    for p in seen:
+        cs, scale = polys._scaled_ints(p)
+        assert list(cs) == [int(c * scale) for c in p.coeffs]
+
+
 def test_json_round_trip():
     p = Poly([Fraction(1, 3), Fraction(-2), Fraction(7, 5)])
     assert Poly(Fraction(s) for s in p.to_json()) == p

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from multiprocessing import Pool
 
 import pytest
 
+import pstlab
 from pstlab.scan import (
     ScanInvariantError,
     ScanReport,
@@ -71,6 +75,15 @@ def test_scan_starts_one_pool(monkeypatch):
     assert started == []  # P2 and P3 need no workers
     scan_trees(6, jobs=2)
     assert started == [2]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    src = os.path.dirname(os.path.dirname(pstlab.__file__))
+    code = "import sys, pstlab.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_scan_starts_at_most_cpu_count_workers(monkeypatch):

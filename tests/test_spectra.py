@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import random
@@ -127,7 +128,7 @@ def test_strong_cospectrality_takes_one_gcd_per_graph(monkeypatch):
     monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
     for G in (hypercube(3), grid(3, 3), star(5), path(6)):
         spectra._repeated_part.cache_clear()
-        is_strongly_cospectral.cache_clear()
+        spectra._divides.cache_clear()
         calls.clear()
         for i in range(G.n):
             for j in range(i + 1, G.n):
@@ -227,3 +228,23 @@ def test_vertex_deleted_charpoly_memo_matches_charpoly():
         copy = pickle.loads(pickle.dumps(G))
         for H in (G, copy, G):
             assert [vertex_deleted_charpoly(H, i) for i in range(G.n)] == expected
+
+
+def test_polys_and_partitions_survive_pickle_and_deepcopy():
+    part = support_partition(path(3), 0, 2)
+    part.support_roots  # a cached read travels with the partition
+    objects = [
+        Poly([1, 2]),
+        Poly(()),
+        Poly([Fraction(1, 3), -2, Fraction(7, 5)]),
+        RatFunc.make(Poly([1, 2]), Poly([Fraction(1, 2), 0, 1])),
+        part,
+    ]
+    for obj in objects:
+        hash(obj)  # cache the hash before copying
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin == obj and hash(twin) == hash(obj)
+    twin = pickle.loads(pickle.dumps(objects[2]))
+    with pytest.raises(AttributeError):
+        twin.coeffs = ()
+    assert pickle.loads(pickle.dumps(part)).to_json() == part.to_json()
