@@ -1,5 +1,6 @@
-"""Golden outputs: the scan, CLI ``analyze`` and the alpha partial fractions,
-compared with the values committed in ``data/golden_outputs.json``.
+"""Golden outputs: the scan, CLI ``analyze``, the alpha partial fractions,
+the projector tables and the support partitions, compared with the values
+committed in ``data/golden_outputs.json``.
 
 A change that is meant to keep every output must leave this test passing.
 A change that alters an output on purpose regenerates the file with
@@ -19,7 +20,7 @@ from pstlab.cli import main
 from pstlab.gapcert import alpha_pair, merged_alphas, partial_fraction
 from pstlab.graphs import hypercube, path
 from pstlab.scan import scan_trees
-from pstlab.spectra import is_strongly_cospectral
+from pstlab.spectra import is_strongly_cospectral, projector_entries, support_partition
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_outputs.json")
 
@@ -66,7 +67,22 @@ def golden_outputs() -> dict:
                         "merged": [_partial_fraction_json(pf) for pf in merged_alphas(T, i, j)],
                         "partial": [partial_fraction(f).to_json() for f in alpha_pair(T, i, j)],
                     }
-    return json.loads(json.dumps({"scan_trees_9": scan, "analyze": analyze, "alphas": alphas}))
+    projector, partition = {}, {}
+    graphs = [T for _, T in trees_up_to(6)] + seeded_mirror_graphs(7, 2)
+    for G in graphs:
+        for i in range(G.n):
+            for j in range(G.n):
+                key = " ".join(f"{u}-{v}:{w}" for u, v, w in G.edges) + f" | {i} {j}"
+                projector[key] = projector_entries(G, i, j).to_json()
+                if i != j and is_strongly_cospectral(G, i, j):
+                    partition[key] = support_partition(G, i, j).to_json()
+    return json.loads(json.dumps({
+        "scan_trees_9": scan,
+        "analyze": analyze,
+        "alphas": alphas,
+        "projector": projector,
+        "partition": partition,
+    }))
 
 
 def test_outputs_match_the_golden_file():
@@ -77,6 +93,7 @@ def test_outputs_match_the_golden_file():
     for section in want:
         assert got[section] == want[section], section
     assert len(want["alphas"]) > 50
+    assert len(want["partition"]) > 20
 
 
 if __name__ == "__main__":
