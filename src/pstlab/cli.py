@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success (or PST found), 1 no PST, 2 parse error, 3 invalid
-vertices, 4 Laplacian with non-integer weights, 5 scan invariant violation
-(or a gap-certificate violation in analyze, or a failed exact check in
-decide-pst), 6 unwritable output.
+vertices, 4 Laplacian with non-integer weights or a loop, 5 scan invariant
+violation (or a gap-certificate violation in analyze, or a failed exact
+check in decide-pst), 6 unwritable output.
 """
 from __future__ import annotations
 

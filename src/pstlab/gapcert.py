@@ -37,7 +37,6 @@ from .spectra import (
     is_cospectral,
     is_strongly_cospectral,
     min_support_gap,
-    sign_quotient,
     signed_path_sum,
     support_partition,
     support_poly,
@@ -57,15 +56,13 @@ class GapError(ValueError):
 # alpha functions
 
 
-@lru_cache(maxsize=50_000)
 def alpha_pair(G: Graph, i: int, j: int) -> tuple[RatFunc, RatFunc]:
     """(alpha+, alpha-) = (phi^{G\\i} -+ S) / phi^{G\\{i,j}} for the signed path
-    sum S: the sign quotients for +S and -S, whose monic numerators are the
-    plus and minus classes of the support partition."""
+    sum S, as kept on the support partition, whose plus and minus classes
+    are their monic numerators."""
     if not is_strongly_cospectral(G, i, j):
         raise GapError("vertices are not strongly cospectral")
-    s = signed_path_sum(G, i, j)
-    return sign_quotient(G, i, s), sign_quotient(G, i, -s)
+    return support_partition(G, i, j).alphas
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +76,7 @@ class PartialFraction:
     """f(t) = t - s0 - sum_l mu_l / (t - r_l), with mu_l >= 0.
 
     ``s0_exact`` keeps the shift as an exact rational.  The float poles and
-    residues and the 2^-40 pole boxes are diagnostics: given, or computed by
+    residues and the 2^-40 pole boxes are diagnostics, computed by
     ``diagnostics`` when first read.  A merged alpha also carries
     ``numerator_eigen``: for each eigenvalue of its arrow matrix, largest
     first, whether it is a root of the numerator, decided exactly.
@@ -88,17 +85,12 @@ class PartialFraction:
     def __init__(
         self,
         s0_exact: Fraction,
-        poles: Sequence[float] = (),
-        residues: Sequence[float] = (),
-        pole_boxes: Sequence[RootBox] = (),
-        diagnostics: Optional[Callable[[], Floats]] = None,
+        diagnostics: Callable[[], Floats],
         numerator_eigen: tuple[bool, ...] = (),
     ):
         self.s0_exact = s0_exact
         self.numerator_eigen = numerator_eigen
-        self._diagnostics = diagnostics or (
-            lambda: (tuple(poles), tuple(residues), tuple(pole_boxes))
-        )
+        self._diagnostics = diagnostics
 
     @cached_property
     def _floats(self) -> Floats:
@@ -153,43 +145,63 @@ def _shift(f: RatFunc, poles: RealRoots) -> Fraction:
     return -quot.coeffs[0]
 
 
-def _merge_positions(roots: list[tuple[RealRoots, int]], poles: list[tuple[RealRoots, int]]):
-    """For each pole (both lists ascending, merged exactly): the index of the
-    first root above it, and the index of the root it equals, if any."""
-    first: list[int] = [0] * len(poles)
-    tie: list[Optional[int]] = [None] * len(poles)
+def _on_union(f: RatFunc, own: list[bool]) -> list[float]:
+    """The float mu of f at each of the ascending poles that ``own`` flags,
+    and 0 at the poles that f lacks."""
+    mus = iter(-res for _, res in simple_pole_residues(f))
+    return [next(mus) if o else 0.0 for o in own]
+
+
+def _residue_signs(
+    f: RatFunc, poles: RealRoots, own: list[bool], num: list[tuple[RealRoots, int]]
+) -> tuple[bool, ...]:
+    """Check every mu >= 0 of f = t - s0 - sum mu/(t - r) exactly, and
+    return its arrow flags.
+
+    ``poles`` are ascending poles, of which f has those flagged in ``own``;
+    ``num`` are the ascending real roots of odd multiplicity of f's
+    numerator.  One exact merge places them.  With num and den monic,
+    num(r) has the sign (-1)^(roots of num above r) and den'(r) the sign
+    (-1)^(poles of f above r), so mu = -num(r)/den'(r) > 0 iff their sum is
+    odd; the lowest pole that breaks this raises.  The arrow eigenvalues,
+    largest first, are the roots and the poles that f lacks; each is
+    flagged True when it is a root, so a lacking pole equal to a root is
+    flagged True too."""
+    above: list[int] = [0] * len(own)
+    tied: list[bool] = [False] * len(own)
     seen = 0
-    for side, pos, tied in merge_roots(roots, poles):
+    for side, pos, tie in merge_roots(num, [(poles, u) for u in range(len(own))]):
         if side == 0:
             seen += 1
         else:
-            first[pos] = seen
-            if tied:
-                tie[pos] = seen - 1
-    return first, tie
-
-
-def _negative_pole(own: list[bool], num_above: list[int]) -> Optional[int]:
-    """The lowest pole of f (``own``) where mu = -num(r)/den'(r) < 0.  With
-    num and den monic, num(r) has the sign (-1)^(roots of num above r) and
-    den'(r) the sign (-1)^(poles of f above r), so mu > 0 iff their sum is
-    odd."""
-    negative, own_above = None, 0
+            above[pos], tied[pos] = len(num) - seen, tie
+    negative, own_above, flags, emitted = None, 0, [], 0
     for u in reversed(range(len(own))):
         if own[u]:
-            if (num_above[u] + own_above) % 2 == 0:
+            if (above[u] + own_above) % 2 == 0:
                 negative = u
             own_above += 1
-    return negative
-
-
-def _float_terms(f: RatFunc) -> list[tuple[RootBox, float]]:
-    """(2^-40 pole box, float mu) for each pole of f, ascending."""
-    return [(box, -res) for box, res in simple_pole_residues(f)]
+        else:
+            flags += [True] * (above[u] - emitted) + [tied[u]]
+            emitted = above[u]
+    if negative is not None:
+        raise GapError(f"negative residue {_on_union(f, own)[negative]}")
+    return tuple(flags + [True] * (len(num) - emitted))
 
 
 def _display_residue(mu: float) -> float:
     return 0.0 if abs(mu) < RESIDUE_CLAMP else max(mu, 0.0)
+
+
+def _diagnostics(f: RatFunc, pole_poly: Poly, own: list[bool]) -> Callable[[], Floats]:
+    """The float poles, residues and 2^-40 pole boxes of f over the roots of
+    pole_poly, computed when first read."""
+    def compute() -> Floats:
+        boxes = isolate_real_roots(pole_poly)
+        mus = tuple(_display_residue(mu) for mu in _on_union(f, own))
+        return tuple(b.midpoint for b in boxes), mus, boxes
+
+    return compute
 
 
 def partial_fraction(f: RatFunc) -> PartialFraction:
@@ -199,30 +211,11 @@ def partial_fraction(f: RatFunc) -> PartialFraction:
     merged with the poles."""
     pole_roots = real_roots(f.den)
     s0 = _shift(f, pole_roots)
-    poles = [(pole_roots, u) for u in range(len(pole_roots))]
+    own = [True] * len(pole_roots)
     num_roots = real_roots(f.num)
     odd = [(num_roots, k) for k, m in enumerate(num_roots.multiplicities()) if m % 2]
-    first, _ = _merge_positions(odd, poles)
-    negative = _negative_pole([True] * len(poles), [len(odd) - x for x in first])
-    if negative is not None:
-        raise GapError(f"negative residue {_float_terms(f)[negative][1]}")
-
-    def diagnostics() -> Floats:
-        terms = _float_terms(f)
-        return (
-            tuple(b.midpoint for b, _ in terms),
-            tuple(_display_residue(mu) for _, mu in terms),
-            tuple(b for b, _ in terms),
-        )
-
-    return PartialFraction(s0, diagnostics=diagnostics)
-
-
-def _on_union(f: RatFunc, own: list[bool]) -> list[float]:
-    """The float mu of f at each union pole that f owns, in order, and 0
-    where f has no pole."""
-    mus = iter(mu for _, mu in _float_terms(f))
-    return [next(mus) if o else 0.0 for o in own]
+    _residue_signs(f, pole_roots, own, odd)
+    return PartialFraction(s0, _diagnostics(f, f.den, own))
 
 
 @lru_cache(maxsize=50_000)
@@ -233,57 +226,26 @@ def merged_alphas(
     sets (zero residues where a pole is absent).
 
     The roots of each numerator are its class of the support partition, on
-    the support's shared root boxes.  One exact merge of the support roots
-    with the union poles gives every residue sign and the arrow eigenvalues:
-    the class roots plus the union poles where that alpha has no pole."""
+    the support's shared root boxes.  Merging each class with the union
+    poles gives that alpha's residue signs and its arrow eigenvalues: the
+    class roots plus the union poles where that alpha has no pole."""
     plus, minus = alpha_pair(G, i, j)
     union = poly_gcd(plus.den, minus.den)
     union_poly = (plus.den * minus.den).exact_div(union).monic()
     # the lcm of the two denominators is square-free iff both are
     pole_roots = real_roots(union_poly)
     shifts = [_shift(f, pole_roots) for f in (plus, minus)]
-    owns = [pole_roots.vanishing(f.den) for f in (plus, minus)]
     part = support_partition(G, i, j)
     sup_roots = real_roots(part.support)
-    first, tie = _merge_positions(
-        [(sup_roots, k) for k in range(len(sup_roots))],
-        [(pole_roots, u) for u in range(len(pole_roots))],
-    )
-    eigen = []
-    for f, own, sign in zip((plus, minus), owns, (+1, -1)):
-        # class roots at or above each support index
-        from_k = [0] * (len(part.signs) + 1)
-        for k in reversed(range(len(part.signs))):
-            from_k[k] = from_k[k + 1] + (part.signs[k] == sign)
-        above = [from_k[x] for x in first]
-        negative = _negative_pole(own, above)
-        if negative is not None:
-            mu = _on_union(f, own)[negative]
-            raise GapError(f"negative residue {mu}")
-        # arrow eigenvalues, largest first: the class roots and the poles f
-        # lacks, flagged True at class roots and at poles equal to one
-        flags, emitted = [], 0
-        for u in reversed(range(len(own))):
-            if not own[u]:
-                tied = tie[u] is not None and part.signs[tie[u]] == sign
-                flags += [True] * (above[u] - emitted) + [tied]
-                emitted = above[u]
-        eigen.append(tuple(flags + [True] * (from_k[0] - emitted)))
+    out = []
+    for f, sign, s0 in zip((plus, minus), (+1, -1), shifts):
+        own = pole_roots.vanishing(f.den)
+        roots = [(sup_roots, k) for k, c in enumerate(part.signs) if c == sign]
+        eigen = _residue_signs(f, pole_roots, own, roots)
+        out.append(PartialFraction(s0, _diagnostics(f, union_poly, own), eigen))
     if _cut_edge_hypotheses(G, i, j) is not None and shifts[0] != shifts[1]:
         raise GapError("shifts differ despite the cut-edge hypotheses")
-
-    def diagnostics(f: RatFunc, own: list[bool]) -> Callable[[], Floats]:
-        def compute() -> Floats:
-            boxes = isolate_real_roots(union_poly)
-            mus = tuple(_display_residue(mu) for mu in _on_union(f, own))
-            return tuple(b.midpoint for b in boxes), mus, boxes
-
-        return compute
-
-    return (
-        PartialFraction(shifts[0], diagnostics=diagnostics(plus, owns[0]), numerator_eigen=eigen[0]),
-        PartialFraction(shifts[1], diagnostics=diagnostics(minus, owns[1]), numerator_eigen=eigen[1]),
-    )
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +480,12 @@ def residue_mass(
     if i == j:
         raise GapError("need distinct vertices")
     if i_side is None or j_side is None:
-        ni = separating_neighbor(G, i, j)
-        nj = separating_neighbor(G, j, i)
-        if ni is None or nj is None:
+        nbrs = _cut_edge_hypotheses(G, i, j)
+        if nbrs is None:
             raise GapError(
                 "no separating neighbors detected; pass neighbor sets explicitly"
             )
-        i_side, j_side = [ni], [nj]
+        i_side, j_side = [nbrs[0]], [nbrs[1]]
     s = signed_path_sum(G, i, j)
     mass = 0.0
     if not s.is_zero():

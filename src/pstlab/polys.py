@@ -228,10 +228,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def sign_at(self, x) -> int:
-        """Sign at the rational x, evaluated on integers."""
-        return _int_sign_at(_int_vector(self), x.numerator, x.denominator)
-
     # -- serialization -----------------------------------------------------
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -1275,14 +1271,6 @@ def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
     return tuple(
         RootBox(box.lo, box.hi, m) for box, m in zip(roots.boxes(), roots.multiplicities())
     )
-
-
-def box_has_root(p: Poly, box: RootBox) -> bool:
-    """Whether p vanishes inside an isolating box produced for a polynomial
-    whose roots include those of p (square-free p)."""
-    if box.lo == box.hi:
-        return p(box.lo) == 0
-    return p.sign_at(box.lo) * p.sign_at(box.hi) < 0
 
 
 def squarefree_part_int(m: int) -> int:

@@ -19,7 +19,6 @@ from .polys import (
     Poly,
     RatFunc,
     RootBox,
-    box_has_root,
     charpoly,
     divides,
     isolate_real_roots,
@@ -28,7 +27,6 @@ from .polys import (
     real_roots,
     residue_at,
     simple_pole_residues,
-    square_free_part,
     vertex_deleted_charpoly,  # re-exported under its old name
     vertex_deleted_charpolys,
 )
@@ -105,16 +103,12 @@ def _support_poly(phi: Poly, phi_i: Poly) -> Poly:
     return phi.exact_div(poly_gcd(phi, phi_i)).monic()
 
 
-def sign_quotient(G: Graph, i: int, s: Poly) -> RatFunc:
+@lru_cache(maxsize=100_000)
+def _sign_quotient(phi: Poly, phi_i: Poly, s: Poly) -> RatFunc:
     """phi^G / (phi^{G\\i} + s), reduced.  For the path sum s of a strongly
     cospectral pair its monic numerator is the plus class of the support of
     i (-s gives the minus class), and since (phi^{G\\i} - s)(phi^{G\\i} + s)
     = phi^{G\\{i,j}} phi^G it is alpha+ = (phi^{G\\i} - s) / phi^{G\\{i,j}}."""
-    return _sign_quotient(charpoly(G), vertex_deleted_charpoly(G, i), s)
-
-
-@lru_cache(maxsize=100_000)
-def _sign_quotient(phi: Poly, phi_i: Poly, s: Poly) -> RatFunc:
     return RatFunc.make(phi, phi_i + s)
 
 
@@ -143,21 +137,15 @@ def _signed_path_sum(phi: Poly, phi_i: Poly, s: Poly) -> Poly:
 class SupportPartition:
     """Eigenvalue support of i split into the plus/minus classes of a
     strongly cospectral pair, as exact square-free polynomials, with the
-    class sign of each support root (ascending).  The 2^-40 root boxes are
-    diagnostics, isolated when first read."""
+    class sign of each support root (ascending) and the pair's exact
+    (alpha+, alpha-), whose monic numerators are the two classes.  The
+    2^-40 root boxes are diagnostics, isolated when first read."""
 
     support: Poly
     plus: Poly
     minus: Poly
     signs: tuple[int, ...]
-
-    def sigma(self, box: RootBox) -> int:
-        """+1 for a support root in the plus class, -1 in the minus class."""
-        if box_has_root(self.plus, box):
-            return +1
-        if box_has_root(self.minus, box):
-            return -1
-        raise SpectraError("root box not classified")
+    alphas: tuple[RatFunc, RatFunc]
 
     @cached_property
     def support_roots(self) -> tuple[RootBox, ...]:
@@ -185,7 +173,7 @@ class SupportPartition:
 def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
     """Split the support of i into plus/minus parts for a strongly cospectral
     pair, verifying all structural invariants exactly before returning.  The
-    parts are the monic numerators of alpha+ and alpha- (see sign_quotient);
+    parts are the monic numerators of alpha+ and alpha- (see _sign_quotient);
     each support root is classified on its current box, since both parts
     divide the support.  Strong cospectrality is checked for every pair; the
     partition is memoized on phi^G, phi^{G\\i} and the signed path sum."""
@@ -197,7 +185,8 @@ def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
 
 @lru_cache(maxsize=100_000)
 def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
-    plus, minus = (_sign_quotient(phi, phi_i, t).num.monic() for t in (s, -s))
+    alphas = _sign_quotient(phi, phi_i, s), _sign_quotient(phi, phi_i, -s)
+    plus, minus = (alpha.num.monic() for alpha in alphas)
     sup = _support_poly(phi, phi_i)
     if plus * minus != sup:
         raise SpectraError("partition does not multiply back to the support")
@@ -206,7 +195,7 @@ def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
     signs = tuple(+1 if in_plus else -1 for in_plus in real_roots(sup).vanishing(plus))
     if signs[-1] != +1:
         raise SpectraError("largest support root missing from the plus part")
-    return SupportPartition(sup, plus, minus, signs)
+    return SupportPartition(sup, plus, minus, signs, alphas)
 
 
 @dataclass(frozen=True)
@@ -248,27 +237,22 @@ def projector_entries(G: Graph, i: int, j: int) -> ProjectorTable:
     """
     phi = charpoly(G)
     diag = RatFunc.make(vertex_deleted_charpoly(G, i), phi)
+    terms = simple_pole_residues(diag)
     if i == j:
-        off = diag
-        partition = None
-    else:
-        s = signed_path_sum(G, i, j)
-        off = RatFunc.make(s, phi) if not s.is_zero() else None
-        partition = (
-            support_partition(G, i, j) if is_strongly_cospectral(G, i, j) else None
-        )
-    rows = []
-    for box, e_ii in simple_pole_residues(diag):
-        theta = box.midpoint
-        if i == j:
-            e_ij, sigma = e_ii, +1
-        else:
-            if off is not None and box_has_root(square_free_part(off.den), box):
-                e_ij = residue_at(off, theta)
-            else:
-                e_ij = 0.0
-            sigma = partition.sigma(box) if partition is not None else None
-        rows.append(ProjectorRow(theta, e_ii, e_ij, sigma))
+        rows = [ProjectorRow(box.midpoint, e_ii, e_ii, +1) for box, e_ii in terms]
+        return ProjectorTable((i, j), tuple(rows))
+    # diag.den is the support of i, so row k is support root k.  The poles
+    # of S/phi^G are simple and lie in the support (S is an entry of the
+    # resolvent adj(tI - A)/phi^G), so they are found on its boxes.
+    s = signed_path_sum(G, i, j)
+    off = None if s.is_zero() else RatFunc.make(s, phi)
+    poles = real_roots(diag.den).vanishing(off.den) if off is not None else [False] * len(terms)
+    strong = is_strongly_cospectral(G, i, j)
+    signs = support_partition(G, i, j).signs if strong else [None] * len(terms)
+    rows = [
+        ProjectorRow(box.midpoint, e_ii, residue_at(off, box.midpoint) if pole else 0.0, sigma)
+        for (box, e_ii), pole, sigma in zip(terms, poles, signs)
+    ]
     return ProjectorTable((i, j), tuple(rows))
 
 

@@ -9,6 +9,9 @@
   isolation with two chain evaluations per split and refinement by plain
   bisection, for the root boxes of ``polys.RealRoots`` and
   ``polys.isolate_real_roots``.
+- ``box_has_root``: whether a square-free polynomial vanishes in a root
+  box, by exact rational evaluation at its ends, for the index-based root
+  classification of ``spectra.projector_entries``.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from pstlab.polys import (
     _scaled_rows,
     _sturm_chain_int,
     _unscale,
-    box_has_root,
     charpoly,
     poly_gcd,
 )
@@ -222,6 +224,14 @@ class BisectionRoots(RealRoots):
                 hi = mid
         self._lo[k], self._hi[k], self._d[k], self._fixed[k] = lo, hi, d, fixed
         return lo, hi, d
+
+
+def box_has_root(p: Poly, box: RootBox) -> bool:
+    """Whether p vanishes inside an isolating box produced for a polynomial
+    whose roots include those of p (square-free p)."""
+    if box.lo == box.hi:
+        return p(box.lo) == 0
+    return p(box.lo) * p(box.hi) < 0
 
 
 def bisection_boxes(p: Poly) -> tuple[RootBox, ...]:

@@ -100,6 +100,15 @@ def test_laplacian_non_integer_exit_4(tmp_path, capsys):
     assert main(["decide-pst", str(f), "0", "1", "--matrix", "laplacian"]) == 4
 
 
+def test_laplacian_with_a_loop_exit_4(tmp_path, capsys):
+    f = tmp_path / "looped.txt"
+    f.write_text("3\n0 1\n1 2\n0 0 1\n")
+    assert main(["decide-pst", str(f), "0", "2", "--matrix", "laplacian"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: laplacian_form requires a loopless graph\n"
+
+
 def test_laplacian_flag_p2(tmp_path, capsys):
     f = tmp_path / "p2.txt"
     f.write_text("2\n0 1\n")

@@ -136,6 +136,18 @@ def test_alpha_pair_matches_deletion_route_on_weighted_mirrors(data):
     _assert_alpha_pair_matches_deletion_route(G)
 
 
+def test_alpha_pair_is_the_partition_record():
+    graphs = [T for _, T in trees_up_to(8)]
+    graphs += [hypercube(3), grid(3, 3)] + seeded_mirror_graphs(47, 12)
+    for G in graphs:
+        for i in range(G.n):
+            for j in range(G.n):
+                if i != j and is_strongly_cospectral(G, i, j):
+                    assert alpha_pair(G, i, j) == support_partition(G, i, j).alphas
+    with pytest.raises(GapError):
+        alpha_pair(star(4), 1, 2)
+
+
 # -- partial fractions ------------------------------------------------------
 
 
@@ -194,7 +206,7 @@ def test_arrow_matrix_realizes_partial_fraction():
 
 
 def test_arrow_matrix_rejects_negative_residue():
-    pf = PartialFraction(Fraction(0), (1.0,), (-1.0,), ())
+    pf = PartialFraction(Fraction(0), lambda: ((1.0,), (-1.0,), ()))
     with pytest.raises(GapError):
         arrow_matrix(pf)
 

@@ -9,6 +9,7 @@ from conftest import cycle, grid, random_weighted_graph, seeded_mirror_graphs, t
 from oracles import (
     NotASquareError,
     berkowitz_charpoly,
+    box_has_root,
     path_sum_bruteforce,
     poly_sqrt,
     squarefree_decomposition,
@@ -21,7 +22,6 @@ from pstlab.polys import (
     RatFunc,
     RealRoots,
     RootBox,
-    box_has_root,
     charpoly,
     compare_roots,
     isolate_real_roots,
@@ -590,6 +590,12 @@ def test_poly_gcd_edge_cases_match_euclid_over_q(p, q):
     assert poly_gcd(p, q) == _euclid_gcd_over_q(p, q)
 
 
+def _sign_at(q, x) -> int:
+    """Sign of q at the rational x, by exact evaluation."""
+    v = q(x)
+    return (v > 0) - (v < 0)
+
+
 def _fraction_isolate(p):
     """Sturm bisection on Fraction endpoints, refined below 2^-40."""
     width = Fraction(1, 2**40)
@@ -605,7 +611,7 @@ def _fraction_isolate(p):
         chain.append(rem)
 
     def variations(x):
-        signs = [s for s in (q.sign_at(x) for q in chain) if s]
+        signs = [s for s in (_sign_at(q, x) for q in chain) if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
     bound = 1 + max(abs(Fraction(c)) for c in f.coeffs[:-1]) / abs(f.leading)
@@ -622,10 +628,10 @@ def _fraction_isolate(p):
             left = variations(a) - variations(mid)
             stack += [(a, mid, left), (mid, b, cnt - left)]
             continue
-        slo = f.sign_at(a)
+        slo = _sign_at(f, a)
         while b - a >= width:
             mid = (a + b) / 2
-            sm = f.sign_at(mid)
+            sm = _sign_at(f, mid)
             if sm == 0:
                 a = b = mid
                 break
@@ -636,7 +642,7 @@ def _fraction_isolate(p):
         mult = next(
             m
             for fac, m in factors
-            if (fac(a) == 0 if a == b else fac.sign_at(a) * fac.sign_at(b) < 0)
+            if (fac(a) == 0 if a == b else fac(a) * fac(b) < 0)
         )
         boxes.append((a, b, mult))
     return sorted(boxes)

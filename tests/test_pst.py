@@ -269,7 +269,7 @@ def _divisor_loop_verdict(G, i, j, model):
     if spectrum is None:
         return "NO_PST", RATIO_CONDITION_B, None, ()
     partition = support_partition(H, i, j)
-    sigmas = [partition.sigma(box) for box in reversed(partition.support_roots)]
+    sigmas = partition.signs[::-1]
     deltas = [(spectrum.b[0] - br) // 2 for br in spectrum.b]
     for g in reversed(_divisors(math.gcd(*deltas))):
         ks = tuple(d // g for d in deltas)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
-from oracles import berkowitz_charpoly
+from oracles import berkowitz_charpoly, box_has_root
 from pstlab import spectra
 from pstlab.graphs import (
     Graph,
@@ -18,7 +18,14 @@ from pstlab.graphs import (
     path,
     star,
 )
-from pstlab.polys import Poly, RatFunc, charpoly, square_free_part
+from pstlab.polys import (
+    Poly,
+    RatFunc,
+    charpoly,
+    isolate_real_roots,
+    residue_at,
+    square_free_part,
+)
 from pstlab.spectra import (
     SpectraError,
     is_cospectral,
@@ -160,7 +167,7 @@ def test_signed_path_sum_perron_alignment():
         s = signed_path_sum(G, i, j)
         part = support_partition(G, i, j)
         # the largest support eigenvalue always lands in the plus class
-        assert part.sigma(part.support_roots[-1]) == +1
+        assert part.signs[-1] == +1
         assert not s.is_zero()
 
 
@@ -170,8 +177,7 @@ def test_support_partition_p3():
     assert part.plus == Poly([-2, 0, 1])
     assert part.minus == Poly([0, 1])
     assert part.plus * part.minus == part.support
-    sigmas = [part.sigma(b) for b in part.support_roots]
-    assert sigmas == [1, -1, 1]
+    assert part.signs == (1, -1, 1)
 
 
 def test_support_partition_rejects_non_strongly_cospectral():
@@ -189,6 +195,44 @@ def test_partition_multiplies_back_on_scanned_pairs():
                 assert part.plus * part.minus == part.support
                 assert part.support == support_poly(T, i)
                 assert part.support == support_poly(T, j)
+
+
+def _projector_rows_by_boxes(G, i, j):
+    """(theta, e_ij, sigma) of each projector row, with the pole of S/phi
+    and the class of each support root found by evaluating the square-free
+    pole polynomial and the two classes at the ends of the row's box."""
+    phi = charpoly(G)
+    s = signed_path_sum(G, i, j)
+    off = None if s.is_zero() else RatFunc.make(s, phi)
+    part = support_partition(G, i, j) if is_strongly_cospectral(G, i, j) else None
+    rows = []
+    for box in isolate_real_roots(support_poly(G, i)):
+        theta = box.midpoint
+        pole = off is not None and box_has_root(square_free_part(off.den), box)
+        sigma = None
+        if part is not None:
+            in_plus, in_minus = box_has_root(part.plus, box), box_has_root(part.minus, box)
+            assert in_plus != in_minus
+            sigma = +1 if in_plus else -1
+        rows.append((theta, residue_at(off, theta) if pole else 0.0, sigma))
+    return rows
+
+
+def test_projector_rows_by_index_match_the_box_oracle():
+    """projector_entries reads row k as support root k: its pole flag and
+    class sign equal those found by evaluation on the row's root box."""
+    graphs = [T for _, T in trees_up_to(8)]
+    graphs += [hypercube(3), grid(3, 3)] + seeded_mirror_graphs(47, 12)
+    strong = 0
+    for G in graphs:
+        for i in range(G.n):
+            for j in range(G.n):
+                if i == j:
+                    continue
+                got = [(r.theta, r.e_ij, r.sigma) for r in projector_entries(G, i, j).rows]
+                assert got == _projector_rows_by_boxes(G, i, j), (G.edges, i, j)
+                strong += got[0][2] is not None
+    assert strong > 200
 
 
 def test_projector_entries_p2():
