@@ -24,7 +24,6 @@ from .polys import (
     PolyError,
     RatFunc,
     RealRoots,
-    RootBox,
     isolate_real_roots,
     merge_roots,
     poly_gcd,
@@ -69,17 +68,17 @@ def alpha_pair(G: Graph, i: int, j: int) -> tuple[RatFunc, RatFunc]:
 # partial fractions
 
 
-Floats = tuple[tuple[float, ...], tuple[float, ...], tuple[RootBox, ...]]
+Floats = tuple[tuple[float, ...], tuple[float, ...]]
 
 
 class PartialFraction:
     """f(t) = t - s0 - sum_l mu_l / (t - r_l), with mu_l >= 0.
 
     ``s0_exact`` keeps the shift as an exact rational.  The float poles and
-    residues and the 2^-40 pole boxes are diagnostics, computed by
-    ``diagnostics`` when first read.  A merged alpha also carries
-    ``numerator_eigen``: for each eigenvalue of its arrow matrix, largest
-    first, whether it is a root of the numerator, decided exactly.
+    residues are diagnostics, computed by ``diagnostics`` when first read.
+    A merged alpha also carries ``numerator_eigen``: for each eigenvalue of
+    its arrow matrix, largest first, whether it is a root of the numerator,
+    decided exactly.
     """
 
     def __init__(
@@ -103,10 +102,6 @@ class PartialFraction:
     @property
     def residues(self) -> tuple[float, ...]:
         return self._floats[1]
-
-    @property
-    def pole_boxes(self) -> tuple[RootBox, ...]:
-        return self._floats[2]
 
     @property
     def s0(self) -> float:
@@ -194,12 +189,11 @@ def _display_residue(mu: float) -> float:
 
 
 def _diagnostics(f: RatFunc, pole_poly: Poly, own: list[bool]) -> Callable[[], Floats]:
-    """The float poles, residues and 2^-40 pole boxes of f over the roots of
-    pole_poly, computed when first read."""
+    """The float poles and residues of f over the roots of pole_poly,
+    computed when first read."""
     def compute() -> Floats:
-        boxes = isolate_real_roots(pole_poly)
-        mus = tuple(_display_residue(mu) for mu in _on_union(f, own))
-        return tuple(b.midpoint for b in boxes), mus, boxes
+        poles = tuple(b.midpoint for b in isolate_real_roots(pole_poly))
+        return poles, tuple(_display_residue(mu) for mu in _on_union(f, own))
 
     return compute
 

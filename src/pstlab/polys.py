@@ -1111,18 +1111,6 @@ class RealRoots:
             return _int_sign_at(qi, lo, d) == 0
         return _int_sign_at(qi, lo, d) * _int_sign_at(qi, hi, d) < 0
 
-    def sign_vs(self, k: int, xn: int, xd: int) -> int:
-        """Sign of root k minus the rational xn/xd (xd > 0)."""
-        while True:
-            lo, hi, d = self.interval(k)
-            if hi * xd <= xn * d:
-                return 0 if lo == hi and hi * xd == xn * d else -1
-            if lo * xd >= xn * d:
-                return 0 if lo == hi and lo * xd == xn * d else 1
-            if _int_sign_at(self.fi, xn, xd) == 0:
-                return 0  # the box isolates root k, and xn/xd is a root inside it
-            self.bisect(k)
-
     def integers(self) -> list[int]:
         """The integer roots, ascending: a box narrower than 1 holds at most
         one integer, which is tested exactly."""

@@ -1,20 +1,20 @@
 """Polynomial-time perfect-state-transfer decider with verifiable
 certificates.
 
-The decision runs entirely in exact arithmetic: the quadratic-field shape of
-the support spectrum is read off rational root boxes and accepted only after
-exact polynomial reconstruction.  On an even or odd support a modular
-witness (``ratio_witness``) rejects most ratio-condition failures before any
-root is isolated.  Both read only the support, so they are memoized on it and
-pairs with equal supports share them.  No float takes part until the numeric
-walk oracle, which cross-checks each positive verdict, pair by pair, before it
-is returned.
+The decision runs entirely in exact arithmetic.  The ratio condition is read
+off one polynomial H, whose roots are the numbers (2 theta - a)^2 for the
+support roots theta paired up around a/2: a modular witness
+(``ratio_witness``) rejects most failures before any root is isolated, and
+outside an integer spectrum the exact fit needs the roots of H to be
+positive integers.  Both read only the support, so they are memoized on it
+and pairs with equal supports share them.  No float takes part until the
+numeric walk oracle, which cross-checks each positive verdict, pair by pair,
+before it is returned.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -88,64 +88,60 @@ class PstCertificate:
         return self.spectrum.delta if self.spectrum else None
 
 
+def _centred_squares(support: Poly) -> Optional[tuple[int, list[int]]]:
+    """(a, H) for a monic integer support S of degree d >= 1 whose roots
+    pair up around a/2, or None.
+
+    a = -2 c_{d-1} / d is twice the mean root and must be an integer.  The
+    monic integer F(u) = 2^d S((u + a)/2) has the roots 2 theta - a, which
+    pair up around 0 exactly when F is even or odd, F(u) = u^e H(u^2).  The
+    roots of H, low degree first, are then the numbers (2 theta - a)^2."""
+    cs, d = support.coeffs, support.degree
+    if d < 1 or support.leading != 1 or any(c.denominator != 1 for c in cs):
+        return None
+    a, rem = divmod(-2 * cs[d - 1], d)
+    if rem:
+        return None
+    if a == 0:
+        f = [c << (d - k) for k, c in enumerate(cs)]
+    else:  # Horner's rule: F = (...(u + a) + 2 c_{d-1})(u + a) + ... + 2^d c_0
+        f = [1]
+        for k in range(d - 1, -1, -1):
+            f = [a * x + y for x, y in zip(f + [0], [0] + f)]
+            f[0] += cs[k] << (d - k)
+    if any(f[(d + 1) % 2::2]):
+        return None  # neither even nor odd
+    return a, f[d % 2::2]
+
+
 @lru_cache(maxsize=100_000)
 def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     """Exact fit of the support roots to (a + b_r sqrt(delta))/2, or None when
     the ratio condition fails.
 
-    The integer roots and each root theta above a/2 are read off the lazily
-    refined root boxes of the support: s = (2 theta - a)^2 must be the
-    integer b^2 delta, and a box is bisected until (2 hi - a)^2 - (2 lo - a)^2
-    < 1 pins s to at most one integer.  The fit is accepted only if the
-    quadratics t^2 - a t + (a^2 - s)/4 multiply back to the support exactly.
-    """
+    An integer spectrum is read off the root boxes as a = 0, b = 2 theta.
+    Otherwise the roots pair up around a/2 and each s = (2 theta - a)^2 is
+    the integer b^2 delta: the fit holds exactly when the polynomial H of
+    those s has deg H distinct positive integer roots."""
     if support.degree < 1:
         raise PstError("support polynomial must be nonconstant")
     if support.leading != 1 or any(c.denominator != 1 for c in support.coeffs):
         return None  # eigenvalues are not algebraic integers
-    roots = real_roots(support)
-    int_roots = roots.integers()
-    q = support
-    for z in int_roots:
-        q = q.exact_div(Poly.linear(z))
-    if q.degree == 0:
-        a, delta = 0, 1
-        thetas = sorted(int_roots, reverse=True)
-        bs = [2 * z for z in thetas]
-        return QuadraticSpectrum(a, delta, tuple(bs))
-    if q.degree % 2:
+    int_roots = real_roots(support).integers()
+    if len(int_roots) == support.degree:
+        return QuadraticSpectrum(0, 1, tuple(2 * z for z in reversed(int_roots)))
+    centred = _centred_squares(support)
+    if centred is None:
         return None
-    # all conjugate pairs sum to a, so a = 2 * (root sum) / deg
-    a, rem = divmod(-2 * q.coeffs[q.degree - 1], q.degree)
-    if rem:
-        return None
-    if len(int_roots) > 1:
-        return None  # at most one rational support root (= a/2) is possible
-    if int_roots and 2 * int_roots[0] != a:
-        return None
-    squares = []
-    rebuilt = Poly.one()
-    for k in range(len(roots)):
-        if roots.sign_vs(k, a, 2) <= 0:
-            continue
-        while True:
-            lo, hi, d = roots.interval(k)
-            u, v = 2 * lo - a * d, 2 * hi - a * d  # 2 theta - a in (u/d, v/d), u >= 0
-            if v * v - u * u < d * d:
-                break
-            roots.bisect(k)
-        s = -(-u * u // (d * d))
-        if s * d * d > v * v:
-            return None
-        squares.append(s)
-        rebuilt = rebuilt * Poly((Fraction(a * a - s, 4), -a, 1))
-    if rebuilt != q:
-        return None
+    a, h = centred
+    squares = real_roots(Poly(h)).integers()
+    if len(squares) != len(h) - 1 or squares[0] <= 0:
+        return None  # a complex, repeated or irrational (2 theta - a)^2
     delta = squarefree_part_int(squares[-1])
     bs = [math.isqrt(s // delta) for s in squares]
     if any(b * b * delta != s for b, s in zip(bs, squares)):
         return None
-    bs += [-b for b in bs] + [0] * len(int_roots)
+    bs += [-b for b in bs] + [0] * (support.degree % 2)
     parities = {abs(b) % 2 for b in bs} | {abs(a) % 2}
     if len(parities) > 1:
         return None
@@ -158,27 +154,22 @@ def ratio_witness(support: Poly) -> Optional[int]:
     """A prime p that proves the ratio condition fails on the support, or
     None when no prime in WITNESS_PRIMES does (the fit then decides).
 
-    Only a monic integer support that is even or odd, S(t) = t^e R(t^2), is
-    tested.  There the root sum is 0, so a fit that passes has a = 0 and
-    every root theta has 4 theta^2 = b^2 delta an integer: the monic integer
-    f(u) = 4^m R(u/4) splits into linear factors over Z, and so mod p.  When
-    f is square-free mod p it then divides u^p - u, so u^p != u mod (f, p)
-    is an exact witness (the distinct-degree step of Berlekamp and
-    Cantor-Zassenhaus).  A prime where f is not square-free mod p is
-    skipped."""
-    cs, d = support.coeffs, support.degree
-    if support.leading != 1 or any(c.denominator != 1 for c in cs):
+    Only a monic integer support whose roots pair up around a/2 is tested,
+    on the H of ``_centred_squares``.  A fit that passes makes every root of
+    H the integer b^2 delta, so H splits into linear factors over Z, and so
+    mod p.  When H is square-free mod p it then divides v^p - v, so
+    v^p != v mod (H, p) is an exact witness (the distinct-degree step of
+    Berlekamp and Cantor-Zassenhaus).  A prime where H is not square-free
+    mod p is skipped."""
+    centred = _centred_squares(support)
+    if centred is None:
         return None
-    if any(cs[(d + 1) % 2::2]):
-        return None  # neither even nor odd
-    r = cs[d % 2::2]
-    m = len(r) - 1
-    if m < 2:
-        return None  # a linear f always splits
-    f = [c * 4 ** (m - k) for k, c in enumerate(r)]
-    df = [k * c for k, c in enumerate(f) if k]
+    h = centred[1]
+    if len(h) < 3:
+        return None  # a linear H always splits
+    dh = [k * c for k, c in enumerate(h) if k]
     for p in WITNESS_PRIMES:
-        if len(gcd_mod(f, df, p)) == 1 and pow_x_mod(p, f, p) != [0, 1]:
+        if len(gcd_mod(h, dh, p)) == 1 and pow_x_mod(p, h, p) != [0, 1]:
             return p
     return None
 

@@ -427,6 +427,7 @@ def test_fit_matches_float_proposed_fit_on_quadratic_products(a, delta, bs, midd
         p = p * Poly.linear(z)
     got = fit_quadratic_spectrum(p)
     assert got == _float_proposed_fit(p)
+    assert ratio_witness(p) is None or got is None
     integral = all(c.denominator == 1 for c in p.coeffs)
     same_parity = all(b % 2 == a % 2 for b in bs) and not (middle and a % 2)
     if integral and same_parity and len(set(bs)) == len(bs) and not extra:
@@ -619,6 +620,35 @@ def test_witness_rejects_p4_at_three():
     cert = decide_pst(path(4), 0, 3)
     assert (cert.failing_condition, cert.witness_prime) == (RATIO_CONDITION_B, 3)
     assert "witness_prime" not in cert.to_json()
+    # with a unit loop on every vertex the roots pair up around a/2 = 1
+    assert ratio_witness(support_poly(_with_loops(path(4), 1), 0)) == 3
+
+
+def _with_loops(G, c):
+    """G + cI: a loop of weight c on every vertex."""
+    return Graph.from_edges(G.n, list(G.edges) + [(v, v, c) for v in range(G.n)])
+
+
+@pytest.mark.parametrize("c", [1, -2])
+def test_adding_c_identity_changes_no_verdict_or_witness(c):
+    # A + cI has the eigenvalues theta + c with the same projectors, so the
+    # numbers (2 theta - a)^2 and the polynomial H the witness reads stay
+    # the same; the phase gains e^{ict} and is not compared
+    pairs = witnessed = 0
+    for _, T in trees_up_to(9):
+        shifted = _with_loops(T, c)
+        for i, j in cospectral_pairs(T):
+            if not is_strongly_cospectral(T, i, j):
+                continue
+            plain, loop = decide_pst(T, i, j), decide_pst(shifted, i, j)
+            assert (loop.result, loop.failing_condition, loop.t_min) == (
+                plain.result, plain.failing_condition, plain.t_min
+            ), (T, i, j)
+            prime = ratio_witness(support_poly(T, i))
+            assert ratio_witness(support_poly(shifted, i)) == prime, (T, i, j)
+            pairs += 1
+            witnessed += prime is not None
+    assert (pairs, witnessed) == (104, 89)
 
 
 def test_witness_ignores_supports_without_parity():
