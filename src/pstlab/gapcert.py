@@ -1,10 +1,16 @@
 """Alpha rational functions, partial fractions, arrow matrices, and the
 eigenvalue-gap certificates.
 
-Every decision here is exact: residue signs, the pigeonhole index and the
-square-root-of-two gap bound are read off lazily refined root boxes
-(``polys.real_roots``), ties are settled with gcds, and the equality case is
-exact algebra on the alpha functions.  Floats (poles, residues, arrow
+Every decision here is exact.  ``certify_gap`` reads the residue signs of
+both alphas off the support partition's interlacing flag: every mu > 0
+exactly when the Cauchy index of 1/alpha, taken from the remainder sequence
+that reduces alpha, equals deg num.  The shift s0 is read off two
+coefficients, the square-root-of-two gap bound off lazily refined root
+boxes (``polys.real_roots``) with ties settled by gcds, and the equality
+case is exact algebra on the alpha functions.  ``partial_fraction`` and
+``merged_alphas`` place the poles among the roots on their root boxes; they
+give the arrow matrices and the pigeonhole index that a certificate prints,
+and the error that names a failed check.  Floats (poles, residues, arrow
 matrices and their eigenvalues, gaps) are diagnostics, computed when first
 read.
 """
@@ -125,19 +131,29 @@ class PartialFraction:
         }
 
 
+def _coefficient_shift(f: RatFunc) -> Fraction:
+    """s0 of f = t - s0 - sum mu/(t - r) for monic num and den with
+    deg num = deg den + 1 = d + 1: the t^(d-1) coefficient of den less the
+    t^d coefficient of num."""
+    d = f.den.degree
+    return (f.den.coeffs[d - 1] if d else 0) - f.num.coeffs[d]
+
+
 def _shift(f: RatFunc, poles: RealRoots) -> Fraction:
     """s0 of f = t - s0 - sum mu/(t - r), after the exact checks of that
-    form: the degrees, simple poles and a monic linear quotient.  ``poles``
-    are the roots of a multiple of den, so den is square-free when their
-    Sturm chain finds no repeated part."""
+    form: the degrees, simple real poles and a monic linear quotient (den is
+    monic).  ``poles`` are the roots of a multiple of den, so den is
+    square-free when their Sturm chain finds no repeated part, and then
+    real-rooted when that multiple has as many real roots as its degree."""
     if f.num.degree != f.den.degree + 1:
         raise GapError("numerator degree must exceed denominator degree by 1")
     if poles.repeated is not None:
         raise GapError("repeated poles")
-    quot, _ = divmod(f.num, f.den)
-    if quot.degree != 1 or quot.leading != 1:
+    if len(poles) != poles.poly.degree:
+        raise GapError("poles off the real line")
+    if f.num.leading != 1:
         raise GapError("expected a monic linear quotient")
-    return -quot.coeffs[0]
+    return _coefficient_shift(f)
 
 
 def _on_union(f: RatFunc, own: list[bool]) -> list[float]:
@@ -323,20 +339,33 @@ def _detect_equality_case(plus: RatFunc, minus: RatFunc) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """The exact verdicts of ``certify_gap``.  The float fields
-    (``theta_plus``, ``theta_minus``, ``eigenvalue_distance``,
-    ``achieved_gap``, ``arrow_plus``, ``arrow_minus``) are diagnostics,
-    computed from ``graph`` when first read."""
+    """The exact verdicts of ``certify_gap``.  The pigeonhole index
+    ``common_index`` and the float fields (``theta_plus``, ``theta_minus``,
+    ``eigenvalue_distance``, ``achieved_gap``, ``arrow_plus``,
+    ``arrow_minus``) are diagnostics, computed from ``graph`` when first
+    read."""
 
     pair: tuple[int, int]
     hypotheses_ok: bool
     strongly_cospectral: bool
     cut_edges_ok: bool
-    common_index: Optional[int]
     bound: float
     equality_detected: bool
     conclusion: str
     graph: Graph = field(repr=False, compare=False)
+
+    @cached_property
+    def common_index(self) -> Optional[int]:
+        """The first arrow eigenvalue (largest first) that is a class root of
+        both alphas.  A certificate of a strongly cospectral pair exists
+        only when both alphas interlace: then each arrow has |union poles|
+        + 1 <= |support| - 1 eigenvalues, and the two flag lists hold at
+        least |support| roots in total, so the pigeonhole index exists."""
+        if not self.strongly_cospectral:
+            return None
+        pf_plus, pf_minus = merged_alphas(self.graph, *self.pair)
+        both = zip(pf_plus.numerator_eigen, pf_minus.numerator_eigen)
+        return next(m for m, (p, q) in enumerate(both) if p and q)
 
     @cached_property
     def _arrows(self) -> tuple[Optional[ArrowMatrix], Optional[ArrowMatrix]]:
@@ -402,27 +431,28 @@ class GapCertificate:
 def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
     """Certificate for the sqrt(2) support-gap bound on the pair (i, j).
 
-    Hypotheses are checked and reported, never assumed.  The pigeonhole index
-    is the first arrow eigenvalue (largest first) that is a class root of
-    both alphas; the gap bound is decided on the support's root boxes.
-    Equality forces the component of the pair to be P3 and is detected by
-    exact algebra.
+    Hypotheses are checked and reported, never assumed.  Both alphas must
+    have positive residues and simple poles (the partition's interlacing
+    flag) and, under the cut-edge hypotheses, equal shifts; when a check
+    fails, ``merged_alphas`` raises the GapError that names it.  The gap
+    bound is decided on the support's root boxes.  Equality forces the
+    component of the pair to be P3 and is detected by exact algebra.
     """
     sc = is_strongly_cospectral(G, i, j)
     nbrs = _cut_edge_hypotheses(G, i, j)
     cut_ok = nbrs is not None
     # the weighted bound sqrt(2 |w(i,i') w(j,j')|) is at most sqrt(2) only here
     hypotheses_ok = sc and cut_ok and abs(G.weight(i, nbrs[0]) * G.weight(j, nbrs[1])) <= 1
-    common = None
     equality = False
     conclusion = "hypotheses not satisfied"
     if sc:
-        plus_rf, minus_rf = alpha_pair(G, i, j)
-        pf_plus, pf_minus = merged_alphas(G, i, j)
-        both = zip(pf_plus.numerator_eigen, pf_minus.numerator_eigen)
-        common = next((m for m, (p, q) in enumerate(both) if p and q), None)
-        if common is None:
-            raise GapError("pigeonhole index not found among arrow eigenvalues")
+        part = support_partition(G, i, j)
+        plus_rf, minus_rf = part.alphas
+        if not part.interlaced or (
+            cut_ok and _coefficient_shift(plus_rf) != _coefficient_shift(minus_rf)
+        ):
+            merged_alphas(G, i, j)
+            raise RuntimeError("the merge route accepts what the Cauchy indices reject")
         if _detect_equality_case(plus_rf, minus_rf) is not None:
             equality = True
             if not _component_is_p3(G, i):
@@ -446,7 +476,6 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
         hypotheses_ok=hypotheses_ok,
         strongly_cospectral=sc,
         cut_edges_ok=cut_ok,
-        common_index=common,
         bound=SQRT2,
         equality_detected=equality,
         conclusion=conclusion,

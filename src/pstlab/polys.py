@@ -3,7 +3,8 @@
 Characteristic polynomials, gcds, path-sum polynomials, and
 Sturm-sequence real-root isolation.  Integral coefficients are stored as
 ``int`` and only the others as ``Fraction``.  Gcds run as a primitive
-remainder sequence over the integers, exact divisions divide integer
+remainder sequence over the integers, whose signs at +-inf also give the
+Cauchy index that ``RatFunc.reduce`` returns, exact divisions divide integer
 primitive parts, and root isolation and refinement evaluate integer
 numerators over a common denominator.  Small helpers reduce integer lists
 modulo a monic f and a small prime p (remainder, product, x^q, gcd) for the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import mul, ne
 from typing import Iterable, Optional
 
 from .graphs import Graph, GraphError, delete_vertices
@@ -322,6 +323,30 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return rem
 
 
+def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The primitive remainder sequence a, b, prem(a, b), ... of the integer
+    vectors a != 0 and b, up to its last nonzero member, the primitive
+    gcd."""
+    seq = [a]
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+        seq.append(a)
+    return seq
+
+
+def _cauchy_index(seq: list[tuple[int, ...]]) -> int:
+    """The Cauchy index of b/a over the reals for the remainder sequence of
+    a and b: V(-inf) - V(+inf) on the signed remainder sequence a, b,
+    -rem(a, b), ... (Sturm-Tarski; Basu, Pollack and Roy, ch. 2).  ``_prem``
+    gives positive multiples of the remainders, so member k of ``seq`` is a
+    positive multiple of member k of the signed sequence times +, +, -, -,
+    +, +, ...; its sign at +-inf is read off its leading coefficient and
+    degree."""
+    high = [(m[-1] > 0) == (k % 4 < 2) for k, m in enumerate(seq)]
+    low = [up == (len(m) % 2 == 1) for up, m in zip(high, seq)]
+    return sum(map(ne, low, low[1:])) - sum(map(ne, high, high[1:]))
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd by a primitive remainder sequence over the integers;
     gcd(p, 0) = monic p."""
@@ -330,9 +355,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     a, b = _int_primitive(p), _int_primitive(q)
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return Poly(a).monic()
+    return Poly(_remainder_sequence(a, b)[-1]).monic()
 
 
 def divides(g: Poly, p: Poly) -> bool:
@@ -796,14 +819,22 @@ class RatFunc:
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "RatFunc":
+        return RatFunc.reduce(num, den)[0]
+
+    @staticmethod
+    def reduce(num: Poly, den: Poly) -> tuple["RatFunc", int]:
+        """(num/den reduced, the Cauchy index of den/num over the reals; 0
+        for num = 0), both from the remainder sequence whose last member is
+        gcd(num, den)."""
         if den.is_zero():
             raise PolyError("zero denominator")
         if num.is_zero():
-            return RatFunc(Poly.zero(), Poly.one())
-        g = poly_gcd(num, den)
+            return RatFunc(Poly.zero(), Poly.one()), 0
+        seq = _remainder_sequence(_int_primitive(num), _int_primitive(den))
+        g = Poly(seq[-1])
         num, den = num.exact_div(g), den.exact_div(g)
         scale = Fraction(1, den.leading)
-        return RatFunc(num.scale(scale), den.scale(scale))
+        return RatFunc(num.scale(scale), den.scale(scale)), _cauchy_index(seq)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(
@@ -812,6 +843,16 @@ class RatFunc:
 
     def __call__(self, x):
         return _div(self.num(x), self.den(x))
+
+    @cached_property
+    def _residue_floats(self) -> tuple[list[float], list[float]]:
+        """The coefficients of num and of the exact den', each rounded to a
+        float once, for ``residue_at``.  Horner's rule on them gives the
+        floats that the exact coefficients give at a float point, where
+        every step rounds to a float anyway."""
+        den = self.den.coeffs
+        den_prime = [float(k * den[k]) for k in range(1, len(den))]
+        return [float(c) for c in self.num.coeffs], den_prime
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
@@ -1282,9 +1323,17 @@ def squarefree_part_int(m: int) -> int:
     return out if isqrt(m) ** 2 == m else out * m
 
 
+def _float_horner(cs: list[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
 def residue_at(f: RatFunc, x: float) -> float:
     """num(x)/den'(x) in floats: the residue of f at a simple pole x."""
-    return float(f.num(x)) / float(f.den.derivative()(x))
+    num, den_prime = f._residue_floats
+    return _float_horner(num, x) / _float_horner(den_prime, x)
 
 
 def simple_pole_residues(f: RatFunc) -> list[tuple[RootBox, float]]:

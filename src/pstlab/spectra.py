@@ -1,12 +1,13 @@
 """Cospectrality deciders, eigenvalue supports, and the signed support
 partition.
 
-All yes/no decisions here are exact polynomial algebra on the lazily refined
-root boxes of each support (``polys.real_roots``).  Strong cospectrality is
-one divisibility test per cospectral pair, against gcd(phi, phi') taken
-once per graph.  Floats are diagnostics only: projector tables, root
-midpoints and the 2^-40 boxes of the JSON output, computed when they are
-read.
+All yes/no decisions here are exact polynomial algebra: on the lazily
+refined root boxes of each support (``polys.real_roots``), and on the Cauchy
+indices of the sign quotients, which say whether both alphas interlace.
+Strong cospectrality is one divisibility test per cospectral pair, against
+gcd(phi, phi') taken once per graph.  Floats are diagnostics only: projector
+tables, root midpoints and the 2^-40 boxes of the JSON output, computed when
+they are read.
 """
 from __future__ import annotations
 
@@ -104,12 +105,23 @@ def _support_poly(phi: Poly, phi_i: Poly) -> Poly:
 
 
 @lru_cache(maxsize=100_000)
-def _sign_quotient(phi: Poly, phi_i: Poly, s: Poly) -> RatFunc:
-    """phi^G / (phi^{G\\i} + s), reduced.  For the path sum s of a strongly
+def _sign_quotient(phi: Poly, phi_i: Poly, s: Poly) -> tuple[RatFunc, int]:
+    """phi^G / (phi^{G\\i} + s), reduced, with the Cauchy index of its
+    inverse (``RatFunc.reduce``).  For the path sum s of a strongly
     cospectral pair its monic numerator is the plus class of the support of
     i (-s gives the minus class), and since (phi^{G\\i} - s)(phi^{G\\i} + s)
     = phi^{G\\{i,j}} phi^G it is alpha+ = (phi^{G\\i} - s) / phi^{G\\{i,j}}."""
-    return RatFunc.make(phi, phi_i + s)
+    return RatFunc.reduce(phi, phi_i + s)
+
+
+def _interlaces(f: RatFunc, index: int) -> bool:
+    """Whether f = t - s0 - sum mu/(t - r) with simple poles and every
+    mu > 0, given the Cauchy index of 1/f.  For monic num and den with
+    deg num = deg den + 1 that holds exactly when num and den have real,
+    simple, strictly interlacing roots, which is when 1/f jumps from -inf
+    to +inf at each of the deg num roots of num: the index is deg num."""
+    d = f.num.degree
+    return d == f.den.degree + 1 and f.num.leading == 1 and index == d
 
 
 def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
@@ -129,7 +141,7 @@ def _signed_path_sum(phi: Poly, phi_i: Poly, s: Poly) -> Poly:
     # (phi^{G\\i} + s)/phi, whose poles are simple support eigenvalues: any
     # isolating box of the top support root decides
     roots = real_roots(_support_poly(phi, phi_i))
-    in_plus = roots.has_root(len(roots) - 1, _sign_quotient(phi, phi_i, s).num)
+    in_plus = roots.has_root(len(roots) - 1, _sign_quotient(phi, phi_i, s)[0].num)
     return s if in_plus else -s
 
 
@@ -138,14 +150,18 @@ class SupportPartition:
     """Eigenvalue support of i split into the plus/minus classes of a
     strongly cospectral pair, as exact square-free polynomials, with the
     class sign of each support root (ascending) and the pair's exact
-    (alpha+, alpha-), whose monic numerators are the two classes.  The
-    2^-40 root boxes are diagnostics, isolated when first read."""
+    (alpha+, alpha-), whose monic numerators are the two classes.
+    ``interlaced`` says whether both alphas have the form t - s0 -
+    sum mu/(t - r) with simple poles and every mu > 0, read off the Cauchy
+    indices of the sign quotients.  The 2^-40 root boxes are diagnostics,
+    isolated when first read."""
 
     support: Poly
     plus: Poly
     minus: Poly
     signs: tuple[int, ...]
     alphas: tuple[RatFunc, RatFunc]
+    interlaced: bool
 
     @cached_property
     def support_roots(self) -> tuple[RootBox, ...]:
@@ -185,7 +201,8 @@ def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
 
 @lru_cache(maxsize=100_000)
 def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
-    alphas = _sign_quotient(phi, phi_i, s), _sign_quotient(phi, phi_i, -s)
+    quotients = _sign_quotient(phi, phi_i, s), _sign_quotient(phi, phi_i, -s)
+    alphas = tuple(alpha for alpha, _ in quotients)
     plus, minus = (alpha.num.monic() for alpha in alphas)
     sup = _support_poly(phi, phi_i)
     if plus * minus != sup:
@@ -195,7 +212,8 @@ def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
     signs = tuple(+1 if in_plus else -1 for in_plus in real_roots(sup).vanishing(plus))
     if signs[-1] != +1:
         raise SpectraError("largest support root missing from the plus part")
-    return SupportPartition(sup, plus, minus, signs, alphas)
+    interlaced = all(_interlaces(*quotient) for quotient in quotients)
+    return SupportPartition(sup, plus, minus, signs, alphas, interlaced)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,59 @@
+"""The Cauchy-index route of the gap certificate against the merge route on
+every strongly cospectral pair of every tree up to an order.  For each pair
+it asserts that both sign quotients have full Cauchy index (so the
+partition's interlacing flag is set), and that ``merged_alphas``, which
+places the poles among the class roots on their root boxes, accepts both
+alphas, finds a pigeonhole index and reads the same shifts s0 as the
+coefficients do.  Prints the counts and the time.  Too slow for the tier-1
+suite at n = 12 (CI runs it there):
+
+    PYTHONPATH=src python tests/gap_sweep.py 12
+"""
+import sys
+import time
+
+from pstlab.gapcert import _coefficient_shift, merged_alphas
+from pstlab.polys import charpoly, vertex_deleted_charpoly
+from pstlab.spectra import (
+    _sign_quotient,
+    cospectral_pairs,
+    is_strongly_cospectral,
+    signed_path_sum,
+    support_partition,
+)
+from pstlab.trees import enumerate_trees
+
+
+def check_pair(G, i: int, j: int) -> None:
+    phi, phi_i, s = charpoly(G), vertex_deleted_charpoly(G, i), signed_path_sum(G, i, j)
+    for sign in (s, -s):
+        alpha, index = _sign_quotient(phi, phi_i, sign)
+        assert index == alpha.num.degree, (G, i, j, index, alpha)
+    part = support_partition(G, i, j)
+    assert part.interlaced, (G, i, j)
+    pfs = merged_alphas(G, i, j)
+    both = zip(pfs[0].numerator_eigen, pfs[1].numerator_eigen)
+    assert any(p and q for p, q in both), (G, i, j)
+    for pf, alpha in zip(pfs, part.alphas):
+        assert pf.s0_exact == _coefficient_shift(alpha), (G, i, j)
+
+
+def main(max_n: int) -> int:
+    start = time.monotonic()
+    trees = pairs = 0
+    for n in range(2, max_n + 1):
+        for T in enumerate_trees(n):
+            trees += 1
+            for i, j in cospectral_pairs(T):
+                if is_strongly_cospectral(T, i, j):
+                    check_pair(T, i, j)
+                    pairs += 1
+    print(
+        f"trees n <= {max_n}: {trees} trees, {pairs} strong pairs, both indices "
+        f"full and the merge route agrees on every pair, {time.monotonic() - start:.1f} s"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(int(sys.argv[1])))

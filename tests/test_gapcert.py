@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,13 @@ def test_partial_fraction_evaluates_like_ratfunc():
 def test_partial_fraction_rejects_wrong_degree():
     f = RatFunc.make(Poly([1]), Poly([0, 1]))
     with pytest.raises(GapError):
+        partial_fraction(f)
+
+
+def test_partial_fraction_rejects_poles_off_the_real_line():
+    # t^3/(t^2 + 1) = t - t/(t^2 + 1) has no real pole to carry a residue
+    f = RatFunc.make(Poly([0, 0, 0, 1]), Poly([1, 0, 1]))
+    with pytest.raises(GapError, match="poles off the real line"):
         partial_fraction(f)
 
 
@@ -625,3 +633,169 @@ def test_no_float_decides(monkeypatch):
     _clear_caches()
     assert _decisions(mirrors) == floatless
     assert sum(len(entry["pst_pairs"]) for entry in floatless[0]["per_order"]) == 2
+
+
+# -- the Cauchy-index route against the merge route ---------------------------
+
+
+def _merge_index(G, i, j):
+    """The pigeonhole index as the merge route finds it."""
+    pf_plus, pf_minus = merged_alphas(G, i, j)
+    both = zip(pf_plus.numerator_eigen, pf_minus.numerator_eigen)
+    return next(m for m, (p, q) in enumerate(both) if p and q)
+
+
+def test_index_route_matches_merge_route_on_graphs():
+    graphs_ = [T for _, T in trees_up_to(9)]
+    graphs_ += [hypercube(3), grid(3, 3)] + seeded_mirror_graphs(47, 12)
+    pairs = 0
+    for G in graphs_:
+        for i, j in sc_pairs(G):
+            assert support_partition(G, i, j).interlaced
+            cert = certify_gap(G, i, j)
+            assert cert.common_index == _merge_index(G, i, j)
+            expected = cert.to_json()
+            _clear_caches()
+            assert certify_gap(G, i, j).to_json() == expected
+            pairs += 1
+    assert pairs >= 160
+
+
+def _from_roots(roots, lead=1):
+    p = Poly.constant(lead)
+    for r in roots:
+        p = p * Poly.linear(r)
+    return p
+
+
+grid_points = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-16, 16), st.just(4)))
+
+
+@st.composite
+def rational_functions(draw):
+    """(num, den) with integer or dyadic roots: interlacing roots, or free
+    root lists (negative mu, repeated poles, wrong degrees), with an
+    optional common factor, a pair of complex roots and a leading
+    coefficient other than 1."""
+    if draw(st.booleans()):
+        points = sorted(set(draw(st.lists(grid_points, min_size=1, max_size=9))))
+        points = points[: len(points) - (len(points) % 2 == 0)]
+        num_roots, den_roots = points[0::2], points[1::2]
+    else:
+        num_roots = draw(st.lists(grid_points, max_size=5))
+        den_roots = draw(st.lists(grid_points, max_size=4))
+    common = draw(st.lists(grid_points, max_size=2))
+    num = _from_roots(num_roots + common, draw(st.sampled_from([1, 1, 1, 2, -1])))
+    den = _from_roots(den_roots + common)
+    complex_pair = Poly([1, 0, 1])
+    where = draw(st.sampled_from(["none", "none", "num", "den", "both"]))
+    if where in ("num", "both"):
+        num = num * complex_pair
+    if where in ("den", "both"):
+        den = den * complex_pair
+    return num, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_functions())
+def test_index_verdict_matches_partial_fraction(num_den):
+    f, index = RatFunc.reduce(*num_den)
+    assert f == RatFunc.make(*num_den)
+    try:
+        partial_fraction(f)
+        accepted = True
+    except GapError:
+        accepted = False
+    assert spectra._interlaces(f, index) == accepted
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(grid_points, min_size=1, max_size=7), st.integers(0, 2))
+def test_cauchy_index_of_the_log_derivative_counts_real_roots(roots, pairs):
+    """Ind(p'/p) is the number of distinct real roots of p, and Ind(-p'/p)
+    its negative, whatever the complex roots and the multiplicities."""
+    p = _from_roots(roots)
+    for complex_pair in [Poly([1, 0, 1]), Poly([2, 2, 1])][:pairs]:
+        p = p * complex_pair
+    distinct = len(set(roots))
+    assert RatFunc.reduce(p, p.derivative())[1] == distinct
+    assert RatFunc.reduce(p, -p.derivative())[1] == -distinct
+    assert RatFunc.reduce(-p, p.derivative())[1] == -distinct
+
+
+def _with_plus_alpha(part, alpha):
+    """The support partition of a pair with alpha+ replaced by alpha, its
+    plus class and support rebuilt to match, and the interlacing flag read
+    off the Cauchy indices as the partition reads it."""
+    plus = alpha.num.monic()
+    support = plus * part.minus
+    signs = tuple(+1 if v else -1 for v in polys.real_roots(support).vanishing(plus))
+    alphas = (alpha, part.alphas[1])
+    interlaced = all(spectra._interlaces(*RatFunc.reduce(f.num, f.den)) for f in alphas)
+    return spectra.SupportPartition(support, plus, part.minus, signs, alphas, interlaced)
+
+
+FAILING_ALPHAS = {
+    # t + 4/t: mu = -4
+    "negative residue": lambda plus: RatFunc.make(Poly([4, 0, 1]), Poly([0, 1])),
+    # t - 1/t^2: a double pole at 0
+    "repeated poles": lambda plus: RatFunc.make(Poly([-1, 0, 0, 1]), Poly([0, 0, 1])),
+    "numerator degree must exceed denominator degree by 1": lambda plus: RatFunc.make(
+        Poly([-1, 0, 1]), Poly.one()
+    ),
+    "expected a monic linear quotient": lambda plus: RatFunc.make(Poly([-1, 0, 2]), Poly([0, 1])),
+    # alpha+ + 1: s0 moves by 1, and the residues stay positive
+    "shifts differ despite the cut-edge hypotheses": lambda plus: RatFunc.make(
+        plus.num + plus.den, plus.den
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(FAILING_ALPHAS))
+def test_a_failing_alpha_raises_the_merge_route_message(monkeypatch, message):
+    G = path(4)
+    part = support_partition(G, 0, 3)
+    bad = _with_plus_alpha(part, FAILING_ALPHAS[message](part.alphas[0]))
+    assert not bad.interlaced or message.startswith("shifts")
+    monkeypatch.setattr(gapcert, "support_partition", lambda G, i, j: bad)
+    merged_alphas.cache_clear()
+    with pytest.raises(GapError) as merge:
+        merged_alphas(G, 0, 3)
+    assert str(merge.value).startswith(message)
+    merged_alphas.cache_clear()
+    with pytest.raises(GapError) as index:
+        certify_gap(G, 0, 3)
+    assert str(index.value) == str(merge.value)
+    merged_alphas.cache_clear()
+
+
+def test_a_false_flag_that_the_merge_route_accepts_is_an_internal_error(monkeypatch):
+    part = support_partition(path(4), 0, 3)
+    lying = spectra.SupportPartition(
+        part.support, part.plus, part.minus, part.signs, part.alphas, False
+    )
+    monkeypatch.setattr(gapcert, "support_partition", lambda G, i, j: lying)
+    merged_alphas.cache_clear()
+    with pytest.raises(RuntimeError, match="merge route accepts"):
+        certify_gap(path(4), 0, 3)
+    merged_alphas.cache_clear()
+
+
+def test_scan_makes_one_strong_check_per_pair_in_the_gap_layer(monkeypatch):
+    """Every pstlab module that binds is_strongly_cospectral calls the
+    counting wrapper; scan_trees(11) made 4144 calls before the gap layer
+    read alpha+- off the partition, and must not make more."""
+    real = spectra.is_strongly_cospectral
+    calls = []
+
+    def counting(G, i, j):
+        calls.append((i, j))
+        return real(G, i, j)
+
+    for name, module in list(sys.modules.items()):
+        binds = getattr(module, "is_strongly_cospectral", None) is real
+        if name.split(".")[0] == "pstlab" and binds:
+            monkeypatch.setattr(module, "is_strongly_cospectral", counting)
+    _clear_caches()
+    scan_trees(11)
+    assert 0 < len(calls) <= 4144
