@@ -8,7 +8,8 @@ that reduces alpha, equals deg num.  The shift s0 is read off two
 coefficients, the square-root-of-two gap bound off lazily refined root
 boxes (``polys.real_roots``) with ties settled by gcds, and the equality
 case is exact algebra on the alpha functions.  ``partial_fraction`` and
-``merged_alphas`` place the poles among the roots on their root boxes; they
+``merged_alphas`` read the sign of each alpha's numerator at every pole off
+one signed remainder sequence (``RealRoots.signs``, Sturm-Tarski); they
 give the arrow matrices and the pigeonhole index that a certificate prints,
 and the error that names a failed check.  Floats (poles, residues, arrow
 matrices and their eigenvalues, gaps) are diagnostics, computed when first
@@ -31,7 +32,6 @@ from .polys import (
     RatFunc,
     RealRoots,
     isolate_real_roots,
-    merge_roots,
     poly_gcd,
     real_roots,
     roots_within,
@@ -163,41 +163,34 @@ def _on_union(f: RatFunc, own: list[bool]) -> list[float]:
     return [next(mus) if o else 0.0 for o in own]
 
 
-def _residue_signs(
-    f: RatFunc, poles: RealRoots, own: list[bool], num: list[tuple[RealRoots, int]]
-) -> tuple[bool, ...]:
+def _residue_signs(f: RatFunc, poles: RealRoots, own: list[bool]) -> tuple[bool, ...]:
     """Check every mu >= 0 of f = t - s0 - sum mu/(t - r) exactly, and
     return its arrow flags.
 
     ``poles`` are ascending poles, of which f has those flagged in ``own``;
-    ``num`` are the ascending real roots of odd multiplicity of f's
-    numerator.  One exact merge places them.  With num and den monic,
-    num(r) has the sign (-1)^(roots of num above r) and den'(r) the sign
-    (-1)^(poles of f above r), so mu = -num(r)/den'(r) > 0 iff their sum is
-    odd; the lowest pole that breaks this raises.  The arrow eigenvalues,
-    largest first, are the roots and the poles that f lacks; each is
-    flagged True when it is a root, so a lacking pole equal to a root is
-    flagged True too."""
-    above: list[int] = [0] * len(own)
-    tied: list[bool] = [False] * len(own)
-    seen = 0
-    for side, pos, tie in merge_roots(num, [(poles, u) for u in range(len(own))]):
-        if side == 0:
-            seen += 1
-        else:
-            above[pos], tied[pos] = len(num) - seen, tie
-    negative, own_above, flags, emitted = None, 0, [], 0
-    for u in reversed(range(len(own))):
+    ``poles.signs`` gives the sign s of f's numerator at each of them.
+    Walking down from the top pole, with k poles of f above: at a pole of f,
+    den'(r) has the sign (-1)^k (num and den are monic), so mu =
+    -num(r)/den'(r) > 0 iff s = -(-1)^k; the lowest pole that breaks this
+    raises.  Then num and den interlace, so k roots of num lie above a
+    pole that f lacks when s = (-1)^k, k + 1 when s = -(-1)^k, and s = 0
+    ties it with a root.  The arrow eigenvalues, largest first, are the
+    roots of num and the poles that f lacks; each is flagged True when it
+    is a root, so a lacking pole equal to a root is flagged True too."""
+    negative, k, flags, emitted = None, 0, [], 0
+    for u, s in reversed(list(enumerate(poles.signs(f.num)))):
+        flip = s == (-1) ** (k + 1)
         if own[u]:
-            if (above[u] + own_above) % 2 == 0:
+            if not flip:
                 negative = u
-            own_above += 1
+            k += 1
         else:
-            flags += [True] * (above[u] - emitted) + [tied[u]]
-            emitted = above[u]
+            above = k + flip
+            flags += [True] * (above - emitted) + [s == 0]
+            emitted = above
     if negative is not None:
         raise GapError(f"negative residue {_on_union(f, own)[negative]}")
-    return tuple(flags + [True] * (len(num) - emitted))
+    return tuple(flags + [True] * (f.num.degree - emitted))
 
 
 def _display_residue(mu: float) -> float:
@@ -217,14 +210,11 @@ def _diagnostics(f: RatFunc, pole_poly: Poly, own: list[bool]) -> Callable[[], F
 def partial_fraction(f: RatFunc) -> PartialFraction:
     """Partial-fraction form t - s0 - sum mu/(t - r) of a reduced rational
     function with numerator degree = denominator degree + 1.  Each mu >= 0 is
-    checked exactly: the real roots of odd multiplicity of the numerator are
-    merged with the poles."""
+    checked exactly, on the sign of the numerator at each pole."""
     pole_roots = real_roots(f.den)
     s0 = _shift(f, pole_roots)
     own = [True] * len(pole_roots)
-    num_roots = real_roots(f.num)
-    odd = [(num_roots, k) for k, m in enumerate(num_roots.multiplicities()) if m % 2]
-    _residue_signs(f, pole_roots, own, odd)
+    _residue_signs(f, pole_roots, own)
     return PartialFraction(s0, _diagnostics(f, f.den, own))
 
 
@@ -235,23 +225,20 @@ def merged_alphas(
     """Both alpha partial fractions re-expressed over the union of their pole
     sets (zero residues where a pole is absent).
 
-    The roots of each numerator are its class of the support partition, on
-    the support's shared root boxes.  Merging each class with the union
-    poles gives that alpha's residue signs and its arrow eigenvalues: the
-    class roots plus the union poles where that alpha has no pole."""
+    The roots of each numerator are its class of the support partition.
+    The sign of each numerator at the union poles gives that alpha's
+    residue signs and its arrow eigenvalues: the class roots plus the union
+    poles where that alpha has no pole."""
     plus, minus = alpha_pair(G, i, j)
     union = poly_gcd(plus.den, minus.den)
     union_poly = (plus.den * minus.den).exact_div(union).monic()
     # the lcm of the two denominators is square-free iff both are
     pole_roots = real_roots(union_poly)
     shifts = [_shift(f, pole_roots) for f in (plus, minus)]
-    part = support_partition(G, i, j)
-    sup_roots = real_roots(part.support)
     out = []
-    for f, sign, s0 in zip((plus, minus), (+1, -1), shifts):
+    for f, s0 in zip((plus, minus), shifts):
         own = pole_roots.vanishing(f.den)
-        roots = [(sup_roots, k) for k, c in enumerate(part.signs) if c == sign]
-        eigen = _residue_signs(f, pole_roots, own, roots)
+        eigen = _residue_signs(f, pole_roots, own)
         out.append(PartialFraction(s0, _diagnostics(f, union_poly, own), eigen))
     if _cut_edge_hypotheses(G, i, j) is not None and shifts[0] != shifts[1]:
         raise GapError("shifts differ despite the cut-edge hypotheses")

@@ -2,9 +2,11 @@
 
 Characteristic polynomials, gcds, path-sum polynomials, and
 Sturm-sequence real-root isolation.  Integral coefficients are stored as
-``int`` and only the others as ``Fraction``.  Gcds run as a primitive
-remainder sequence over the integers, whose signs at +-inf also give the
-Cauchy index that ``RatFunc.reduce`` returns, exact divisions divide integer
+``int`` and only the others as ``Fraction``.  One loop, the signed
+remainder sequence over the integers (``_remainder_sequence``), gives the
+Sturm chains, the gcds, the Cauchy index that ``RatFunc.reduce`` returns
+(its signs at +-inf) and the signs of a polynomial at the roots of another
+(``RealRoots.signs``, by Sturm-Tarski).  Exact divisions divide integer
 primitive parts, and root isolation and refinement evaluate integer
 numerators over a common denominator.  Small helpers reduce integer lists
 modulo a monic f and a small prime p (remainder, product, x^q, gcd) for the
@@ -21,10 +23,10 @@ Faddeev-LeVerrier.  Both give each two-vertex deletion as the exact quotient
 
 Decisions read ``real_roots``: each polynomial is isolated once, by Sturm
 bisection with one chain evaluation per split, and its boxes are refined
-only while a comparison that reads them is open, with gcds for ties.
-Refinement to a width runs quadratic interval refinement on the bisection
-grid, so it reaches the boxes that bisection would, in fewer exact
-evaluations.  The last member of its Sturm chain is gcd(p, p'): that
+only while a comparison that reads them is open; ``RealRoots.signs``
+refines none.  Refinement to a width runs quadratic interval refinement on
+the bisection grid, so it reaches the boxes that bisection would, in fewer
+exact evaluations.  The last member of its Sturm chain is gcd(p, p'): that
 repeated part gives the root multiplicities (a root has multiplicity 1 plus
 its multiplicity in gcd(p, p')) and decides whether poles are simple, so no
 separate square-free decomposition runs.  Floats are diagnostics only:
@@ -324,27 +326,34 @@ def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def _remainder_sequence(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The primitive remainder sequence a, b, prem(a, b), ... of the integer
-    vectors a != 0 and b, up to its last nonzero member, the primitive
-    gcd."""
+    """The signed remainder sequence a, b, -rem(a, b), ... of the integer
+    vectors a != 0 and b, each member scaled by a positive rational to a
+    primitive vector, up to its last nonzero member, the primitive gcd up to
+    sign.  ``_prem`` gives positive multiples of the remainders, so the
+    scaling keeps every sign that Sturm's and Sturm-Tarski's theorems read
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*, ch. 2)."""
     seq = [a]
     while b:
-        a, b = b, _primitive(_prem(a, b))
+        rem = _prem(a, b)
+        content = -gcd(*rem)  # negative: the next member is -rem, made primitive
+        a, b = b, tuple([c // content for c in rem])
         seq.append(a)
     return seq
 
 
-def _cauchy_index(seq: list[tuple[int, ...]]) -> int:
-    """The Cauchy index of b/a over the reals for the remainder sequence of
-    a and b: V(-inf) - V(+inf) on the signed remainder sequence a, b,
-    -rem(a, b), ... (Sturm-Tarski; Basu, Pollack and Roy, ch. 2).  ``_prem``
-    gives positive multiples of the remainders, so member k of ``seq`` is a
-    positive multiple of member k of the signed sequence times +, +, -, -,
-    +, +, ...; its sign at +-inf is read off its leading coefficient and
-    degree."""
-    high = [(m[-1] > 0) == (k % 4 < 2) for k, m in enumerate(seq)]
+def _end_variations(seq: list[tuple[int, ...]]) -> tuple[int, int]:
+    """(V(-inf), V(+inf)): the sign changes along seq at -+inf, read off the
+    leading coefficients and degrees."""
+    high = [m[-1] > 0 for m in seq]
     low = [up == (len(m) % 2 == 1) for up, m in zip(high, seq)]
-    return sum(map(ne, low, low[1:])) - sum(map(ne, high, high[1:]))
+    return sum(map(ne, low, low[1:])), sum(map(ne, high, high[1:]))
+
+
+def _cauchy_index(seq: list[tuple[int, ...]]) -> int:
+    """The Cauchy index of b/a over the reals for the signed remainder
+    sequence of a and b: V(-inf) - V(+inf)."""
+    low, high = _end_variations(seq)
+    return low - high
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -909,14 +918,8 @@ def _int_sign_at(ic: tuple[int, ...], xn: int, xd: int) -> int:
 
 
 def _sturm_chain_int(fi: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sturm sequence of fi, each member scaled by a positive rational."""
-    chain = [fi, _primitive([k * c for k, c in enumerate(fi) if k])]
-    while len(chain[-1]) > 1:
-        rem = _prem(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
-    return chain
+    """Sturm sequence of fi: the signed remainder sequence of fi and fi'."""
+    return _remainder_sequence(fi, _primitive([k * c for k, c in enumerate(fi) if k]))
 
 
 def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> int:
@@ -1152,6 +1155,28 @@ class RealRoots:
             return _int_sign_at(qi, lo, d) == 0
         return _int_sign_at(qi, lo, d) * _int_sign_at(qi, hi, d) < 0
 
+    def signs(self, q: Poly) -> list[int]:
+        """The sign (-1, 0 or +1) of q at each root, ascending.
+
+        By Sturm-Tarski, V(a) - V(b) on the signed remainder sequence of fi
+        and fi' q counts the roots of fi in (a, b) where q > 0 less those
+        where q < 0 (Basu, Pollack and Roy, Thm 2.73), and fi' q may be
+        reduced modulo fi first.  V is read once in each gap between
+        consecutive boxes, at the midpoint of hi_k and lo_(k+1), where fi
+        has no root, and at -+inf off the leading coefficients: no box is
+        refined, and an exact box needs no special case."""
+        if not self._lo:
+            return []
+        fi = self.fi
+        derivative = [k * c for k, c in enumerate(fi) if k]
+        seq = _remainder_sequence(fi, _primitive(_prem(_mul(derivative, _int_vector(q)), fi)))
+        low, high = _end_variations(seq)
+        v = [low]
+        for hi, d, lo, e in zip(self._hi, self._d, self._lo[1:], self._d[1:]):
+            v.append(_variations(seq, hi * e + lo * d, 2 * d * e))
+        v.append(high)
+        return [a - b for a, b in zip(v, v[1:])]
+
     def integers(self) -> list[int]:
         """The integer roots, ascending: a box narrower than 1 holds at most
         one integer, which is tested exactly."""
@@ -1173,70 +1198,6 @@ def real_roots(p: Poly) -> RealRoots:
     """The lazily refined real roots of p, shared by every caller: a
     refinement only narrows boxes, so what one caller learns serves all."""
     return RealRoots(p)
-
-
-@lru_cache(maxsize=100_000)
-def _common_factor(p: Poly, q: Poly) -> Poly:
-    return poly_gcd(p, q)
-
-
-def compare_roots(a: RealRoots, k: int, b: RealRoots, m: int) -> int:
-    """Sign of root k of a minus root m of b.  Boxes that overlap are
-    bisected until they are apart, unless root k is a root of gcd(a, b): then
-    it is root m exactly when its box shrinks inside the box of m, so ties
-    are decided exactly."""
-    common = None
-    while True:
-        alo, ahi, ad = a.interval(k)
-        blo, bhi, bd = b.interval(m)
-        if ahi * bd <= blo * ad:
-            return 0 if alo == ahi and blo == bhi and ahi * bd == blo * ad else -1
-        if bhi * ad <= alo * bd:
-            return 1
-        # the boxes overlap inside: one of them is not exact
-        if alo == ahi or blo == bhi:
-            # an exact root inside the other box is the other root iff it is
-            # a root of the other polynomial
-            if alo == ahi and _int_sign_at(b.fi, alo, ad) == 0:
-                return 0
-            if blo == bhi and _int_sign_at(a.fi, blo, bd) == 0:
-                return 0
-            a.bisect(k)
-            b.bisect(m)
-            continue
-        if common is None:
-            g = _common_factor(a.poly, b.poly)
-            common = g.degree > 0 and a.has_root(k, g)
-        if common:
-            if blo * ad < alo * bd and ahi * bd < bhi * ad:
-                return 0
-        else:
-            b.bisect(m)
-        a.bisect(k)
-
-
-def merge_roots(
-    a: list[tuple[RealRoots, int]], b: list[tuple[RealRoots, int]]
-) -> list[tuple[int, int, bool]]:
-    """Merge two ascending lists of roots into one ascending order: entries
-    (0 for a or 1 for b, position in that list, equal to the entry before),
-    a root of a first when it ties with one of b."""
-    out: list[tuple[int, int, bool]] = []
-    x = y = 0
-    while x < len(a) and y < len(b):
-        c = compare_roots(*a[x], *b[y])
-        if c > 0:
-            out.append((1, y, False))
-            y += 1
-            continue
-        out.append((0, x, False))
-        x += 1
-        if c == 0:
-            out.append((1, y, True))
-            y += 1
-    out += [(0, p, False) for p in range(x, len(a))]
-    out += [(1, p, False) for p in range(y, len(b))]
-    return out
 
 
 def _shift_norm(fi: tuple[int, ...], D: int) -> Poly:

@@ -207,9 +207,11 @@ def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
     sup = _support_poly(phi, phi_i)
     if plus * minus != sup:
         raise SpectraError("partition does not multiply back to the support")
-    if poly_gcd(plus, minus).degree != 0:
-        raise SpectraError("plus and minus parts are not disjoint")
-    signs = tuple(+1 if in_plus else -1 for in_plus in real_roots(sup).vanishing(plus))
+    # a square-free support is the product of disjoint parts
+    roots = real_roots(sup)
+    if roots.repeated is not None:
+        raise SpectraError("repeated support root: plus and minus parts are not disjoint")
+    signs = tuple(+1 if in_plus else -1 for in_plus in roots.vanishing(plus))
     if signs[-1] != +1:
         raise SpectraError("largest support root missing from the plus part")
     interlaced = all(_interlaces(*quotient) for quotient in quotients)

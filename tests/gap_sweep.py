@@ -1,19 +1,21 @@
-"""The Cauchy-index route of the gap certificate against the merge route on
-every strongly cospectral pair of every tree up to an order.  For each pair
-it asserts that both sign quotients have full Cauchy index (so the
+"""The gap certificate's sign decisions against the merge oracle on every
+strongly cospectral pair of every tree up to an order.  For each pair it
+asserts that both sign quotients have full Cauchy index (so the
 partition's interlacing flag is set), and that ``merged_alphas``, which
-places the poles among the class roots on their root boxes, accepts both
-alphas, finds a pigeonhole index and reads the same shifts s0 as the
-coefficients do.  Prints the counts and the time.  Too slow for the tier-1
-suite at n = 12 (CI runs it there):
+reads the residue signs and arrow flags off Sturm-Tarski sign counts,
+accepts both alphas, finds a pigeonhole index, reads the same shifts s0 as
+the coefficients do, and gives the arrow flags that the oracle's exact
+merge of the union poles with the class roots gives.  Prints the counts and
+the time.  Too slow for the tier-1 suite at n = 12 (CI runs it there):
 
-    PYTHONPATH=src python tests/gap_sweep.py 12
+    PYTHONPATH=src:tests python tests/gap_sweep.py 12
 """
 import sys
 import time
 
+from oracles import merge_residue_signs
 from pstlab.gapcert import _coefficient_shift, merged_alphas
-from pstlab.polys import charpoly, vertex_deleted_charpoly
+from pstlab.polys import RealRoots, charpoly, poly_gcd, vertex_deleted_charpoly
 from pstlab.spectra import (
     _sign_quotient,
     cospectral_pairs,
@@ -34,8 +36,13 @@ def check_pair(G, i: int, j: int) -> None:
     pfs = merged_alphas(G, i, j)
     both = zip(pfs[0].numerator_eigen, pfs[1].numerator_eigen)
     assert any(p and q for p, q in both), (G, i, j)
+    plus, minus = part.alphas
+    union = (plus.den * minus.den).exact_div(poly_gcd(plus.den, minus.den)).monic()
     for pf, alpha in zip(pfs, part.alphas):
         assert pf.s0_exact == _coefficient_shift(alpha), (G, i, j)
+        poles = RealRoots(union)
+        merged = merge_residue_signs(alpha, poles, poles.vanishing(alpha.den))
+        assert pf.numerator_eigen == merged, (G, i, j)
 
 
 def main(max_n: int) -> int:
@@ -50,7 +57,7 @@ def main(max_n: int) -> int:
                     pairs += 1
     print(
         f"trees n <= {max_n}: {trees} trees, {pairs} strong pairs, both indices "
-        f"full and the merge route agrees on every pair, {time.monotonic() - start:.1f} s"
+        f"full and the merge oracle agrees on every pair, {time.monotonic() - start:.1f} s"
     )
     return 0
 

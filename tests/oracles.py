@@ -12,6 +12,10 @@
 - ``box_has_root``: whether a square-free polynomial vanishes in a root
   box, by exact rational evaluation at its ends, for the index-based root
   classification of ``spectra.projector_entries``.
+- ``compare_roots``, ``merge_roots`` and ``merge_residue_signs``: the
+  residue signs and arrow flags of ``gapcert._residue_signs`` by an exact
+  merge of the poles with the numerator's roots on their root boxes, ties
+  settled by gcds, for ``polys.RealRoots.signs``.
 """
 from __future__ import annotations
 
@@ -19,11 +23,13 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
+from pstlab.gapcert import GapError, _on_union
 from pstlab.graphs import Graph, delete_vertices
 from pstlab.polys import (
     BOX_WIDTH,
     Poly,
     PolyError,
+    RatFunc,
     RealRoots,
     RootBox,
     _berkowitz,
@@ -38,6 +44,7 @@ from pstlab.polys import (
     _unscale,
     charpoly,
     poly_gcd,
+    real_roots,
 )
 
 
@@ -243,3 +250,93 @@ def bisection_boxes(p: Poly) -> tuple[RootBox, ...]:
         RootBox(box.lo, box.hi, next(m for f, m in factors if box_has_root(f, box)))
         for box in BisectionRoots(p).boxes()
     )
+
+
+def compare_roots(a: RealRoots, k: int, b: RealRoots, m: int) -> int:
+    """Sign of root k of a minus root m of b.  Boxes that overlap are
+    bisected until they are apart, unless root k is a root of gcd(a, b): then
+    it is root m exactly when its box shrinks inside the box of m, so ties
+    are decided exactly."""
+    common = None
+    while True:
+        alo, ahi, ad = a.interval(k)
+        blo, bhi, bd = b.interval(m)
+        if ahi * bd <= blo * ad:
+            return 0 if alo == ahi and blo == bhi and ahi * bd == blo * ad else -1
+        if bhi * ad <= alo * bd:
+            return 1
+        # the boxes overlap inside: one of them is not exact
+        if alo == ahi or blo == bhi:
+            # an exact root inside the other box is the other root iff it is
+            # a root of the other polynomial
+            if alo == ahi and _int_sign_at(b.fi, alo, ad) == 0:
+                return 0
+            if blo == bhi and _int_sign_at(a.fi, blo, bd) == 0:
+                return 0
+            a.bisect(k)
+            b.bisect(m)
+            continue
+        if common is None:
+            g = poly_gcd(a.poly, b.poly)
+            common = g.degree > 0 and a.has_root(k, g)
+        if common:
+            if blo * ad < alo * bd and ahi * bd < bhi * ad:
+                return 0
+        else:
+            b.bisect(m)
+        a.bisect(k)
+
+
+def merge_roots(
+    a: list[tuple[RealRoots, int]], b: list[tuple[RealRoots, int]]
+) -> list[tuple[int, int, bool]]:
+    """Merge two ascending lists of roots into one ascending order: entries
+    (0 for a or 1 for b, position in that list, equal to the entry before),
+    a root of a first when it ties with one of b."""
+    out: list[tuple[int, int, bool]] = []
+    x = y = 0
+    while x < len(a) and y < len(b):
+        c = compare_roots(*a[x], *b[y])
+        if c > 0:
+            out.append((1, y, False))
+            y += 1
+            continue
+        out.append((0, x, False))
+        x += 1
+        if c == 0:
+            out.append((1, y, True))
+            y += 1
+    out += [(0, p, False) for p in range(x, len(a))]
+    out += [(1, p, False) for p in range(y, len(b))]
+    return out
+
+
+def merge_residue_signs(f: RatFunc, poles: RealRoots, own: list[bool]) -> tuple[bool, ...]:
+    """``gapcert._residue_signs`` by one exact merge of the poles with the
+    real roots of odd multiplicity of f's numerator.  With num and den
+    monic, num(r) has the sign (-1)^(roots of num above r) and den'(r) the
+    sign (-1)^(poles of f above r), so mu = -num(r)/den'(r) > 0 iff their
+    sum is odd; the lowest pole that breaks this raises.  The arrow flags
+    count the roots above each pole that f lacks."""
+    roots = real_roots(f.num)
+    num = [(roots, k) for k, m in enumerate(roots.multiplicities()) if m % 2]
+    above: list[int] = [0] * len(own)
+    tied: list[bool] = [False] * len(own)
+    seen = 0
+    for side, pos, tie in merge_roots(num, [(poles, u) for u in range(len(own))]):
+        if side == 0:
+            seen += 1
+        else:
+            above[pos], tied[pos] = len(num) - seen, tie
+    negative, own_above, flags, emitted = None, 0, [], 0
+    for u in reversed(range(len(own))):
+        if own[u]:
+            if (above[u] + own_above) % 2 == 0:
+                negative = u
+            own_above += 1
+        else:
+            flags += [True] * (above[u] - emitted) + [tied[u]]
+            emitted = above[u]
+    if negative is not None:
+        raise GapError(f"negative residue {_on_union(f, own)[negative]}")
+    return tuple(flags + [True] * (len(num) - emitted))

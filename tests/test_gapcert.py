@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid, mirror_graph, seeded_mirror_graphs, trees_up_to
+from oracles import merge_residue_signs
 from pstlab import gapcert, graphs, polys, pst, spectra
 from pstlab.gapcert import (
     SQRT2,
@@ -29,6 +30,7 @@ from pstlab.polys import (
     Poly,
     PolyError,
     RatFunc,
+    RealRoots,
     RootBox,
     charpoly,
     isolate_real_roots,
@@ -707,6 +709,63 @@ def test_index_verdict_matches_partial_fraction(num_den):
     except GapError:
         accepted = False
     assert spectra._interlaces(f, index) == accepted
+
+
+# -- residue signs by Sturm-Tarski against the merge oracle -------------------
+
+
+def _both_routes(f, pole_poly):
+    """The arrow flags, or the error message, of ``gapcert._residue_signs``
+    and of the merge oracle, each on its own root boxes of pole_poly, with
+    the poles of f flagged as its own."""
+    outcomes = []
+    for route in (gapcert._residue_signs, merge_residue_signs):
+        poles = RealRoots(pole_poly)
+        try:
+            outcomes.append(route(f, poles, poles.vanishing(f.den)))
+        except GapError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _lacking_ties(f, pole_poly):
+    poles = RealRoots(pole_poly)
+    return sum(s == 0 and not own for s, own in zip(poles.signs(f.num), poles.vanishing(f.den)))
+
+
+def test_residue_signs_match_the_merge_oracle_on_graphs():
+    graphs_ = [T for _, T in trees_up_to(9)]
+    graphs_ += [hypercube(3), grid(3, 3)] + seeded_mirror_graphs(47, 12)
+    pairs = ties = 0
+    for G in graphs_:
+        for i, j in sc_pairs(G):
+            plus, minus = alpha_pair(G, i, j)
+            union = (plus.den * minus.den).exact_div(poly_gcd(plus.den, minus.den)).monic()
+            for f in (plus, minus):
+                new, merged = _both_routes(f, union)
+                assert new == merged, (G, i, j)
+                ties += _lacking_ties(f, union)
+            pairs += 1
+    assert pairs >= 160 and ties >= 10
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_functions(), st.lists(grid_points, max_size=3))
+def test_residue_signs_match_the_merge_oracle_on_rational_functions(num_den, extra):
+    """On every f that passes the checks before the residue signs, over its
+    poles and extra poles that f lacks, some of them at a root of its
+    numerator."""
+    f = RatFunc.make(*num_den)
+    try:
+        gapcert._shift(f, polys.real_roots(f.den))
+    except GapError:
+        assume(False)
+    union = f.den
+    for e in set(extra):
+        if f.den(e):
+            union = union * Poly.linear(e)
+    new, merged = _both_routes(f, union)
+    assert new == merged
 
 
 @settings(max_examples=200, deadline=None)

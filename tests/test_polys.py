@@ -10,6 +10,8 @@ from oracles import (
     NotASquareError,
     berkowitz_charpoly,
     box_has_root,
+    compare_roots,
+    merge_roots,
     path_sum_bruteforce,
     poly_sqrt,
     squarefree_decomposition,
@@ -23,9 +25,7 @@ from pstlab.polys import (
     RealRoots,
     RootBox,
     charpoly,
-    compare_roots,
     isolate_real_roots,
-    merge_roots,
     path_sum_poly,
     poly_gcd,
     real_roots,
@@ -470,6 +470,65 @@ def test_compare_roots_past_box_width():
     b = RealRoots(Poly([-2 - Fraction(1, 2**60), 0, 1]))
     assert compare_roots(a, 1, b, 1) == -1
     assert compare_roots(b, 0, a, 0) == -1
+
+
+def _exact_signs(roots, q):
+    return [(v > 0) - (v < 0) for v in (q(Fraction(r)) for r in sorted(set(roots)))]
+
+
+def test_signs_on_exact_boxes():
+    roots = RealRoots(lin(-3, -1, 1))
+    for k in range(3):
+        roots.narrow(k, Fraction(1, 2**20))
+    assert all(lo == hi for lo, hi, _ in map(roots.interval, range(3)))
+    for q in [lin(0), lin(-1), lin(-3, 1), Poly([1, 0, 1]), Poly([5]), Poly.zero(), lin(-2, 2) * lin(-1)]:
+        assert roots.signs(q) == _exact_signs([-3, -1, 1], q)
+
+
+def test_signs_without_real_roots():
+    assert RealRoots(Poly([1, 0, 1])).signs(Poly.x()) == []
+    assert RealRoots(Poly([2, 2, 1]) * Poly([1, 0, 1])).signs(lin(3)) == []
+    assert RealRoots(Poly([7])).signs(Poly.x()) == []
+
+
+def test_signs_at_irrational_roots():
+    roots = RealRoots(Poly([-2, 0, 1]) * lin(1, Fraction(7, 5)))  # -sqrt2, 1, 7/5, sqrt2
+    assert roots.signs(lin(Fraction(3, 2))) == [-1, -1, -1, -1]
+    assert roots.signs(Poly([-2, 0, 1])) == [0, -1, -1, 0]
+    assert roots.signs(lin(Fraction(141, 100), Fraction(-1, 2))) == [1, -1, -1, 1]
+
+
+_sign_points = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-16, 16), st.just(4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_sign_points, max_size=7),
+    st.lists(st.sampled_from([Poly([1, 0, 1]), Poly([2, 2, 1])]), max_size=2),
+    st.one_of(
+        st.lists(st.integers(-5, 5), max_size=6).map(Poly),
+        st.tuples(st.lists(_sign_points, max_size=4), st.integers(0, 3), st.booleans()),
+    ),
+    st.lists(st.one_of(st.none(), st.integers(0, 70)), max_size=7),
+)
+def test_signs_match_exact_evaluation(p_roots, complex_factors, q, depths):
+    """Signs of q at rational roots of p, repeated ones too, beside complex
+    factors, with q drawn freely or sharing roots with p (sign 0), on boxes
+    refined to unequal widths (None halves a box once), which are often
+    made exact."""
+    p = lin(*p_roots)
+    for factor in complex_factors:
+        p = p * factor
+    if not isinstance(q, Poly):
+        q_roots, shared, complex_q = q
+        q = lin(*q_roots, *sorted(set(p_roots))[:shared]) * (Poly([1, 0, 1]) if complex_q else Poly.one())
+    roots = RealRoots(p)
+    for k, depth in zip(range(len(roots)), depths):
+        if depth is None:
+            roots.bisect(k)
+        elif depth:
+            roots.narrow(k, Fraction(1, 2**depth))
+    assert roots.signs(q) == _exact_signs(p_roots, q)
 
 
 def test_roots_within():

@@ -185,6 +185,20 @@ def test_support_partition_rejects_non_strongly_cospectral():
         support_partition(star(4), 1, 2)
 
 
+def test_support_partition_rejects_a_repeated_support_root():
+    # phi = (t - 1)^2 (t - 3), phi^{G\i} = 1, s = (t - 1)^2 / 2 - 1: the
+    # plus class t - 3 times the minus class (t - 1)^2 is the whole support,
+    # and the two classes share no root, but the support repeats the root 1
+    one = Poly([-1, 1])
+    phi = one * one * Poly([-3, 1])
+    s = (one * one).scale(Fraction(1, 2)) - Poly.one()
+    quotients = spectra._sign_quotient(phi, Poly.one(), s), spectra._sign_quotient(phi, Poly.one(), -s)
+    plus, minus = (alpha.num.monic() for alpha, _ in quotients)
+    assert (plus, minus) == (Poly([-3, 1]), one * one)
+    with pytest.raises(SpectraError, match="repeated support root"):
+        spectra._support_partition(phi, Poly.one(), s)
+
+
 def test_partition_multiplies_back_on_scanned_pairs():
     for _, T in trees_up_to(8):
         for i in range(T.n):
