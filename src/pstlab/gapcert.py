@@ -439,7 +439,8 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
             cut_ok and _coefficient_shift(plus_rf) != _coefficient_shift(minus_rf)
         ):
             merged_alphas(G, i, j)
-            raise RuntimeError("the merge route accepts what the Cauchy indices reject")
+            raise RuntimeError("the arrow-form checks accept an alpha whose Cauchy index "
+                               "is not full, or shifts that the coefficients say differ")
         if _detect_equality_case(plus_rf, minus_rf) is not None:
             equality = True
             if not _component_is_p3(G, i):

@@ -1,37 +1,27 @@
 """Exact polynomial arithmetic over the rationals, on an integer kernel.
 
-Characteristic polynomials, gcds, path-sum polynomials, and
-Sturm-sequence real-root isolation.  Integral coefficients are stored as
-``int`` and only the others as ``Fraction``.  One loop, the signed
-remainder sequence over the integers (``_remainder_sequence``), gives the
-Sturm chains, the gcds, the Cauchy index that ``RatFunc.reduce`` returns
-(its signs at +-inf) and the signs of a polynomial at the roots of another
-(``RealRoots.signs``, by Sturm-Tarski).  Exact divisions divide integer
-primitive parts, and root isolation and refinement evaluate integer
-numerators over a common denominator.  Small helpers reduce integer lists
-modulo a monic f and a small prime p (remainder, product, x^q, gcd) for the
-modular witness of ``pst.ratio_witness``.
+Integral coefficients are stored as ``int`` and only the others as
+``Fraction``; exact divisions divide integer primitive parts.  One loop,
+the signed remainder sequence over the integers (``_remainder_sequence``),
+gives the Sturm chains, the gcds, the Cauchy index that ``RatFunc.reduce``
+returns and the signs of a polynomial at the roots of another
+(``RealRoots.signs``, by Sturm-Tarski).  Small helpers reduce integer lists
+modulo a monic f and a small prime p for ``pst.ratio_witness``.
 
-Every graph gets one table (``_tables``) that its characteristic
-polynomial, its vertex-deleted ones and its path sums are read off.  A
-loopless integer-weighted forest gets branch polynomials
-(``_ForestTables``); every other graph an adjugate table
-(``_AdjugateTable``): Berkowitz on sparse integer rows (weights scaled by
-their common denominator) and, per vertex, a column of adj(tI - A) by
-Faddeev-LeVerrier.  Both give each two-vertex deletion as the exact quotient
-(phi(G \\ i) phi(G \\ j) - S_ij^2) / phi(G).
+A graph's polynomials are kept on its table (``_tables``, an LRU of 16
+graphs) and nowhere else: phi(G), gcd(phi, phi'), and each phi(G \\ v) and
+phi(G \\ {i, j}) once read; the quotient (phi(G \\ i) phi(G \\ j) -
+S_ij^2) / phi(G) is memoized on what it reads.  A loopless integer-weighted
+forest gets branch polynomials (``_ForestTables``), every other graph an
+adjugate table (``_AdjugateTable``): Berkowitz on sparse integer rows, and a
+column of adj(tI - A) by Faddeev-LeVerrier for each vertex that is read.
 
-Decisions read ``real_roots``: each polynomial is isolated once, by Sturm
-bisection with one chain evaluation per split, and its boxes are refined
-only while a comparison that reads them is open; ``RealRoots.signs``
-refines none.  Refinement to a width runs quadratic interval refinement on
-the bisection grid, so it reaches the boxes that bisection would, in fewer
-exact evaluations.  The last member of its Sturm chain is gcd(p, p'): that
-repeated part gives the root multiplicities (a root has multiplicity 1 plus
-its multiplicity in gcd(p, p')) and decides whether poles are simple, so no
-separate square-free decomposition runs.  Floats are diagnostics only:
-root midpoints and the residues of ``residue_at``, on the 2^-40 boxes of
-``isolate_real_roots``.
+A polynomial's roots are kept by ``real_roots``: isolated once by Sturm
+bisection, and refined only while a decision that reads them is open, by
+quadratic interval refinement on the bisection grid.  The last member of the
+Sturm chain, gcd(p, p'), gives the root multiplicities and decides whether
+poles are simple.  Floats are diagnostics only: root midpoints and the
+residues of ``residue_at``, on the 2^-40 boxes of ``isolate_real_roots``.
 """
 from __future__ import annotations
 
@@ -526,8 +516,20 @@ class _Table:
     def path_raw(self, i: int, j: int) -> list:
         raise NotImplementedError
 
-    def deleted(self, v: int) -> Poly:
-        return _unscale(self.deleted_raw(v), self.scale, self.n - 1)
+    @cached_property
+    def _deleted(self) -> dict:
+        return {}
+
+    def deleted(self, *vertices: int) -> Poly:
+        """phi(G - vertices) for one vertex or two in ascending order, built
+        when first read and kept."""
+        poly = self._deleted.get(vertices)
+        if poly is None:
+            poly = self._deleted[vertices] = (
+                _unscale(self.deleted_raw(*vertices), self.scale, self.n - 1)
+                if len(vertices) == 1 else self._pair_quotient(*vertices)
+            )
+        return poly
 
     def deleted_all(self) -> tuple[Poly, ...]:
         return tuple(map(self.deleted, range(self.n)))
@@ -536,10 +538,16 @@ class _Table:
         return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
 
     @cached_property
+    def repeated_part(self) -> Poly:
+        """gcd(phi, phi'): each eigenvalue of multiplicity m >= 2 as a root
+        of multiplicity m - 1, and no other root."""
+        return poly_gcd(self.charpoly, self.charpoly.derivative())
+
+    @cached_property
     def _pair_quotients(self) -> dict:
         return {}
 
-    def deleted_pair(self, i: int, j: int) -> Poly:
+    def _pair_quotient(self, i: int, j: int) -> Poly:
         """phi(G - {i, j}), memoized on what the quotient reads: phi(G - i)
         and phi(G - j) as an unordered pair and S_ij.  The memo lives on the
         table, so the table's own total and scale are part of its key.  The
@@ -751,11 +759,10 @@ def _tables(G: Graph) -> _Table:
 def _require_vertices(G: Graph, vertices) -> None:
     """GraphError unless every vertex lies in 0..n-1: the tables are lists,
     where a negative index would silently wrap."""
-    if any(not 0 <= v < G.n for v in vertices):
+    if vertices and (min(vertices) < 0 or max(vertices) >= G.n):
         raise GraphError(f"vertex out of range for n={G.n}")
 
 
-@lru_cache(maxsize=200_000)
 def charpoly(G: Graph) -> Poly:
     """Monic characteristic polynomial det(tI - A(G)), exactly, read off the
     graph's table: the subtree recursion on a loopless integer-weighted
@@ -764,27 +771,16 @@ def charpoly(G: Graph) -> Poly:
     return _tables(G).charpoly
 
 
-@lru_cache(maxsize=100_000)
 def vertex_deleted_charpoly(G: Graph, *vertices: int) -> Poly:
-    """charpoly(G \\ vertices), memoized.  Any order or repetition of the
-    vertices resolves to the entry of the sorted vertex set.
-
-    One and two vertices are read off the graph's table (the forest's branch
-    table, or the adjugate table of any other graph): phi^{G\\i} is a
-    diagonal entry, and phi^{G\\{i,j}} = (phi^{G\\i} phi^{G\\j} - S^2) /
-    phi^G for the path sum S, divided exactly.  More vertices are deleted
-    and the rest takes ``charpoly``.
-    """
-    key = tuple(sorted(set(vertices)))
-    if vertices != key:
-        return vertex_deleted_charpoly(G, *key)
-    if not key:
-        return charpoly(G)
+    """charpoly(G \\ vertices) for the vertex set, whatever the order or
+    repetition of the vertices.  One and two vertices are read off the
+    graph's table, which keeps them; more are deleted and the rest takes
+    ``charpoly``."""
+    key = sorted(set(vertices))
     _require_vertices(G, key)
     if len(key) > 2:
         return charpoly(delete_vertices(G, key))
-    tables = _tables(G)
-    return tables.deleted(*key) if len(key) == 1 else tables.deleted_pair(*key)
+    return _tables(G).deleted(*key) if key else charpoly(G)
 
 
 def vertex_deleted_charpolys(G: Graph) -> tuple[Poly, ...]:
@@ -796,7 +792,6 @@ def vertex_deleted_charpolys(G: Graph) -> tuple[Poly, ...]:
 # path-sum polynomial
 
 
-@lru_cache(maxsize=100_000)
 def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
     """The path-sum polynomial S_ij = sum over the i-j paths P of
     w(P) phi^{G\\P}, up to sign, normalized to positive leading coefficient;
@@ -804,9 +799,7 @@ def path_sum_poly(G: Graph, i: int, j: int) -> Poly:
 
     It is read off the graph's table: |w(P)| phi^{G\\P} for the unique path
     of a loopless integer-weighted forest, and entry (i, j) of adj(tI - A),
-    which is S_ij with its sign, for any other graph.  Memoized like the
-    deleted polynomials, since the pair memos of ``spectra`` read S_ij to
-    build their keys each time a pair quantity is asked for.
+    which is S_ij with its sign, for any other graph.
     """
     if i == j:
         raise PolyError("need distinct vertices")
@@ -1249,14 +1242,11 @@ def roots_within(roots: RealRoots, D: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=100_000)
 def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:
     """Disjoint boxes covering all real roots of p, with multiplicities,
     sorted by position; boxes refined below width 2^-40.  The boxes come
     from the shared ``real_roots`` of p, which decisions refine only as far
     as they need, and the multiplicities from its Sturm chain."""
-    if p.is_zero():
-        raise PolyError("cannot isolate roots of the zero polynomial")
     roots = real_roots(p)
     return tuple(
         RootBox(box.lo, box.hi, m) for box, m in zip(roots.boxes(), roots.multiplicities())

@@ -9,7 +9,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import __version__, gapcert, polys, pst, spectra
 from .gapcert import GapError, certify_gap
 from .pst import decide_pst
 from .spectra import cospectral_pairs, is_strongly_cospectral
@@ -40,21 +40,32 @@ class TreeResult:
     gap_violations: list[dict]
 
 
+# the memos that hold one tree's data; trees._codes stays for the next order
+_TREE_MEMOS = tuple(dict.fromkeys(
+    value for module in (polys, spectra, pst, gapcert)
+    for value in vars(module).values() if hasattr(value, "cache_clear")
+))
+
+
 def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
+    """One tree's pairs, verdicts and gap violations.  Its memos are emptied
+    afterwards, in a pool worker too, so memory stays bounded by one tree."""
     n, index, T = args
     cosp = cospectral_pairs(T)
     strong = [(i, j) for i, j in cosp if is_strongly_cospectral(T, i, j)]
-    pst, violations = [], []
+    pst_pairs, violations = [], []
     for i, j in strong:
         cert = decide_pst(T, i, j)
         if cert.result == "PST":
-            pst.append({"pair": [i, j], "certificate": cert.to_json()})
+            pst_pairs.append({"pair": [i, j], "certificate": cert.to_json()})
         # certify_gap raises on a gap above sqrt(2) and on equality off P3
         try:
             certify_gap(T, i, j)
         except GapError as exc:
             violations.append({"pair": [i, j], "error": str(exc)})
-    return TreeResult(n, index, cosp, strong, pst, violations)
+    for memo in _TREE_MEMOS:
+        memo.cache_clear()
+    return TreeResult(n, index, cosp, strong, pst_pairs, violations)
 
 
 @dataclass
@@ -80,12 +91,12 @@ def check_invariants(report: ScanReport) -> None:
         n = entry["n"]
         if entry["gap_violations"]:
             raise ScanInvariantError(f"gap-bound violation at n={n}")
-        pst = entry["pst_pairs"]
-        if n >= 4 and pst:
+        pst_pairs = entry["pst_pairs"]
+        if n >= 4 and pst_pairs:
             raise ScanInvariantError(f"unexpected PST pair on a tree with n={n}")
-        if n == 2 and len(pst) != 1:
+        if n == 2 and len(pst_pairs) != 1:
             raise ScanInvariantError("P2 must admit exactly one PST pair")
-        if n == 3 and len(pst) != 1:
+        if n == 3 and len(pst_pairs) != 1:
             raise ScanInvariantError("P3 must admit exactly one PST pair")
 
 

@@ -5,9 +5,15 @@ All yes/no decisions here are exact polynomial algebra: on the lazily
 refined root boxes of each support (``polys.real_roots``), and on the Cauchy
 indices of the sign quotients, which say whether both alphas interlace.
 Strong cospectrality is one divisibility test per cospectral pair, against
-gcd(phi, phi') taken once per graph.  Floats are diagnostics only: projector
+gcd(phi, phi') on the graph's table.  Floats are diagnostics only: projector
 tables, root midpoints and the 2^-40 boxes of the JSON output, computed when
 they are read.
+
+The pair quantities are memoized on the polynomials they read, so the pairs
+of a symmetric graph share them: the divisibility on gcd(phi, phi') and
+phi^{G\\{i,j}}, the support on phi^G and phi^{G\\i}, and one record per pair
+(``_PairRecord``), which the signed path sum and the partition are read off,
+on phi^G, phi^{G\\i} and the unsigned path sum.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from .polys import (
     Poly,
     RatFunc,
     RootBox,
+    _tables,
     charpoly,
     divides,
     isolate_real_roots,
@@ -58,14 +65,6 @@ def cospectral_pairs(G: Graph) -> list[tuple[int, int]]:
     )
 
 
-@lru_cache(maxsize=100_000)
-def _repeated_part(G: Graph) -> Poly:
-    """gcd(phi^G, phi^G'): each eigenvalue of multiplicity m >= 2 as a root
-    of multiplicity m - 1, and no other root."""
-    phi = charpoly(G)
-    return poly_gcd(phi, phi.derivative())
-
-
 def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     """Cospectral, and every pole of phi^{G\\{i,j}}/phi^G is simple.
 
@@ -79,18 +78,11 @@ def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     spectrum is simple."""
     if not is_cospectral(G, i, j):
         return False
-    g = _repeated_part(G)
+    g = _tables(G).repeated_part
     return g.degree == 0 or _divides(g, vertex_deleted_charpoly(G, i, j))
 
 
-# the divisibility of the strong test, memoized on (g, phi^{G\{i,j}})
 _divides = lru_cache(maxsize=100_000)(divides)
-
-
-# The support quantities below are functions of phi^G, phi^{G\i} and the
-# path sum alone.  Each public function reads those polynomials off the graph
-# and asks a memo keyed by them, so the pairs of a symmetric graph, which
-# carry equal polynomials, share one computation.
 
 
 def support_poly(G: Graph, i: int) -> Poly:
@@ -104,16 +96,6 @@ def _support_poly(phi: Poly, phi_i: Poly) -> Poly:
     return phi.exact_div(poly_gcd(phi, phi_i)).monic()
 
 
-@lru_cache(maxsize=100_000)
-def _sign_quotient(phi: Poly, phi_i: Poly, s: Poly) -> tuple[RatFunc, int]:
-    """phi^G / (phi^{G\\i} + s), reduced, with the Cauchy index of its
-    inverse (``RatFunc.reduce``).  For the path sum s of a strongly
-    cospectral pair its monic numerator is the plus class of the support of
-    i (-s gives the minus class), and since (phi^{G\\i} - s)(phi^{G\\i} + s)
-    = phi^{G\\{i,j}} phi^G it is alpha+ = (phi^{G\\i} - s) / phi^{G\\{i,j}}."""
-    return RatFunc.reduce(phi, phi_i + s)
-
-
 def _interlaces(f: RatFunc, index: int) -> bool:
     """Whether f = t - s0 - sum mu/(t - r) with simple poles and every
     mu > 0, given the Cauchy index of 1/f.  For monic num and den with
@@ -124,25 +106,61 @@ def _interlaces(f: RatFunc, index: int) -> bool:
     return d == f.den.degree + 1 and f.num.leading == 1 and index == d
 
 
+class _PairRecord:
+    """The sign quotients phi^G / (phi^{G\\i} +- s) of a pair, each reduced
+    with the Cauchy index of its inverse (``RatFunc.reduce``), and the path
+    sum s with its sign pinned, so that the top support root is a root of
+    the numerator for +s.  For a strongly cospectral pair the two monic
+    numerators are the plus and minus classes of the support of i, and since
+    (phi^{G\\i} - s)(phi^{G\\i} + s) = phi^{G\\{i,j}} phi^G the quotients
+    are alpha+- = (phi^{G\\i} -+ s) / phi^{G\\{i,j}}.  The partition is
+    built when first read."""
+
+    def __init__(self, phi: Poly, phi_i: Poly, s: Poly):
+        self.support = _support_poly(phi, phi_i)
+        quotients = RatFunc.reduce(phi, phi_i + s), RatFunc.reduce(phi, phi_i - s)
+        if not s.is_zero():
+            # s = +-adj(tI - A)_ij, so the numerator is the reduced
+            # denominator of (phi^{G\\i} + s)/phi, whose poles are simple
+            # support eigenvalues: any isolating box of the top root decides
+            roots = real_roots(self.support)
+            if not roots.has_root(len(roots) - 1, quotients[0][0].num):
+                s, quotients = -s, quotients[::-1]
+        self.s, self.quotients = s, quotients
+
+    @cached_property
+    def partition(self) -> SupportPartition:
+        # each support root is classified on its current box, since both
+        # parts divide the support
+        alphas = tuple(alpha for alpha, _ in self.quotients)
+        plus, minus = (alpha.num.monic() for alpha in alphas)
+        if plus * minus != self.support:
+            raise SpectraError("partition does not multiply back to the support")
+        # a square-free support is the product of disjoint parts
+        roots = real_roots(self.support)
+        if roots.repeated is not None:
+            raise SpectraError("repeated support root: plus and minus parts are not disjoint")
+        signs = tuple(+1 if in_plus else -1 for in_plus in roots.vanishing(plus))
+        if signs[-1] != +1:
+            raise SpectraError("largest support root missing from the plus part")
+        interlaced = all(_interlaces(*quotient) for quotient in self.quotients)
+        return SupportPartition(self.support, plus, minus, signs, alphas, interlaced)
+
+
+_pair_records = lru_cache(maxsize=100_000)(_PairRecord)
+
+
+def _pair_record(G: Graph, i: int, j: int) -> _PairRecord:
+    return _pair_records(charpoly(G), vertex_deleted_charpoly(G, i), path_sum_poly(G, i, j))
+
+
 def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
     """The path-sum polynomial S with its sign pinned so the largest element
     of the support of i lands in the plus part of the partition (Perron
     consistency).  Requires cospectral i, j for the sign check to be
     meaningful; for the positive-leading-coefficient default this is a no-op
     on unit-weight connected graphs."""
-    return _signed_path_sum(charpoly(G), vertex_deleted_charpoly(G, i), path_sum_poly(G, i, j))
-
-
-@lru_cache(maxsize=100_000)
-def _signed_path_sum(phi: Poly, phi_i: Poly, s: Poly) -> Poly:
-    if s.is_zero():
-        return s
-    # s = +-adj(tI - A)_ij, so num is the reduced denominator of
-    # (phi^{G\\i} + s)/phi, whose poles are simple support eigenvalues: any
-    # isolating box of the top support root decides
-    roots = real_roots(_support_poly(phi, phi_i))
-    in_plus = roots.has_root(len(roots) - 1, _sign_quotient(phi, phi_i, s)[0].num)
-    return s if in_plus else -s
+    return _pair_record(G, i, j).s
 
 
 @dataclass(frozen=True)
@@ -188,34 +206,12 @@ class SupportPartition:
 
 def support_partition(G: Graph, i: int, j: int) -> SupportPartition:
     """Split the support of i into plus/minus parts for a strongly cospectral
-    pair, verifying all structural invariants exactly before returning.  The
-    parts are the monic numerators of alpha+ and alpha- (see _sign_quotient);
-    each support root is classified on its current box, since both parts
-    divide the support.  Strong cospectrality is checked for every pair; the
-    partition is memoized on phi^G, phi^{G\\i} and the signed path sum."""
+    pair, verifying all structural invariants exactly before returning.
+    Strong cospectrality is checked for every pair; the partition is read
+    off the pair's record."""
     if not is_strongly_cospectral(G, i, j):
         raise SpectraError("vertices are not strongly cospectral")
-    s = signed_path_sum(G, i, j)
-    return _support_partition(charpoly(G), vertex_deleted_charpoly(G, i), s)
-
-
-@lru_cache(maxsize=100_000)
-def _support_partition(phi: Poly, phi_i: Poly, s: Poly) -> SupportPartition:
-    quotients = _sign_quotient(phi, phi_i, s), _sign_quotient(phi, phi_i, -s)
-    alphas = tuple(alpha for alpha, _ in quotients)
-    plus, minus = (alpha.num.monic() for alpha in alphas)
-    sup = _support_poly(phi, phi_i)
-    if plus * minus != sup:
-        raise SpectraError("partition does not multiply back to the support")
-    # a square-free support is the product of disjoint parts
-    roots = real_roots(sup)
-    if roots.repeated is not None:
-        raise SpectraError("repeated support root: plus and minus parts are not disjoint")
-    signs = tuple(+1 if in_plus else -1 for in_plus in roots.vanishing(plus))
-    if signs[-1] != +1:
-        raise SpectraError("largest support root missing from the plus part")
-    interlaced = all(_interlaces(*quotient) for quotient in quotients)
-    return SupportPartition(sup, plus, minus, signs, alphas, interlaced)
+    return _pair_record(G, i, j).partition
 
 
 @dataclass(frozen=True)

@@ -15,21 +15,18 @@ import time
 
 from oracles import merge_residue_signs
 from pstlab.gapcert import _coefficient_shift, merged_alphas
-from pstlab.polys import RealRoots, charpoly, poly_gcd, vertex_deleted_charpoly
+from pstlab.polys import RealRoots, poly_gcd
 from pstlab.spectra import (
-    _sign_quotient,
+    _pair_record,
     cospectral_pairs,
     is_strongly_cospectral,
-    signed_path_sum,
     support_partition,
 )
 from pstlab.trees import enumerate_trees
 
 
 def check_pair(G, i: int, j: int) -> None:
-    phi, phi_i, s = charpoly(G), vertex_deleted_charpoly(G, i), signed_path_sum(G, i, j)
-    for sign in (s, -s):
-        alpha, index = _sign_quotient(phi, phi_i, sign)
+    for alpha, index in _pair_record(G, i, j).quotients:
         assert index == alpha.num.degree, (G, i, j, index, alpha)
     part = support_partition(G, i, j)
     assert part.interlaced, (G, i, j)

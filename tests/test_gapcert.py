@@ -835,7 +835,7 @@ def test_a_false_flag_that_the_merge_route_accepts_is_an_internal_error(monkeypa
     )
     monkeypatch.setattr(gapcert, "support_partition", lambda G, i, j: lying)
     merged_alphas.cache_clear()
-    with pytest.raises(RuntimeError, match="merge route accepts"):
+    with pytest.raises(RuntimeError, match="arrow-form checks accept"):
         certify_gap(path(4), 0, 3)
     merged_alphas.cache_clear()
 

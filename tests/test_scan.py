@@ -7,9 +7,11 @@ from multiprocessing import Pool
 import pytest
 
 import pstlab
+from pstlab import gapcert, polys, pst, spectra, trees
 from pstlab.scan import (
     ScanInvariantError,
     ScanReport,
+    analyze_tree,
     check_invariants,
     scan_trees,
 )
@@ -114,6 +116,41 @@ def test_scan_starts_at_most_cpu_count_workers(monkeypatch):
     serial.pop("wall_time_seconds")
     capped.pop("wall_time_seconds")
     assert capped == serial
+
+
+def _memo_sizes() -> dict[str, int]:
+    """The entry count of every memo in polys, spectra, pst and gapcert."""
+    return {
+        f"{module.__name__}.{name}": value.cache_info().currsize
+        for module in (polys, spectra, pst, gapcert)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+
+
+def test_scan_leaves_the_memos_of_each_tree_empty():
+    scan_trees(11)
+    sizes = _memo_sizes()
+    assert sizes.keys() >= {
+        "pstlab.polys._tables",
+        "pstlab.polys.real_roots",
+        "pstlab.spectra._divides",
+        "pstlab.spectra._support_poly",
+        "pstlab.spectra._pair_records",
+        "pstlab.pst.ratio_witness",
+        "pstlab.gapcert._cut_edge_hypotheses",
+    }
+    assert sizes == dict.fromkeys(sizes, 0)
+    # the enumerator keeps the codes of every order, which the next one reads
+    assert trees._codes.cache_info().currsize >= 10
+
+
+def test_a_pool_worker_empties_the_memos_after_each_tree():
+    tasks = [(8, k, T) for k, T in enumerate(trees.enumerate_trees(8))]
+    with Pool(1) as pool:
+        pool.map(analyze_tree, tasks)
+        sizes = pool.apply(_memo_sizes)
+    assert sizes == dict.fromkeys(_memo_sizes(), 0)
 
 
 def test_scan_rejects_jobs_below_one():

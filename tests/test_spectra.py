@@ -8,7 +8,7 @@ import pytest
 
 from conftest import grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
 from oracles import berkowitz_charpoly, box_has_root
-from pstlab import spectra
+from pstlab import polys, spectra
 from pstlab.graphs import (
     Graph,
     delete_vertices,
@@ -93,7 +93,7 @@ def _check_strong_against_pole_route(G, every_pair):
     the cospectral pairs; with every_pair, also the divisibility by
     gcd(phi, phi') against the oracle on every pair, which interlacing makes
     equivalent for any two vertices."""
-    g = spectra._repeated_part(G)
+    g = polys._tables(G).repeated_part
     strong = 0
     for i in range(G.n):
         for j in range(i + 1, G.n):
@@ -126,15 +126,15 @@ def test_strong_cospectrality_matches_the_pole_route_on_other_graphs():
 
 def test_strong_cospectrality_takes_one_gcd_per_graph(monkeypatch):
     calls = []
-    real_gcd = spectra.poly_gcd
+    real_gcd = polys.poly_gcd
 
     def counting_gcd(p, q):
         calls.append((p, q))
         return real_gcd(p, q)
 
-    monkeypatch.setattr(spectra, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(polys, "poly_gcd", counting_gcd)
     for G in (hypercube(3), grid(3, 3), star(5), path(6)):
-        spectra._repeated_part.cache_clear()
+        polys._tables.cache_clear()
         spectra._divides.cache_clear()
         calls.clear()
         for i in range(G.n):
@@ -192,11 +192,12 @@ def test_support_partition_rejects_a_repeated_support_root():
     one = Poly([-1, 1])
     phi = one * one * Poly([-3, 1])
     s = (one * one).scale(Fraction(1, 2)) - Poly.one()
-    quotients = spectra._sign_quotient(phi, Poly.one(), s), spectra._sign_quotient(phi, Poly.one(), -s)
-    plus, minus = (alpha.num.monic() for alpha, _ in quotients)
+    record = spectra._pair_records(phi, Poly.one(), s)
+    assert record.s == s
+    plus, minus = (alpha.num.monic() for alpha, _ in record.quotients)
     assert (plus, minus) == (Poly([-3, 1]), one * one)
     with pytest.raises(SpectraError, match="repeated support root"):
-        spectra._support_partition(phi, Poly.one(), s)
+        record.partition
 
 
 def test_partition_multiplies_back_on_scanned_pairs():
