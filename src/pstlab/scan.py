@@ -17,6 +17,9 @@ from .trees import MAX_TREE_ORDER, enumerate_trees
 
 SCHEMA_VERSION = 1
 
+#: trees per task that a pool worker takes at a time
+CHUNK_SIZE = 64
+
 
 class ScanInvariantError(RuntimeError):
     pass
@@ -34,13 +37,13 @@ def Pool(processes: int):
 class TreeResult:
     order: int
     index: int
-    cospectral_pairs: list[tuple[int, int]]
-    strongly_cospectral_pairs: list[tuple[int, int]]
+    cospectral_pairs: int
+    strongly_cospectral_pairs: int
     pst_pairs: list[dict]
     gap_violations: list[dict]
 
 
-# the memos that hold one tree's data; trees._codes stays for the next order
+# the memos that hold one tree's data
 _TREE_MEMOS = tuple(dict.fromkeys(
     value for module in (polys, spectra, pst, gapcert)
     for value in vars(module).values() if hasattr(value, "cache_clear")
@@ -48,7 +51,7 @@ _TREE_MEMOS = tuple(dict.fromkeys(
 
 
 def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
-    """One tree's pairs, verdicts and gap violations.  Its memos are emptied
+    """One tree's pair counts, PST pairs and gap violations.  Its memos are emptied
     afterwards, in a pool worker too, so memory stays bounded by one tree."""
     n, index, T = args
     cosp = cospectral_pairs(T)
@@ -57,15 +60,16 @@ def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
     for i, j in strong:
         cert = decide_pst(T, i, j)
         if cert.result == "PST":
-            pst_pairs.append({"pair": [i, j], "certificate": cert.to_json()})
+            pst_pairs.append({"tree_index": index, "pair": [i, j],
+                              "certificate": cert.to_json()})
         # certify_gap raises on a gap above sqrt(2) and on equality off P3
         try:
             certify_gap(T, i, j)
         except GapError as exc:
-            violations.append({"pair": [i, j], "error": str(exc)})
+            violations.append({"tree_index": index, "pair": [i, j], "error": str(exc)})
     for memo in _TREE_MEMOS:
         memo.cache_clear()
-    return TreeResult(n, index, cosp, strong, pst_pairs, violations)
+    return TreeResult(n, index, len(cosp), len(strong), pst_pairs, violations)
 
 
 @dataclass
@@ -114,27 +118,17 @@ def scan_trees(max_n: int, jobs: int = 1) -> ScanReport:
     workers = min(jobs, os.cpu_count() or 1)
     with Pool(workers) if workers > 1 and max_n > 3 else nullcontext() as pool:
         for n in range(2, max_n + 1):
-            tasks = [(n, idx, T) for idx, T in enumerate(enumerate_trees(n))]
-            if pool is not None:
-                results = pool.map(analyze_tree, tasks)
-            else:
-                results = [analyze_tree(t) for t in tasks]
-            entry = {
-                "n": n,
-                "tree_count": len(tasks),
-                "cospectral_pairs": sum(len(r.cospectral_pairs) for r in results),
-                "strongly_cospectral_pairs": sum(
-                    len(r.strongly_cospectral_pairs) for r in results
-                ),
-                "pst_pairs": [
-                    {"tree_index": r.index, **p} for r in results for p in r.pst_pairs
-                ],
-                "gap_violations": [
-                    {"tree_index": r.index, **v}
-                    for r in results
-                    for v in r.gap_violations
-                ],
-            }
+            tasks = ((n, idx, T) for idx, T in enumerate(enumerate_trees(n)))
+            results = (map(analyze_tree, tasks) if pool is None
+                       else pool.imap(analyze_tree, tasks, CHUNK_SIZE))
+            entry = {"n": n, "tree_count": 0, "cospectral_pairs": 0,
+                     "strongly_cospectral_pairs": 0, "pst_pairs": [], "gap_violations": []}
+            for r in results:
+                entry["tree_count"] += 1
+                entry["cospectral_pairs"] += r.cospectral_pairs
+                entry["strongly_cospectral_pairs"] += r.strongly_cospectral_pairs
+                entry["pst_pairs"] += r.pst_pairs
+                entry["gap_violations"] += r.gap_violations
             report.per_order.append(entry)
     report.wall_time = time.monotonic() - start
     return report

@@ -1,13 +1,12 @@
 """Canonical enumeration of free trees, one representative per isomorphism
 class.
 
-Trees are grown by leaf addition with centroid-rooted canonical codes for
-rejection; the stream is deterministic (sorted by code).  A slow Prüfer-based
-oracle lives in the test suite for cross-validation.
+Each tree is built once, from its centroid-rooted canonical code; the stream
+is deterministic (sorted by code).  A slow Prüfer-based oracle and a
+leaf-growth generator live in the test suite for cross-validation.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph, GraphError, is_connected
@@ -57,24 +56,19 @@ def _ahu(adj: list[list[int]], root: int, banned: int) -> str:
     return "(" + "".join(codes) + ")"
 
 
-def _canonical(adj: list[list[int]]) -> str:
-    """Centroid-rooted AHU code of the tree with adjacency lists adj."""
-    cents = _centroids(adj, len(adj))
-    if len(cents) == 1:
-        return _ahu(adj, cents[0], -1)
-    a, b = cents
-    ca, cb = _ahu(adj, a, b), _ahu(adj, b, a)
-    lo, hi = sorted((ca, cb))
-    return "[" + lo + hi + "]"
-
-
 def canonical_code(G: Graph) -> str:
     """Centroid-rooted AHU canonical string; isomorphism invariant."""
     if G.n == 0:
         raise GraphError("empty graph has no tree code")
     if len(G.edges) != G.n - 1 or not is_connected(G):
         raise GraphError("not a tree")
-    return _canonical([list(G.neighbors(v)) for v in range(G.n)])
+    adj = [list(G.neighbors(v)) for v in range(G.n)]
+    cents = _centroids(adj, G.n)
+    if len(cents) == 1:
+        return _ahu(adj, cents[0], -1)
+    a, b = cents
+    lo, hi = sorted((_ahu(adj, a, b), _ahu(adj, b, a)))
+    return "[" + lo + hi + "]"
 
 
 def _edges(code: str) -> list[tuple[int, int]]:
@@ -95,24 +89,35 @@ def _edges(code: str) -> list[tuple[int, int]]:
     return edges
 
 
-@lru_cache(maxsize=None)
+def _forests(pool: list[tuple[str, int]], total: int, start: int = 0) -> Iterator[str]:
+    """Each multiset of rooted trees from pool[start:] with total vertices in
+    all, as its codes joined in pool order.  pool holds (code, size) pairs
+    sorted by code, so the join is sorted as ``_ahu`` sorts children."""
+    if total == 0:
+        yield ""
+        return
+    for k in range(start, len(pool)):
+        code, size = pool[k]
+        if size <= total:
+            for rest in _forests(pool, total - size, k):
+                yield code + rest
+
+
 def _codes(n: int) -> tuple[str, ...]:
-    """Sorted codes of the trees on n vertices: leaf n - 1 on each vertex of
-    each tree of order n - 1."""
-    if n == 1:
-        return ("()",)
-    seen = set()
-    for code in _codes(n - 1):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in _edges(code):
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in range(n - 1):
-            adj[v].append(n - 1)
-            adj[n - 1] = [v]
-            seen.add(_canonical(adj))
-            adj[v].pop()
-    return tuple(sorted(seen))
+    """Sorted centroid-rooted codes of the trees on n vertices: a root whose
+    branches each have fewer than n/2 vertices, or, for even n, two rooted
+    halves of n/2 vertices joined at their roots."""
+    if not (1 <= n <= MAX_TREE_ORDER):
+        raise GraphError(f"tree order must be in 1..{MAX_TREE_ORDER}")
+    pool: list[tuple[str, int]] = []  # rooted trees of fewer than size vertices
+    for size in range(1, n // 2 + 1):
+        rooted = sorted("(" + f + ")" for f in _forests(pool, size - 1))
+        if 2 * size < n:
+            pool = sorted(pool + [(code, size) for code in rooted])
+    codes = ["(" + f + ")" for f in _forests(pool, n - 1)]
+    if n % 2 == 0:
+        codes += ["[" + lo + hi + "]" for i, lo in enumerate(rooted) for hi in rooted[i:]]
+    return tuple(sorted(codes))
 
 
 def tree_count(n: int) -> int:
@@ -122,7 +127,5 @@ def tree_count(n: int) -> int:
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """One canonically-labeled representative per isomorphism class of free
     trees on n vertices, unit weights, deterministic order."""
-    if not (1 <= n <= MAX_TREE_ORDER):
-        raise GraphError(f"tree order must be in 1..{MAX_TREE_ORDER}")
     for code in _codes(n):
         yield Graph.from_edges(n, [(u, v, 1) for u, v in _edges(code)])

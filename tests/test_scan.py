@@ -105,8 +105,8 @@ def test_scan_starts_at_most_cpu_count_workers(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
 
     monkeypatch.setattr(scan, "Pool", SerialPool)
     monkeypatch.setattr("os.cpu_count", lambda: 3)
@@ -141,8 +141,26 @@ def test_scan_leaves_the_memos_of_each_tree_empty():
         "pstlab.gapcert._cut_edge_hypotheses",
     }
     assert sizes == dict.fromkeys(sizes, 0)
-    # the enumerator keeps the codes of every order, which the next one reads
-    assert trees._codes.cache_info().currsize >= 10
+
+
+def test_scan_analyzes_each_tree_before_it_builds_the_next(monkeypatch):
+    import pstlab.scan as scan
+
+    events = []
+
+    def enumerate_trees(n):
+        for T in trees.enumerate_trees(n):
+            events.append("built")
+            yield T
+
+    def analyzed(args):
+        events.append("analyzed")
+        return analyze_tree(args)
+
+    monkeypatch.setattr(scan, "enumerate_trees", enumerate_trees)
+    monkeypatch.setattr(scan, "analyze_tree", analyzed)
+    scan_trees(7)
+    assert events == ["built", "analyzed"] * sum(map(trees.tree_count, range(2, 8)))
 
 
 def test_a_pool_worker_empties_the_memos_after_each_tree():

@@ -3,17 +3,26 @@
 The oracle generates every labeled tree from its Prüfer sequence and dedups
 isomorphism classes with its own canonical form (sorted-degree refinement +
 brute-force permutation minimization for ties), sharing no code with the
-leaf-growth enumerator under test.
+enumerator under test, which builds each tree directly from its centroid-rooted
+code.  A leaf-growth generator on ``Graph`` objects checks the codes and the
+stream order.
 """
 import itertools
 
 import pytest
 
 from pstlab.graphs import Graph, GraphError, bridges, is_connected, path, star
-from pstlab.trees import _codes, _edges, canonical_code, enumerate_trees, tree_count
+from pstlab.trees import (
+    MAX_TREE_ORDER,
+    _codes,
+    _edges,
+    canonical_code,
+    enumerate_trees,
+    tree_count,
+)
 
-#: number of free trees on n vertices, n = 1..12 (well-known sequence)
-FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+#: number of free trees on n vertices, n = 1..16 (OEIS A000055)
+FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
 
 
 def prufer_to_edges(seq, n):
@@ -81,9 +90,9 @@ def test_counts_match_prufer_oracle(n):
 
 
 def test_counts_match_known_sequence():
+    assert len(FREE_TREE_COUNTS) == MAX_TREE_ORDER
     for n, expected in enumerate(FREE_TREE_COUNTS, start=1):
-        if n <= 10:
-            assert tree_count(n) == expected
+        assert tree_count(n) == expected
 
 
 def test_enumerated_trees_are_trees():
@@ -131,6 +140,12 @@ def test_canonical_code_rejects_non_trees():
 def test_enumerate_trees_bounds():
     with pytest.raises(GraphError):
         list(enumerate_trees(0))
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_TREE_ORDER + 1])
+def test_tree_count_bounds(n):
+    with pytest.raises(GraphError, match=f"tree order must be in 1..{MAX_TREE_ORDER}"):
+        tree_count(n)
 
 
 def test_canonical_code_rejects_disconnected_graphs_with_tree_edge_count():
