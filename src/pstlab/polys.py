@@ -16,6 +16,13 @@ forest gets branch polynomials (``_ForestTables``), every other graph an
 adjugate table (``_AdjugateTable``): Berkowitz on sparse integer rows, and a
 column of adj(tI - A) by Faddeev-LeVerrier for each vertex that is read.
 
+A forest's table keeps each polynomial P as the integer P(X) at X = 2^b
+(Kronecker substitution), with 2^(b - 1) above prod_e (1 + w_e^2), which
+bounds the coefficients of every polynomial it reads (the matching
+expansion, see ``_ForestTables``).  It multiplies and divides these
+integers, groups cospectral vertices by them and tests g(X) | P(X) before
+g | P; a coefficient list is unpacked only when it is read.
+
 A polynomial's roots are kept by ``real_roots``: isolated once by Sturm
 bisection, and refined only while a decision that reads them is open, by
 quadratic interval refinement on the bisection grid.  The last member of the
@@ -503,7 +510,9 @@ class _Table:
 
     Both tables give phi(G - {i, j}) = (phi(G - i) phi(G - j) - S_ij^2) /
     phi(G), Jacobi's identity for the 2 x 2 minors of adj(tI - A), as one
-    exact division by the monic phi(G)."""
+    exact division by the monic phi(G).  ``class_key`` and ``may_divide``
+    let a forest's table answer the cospectral and strong tests on packed
+    values without unpacking them."""
 
     n: int
     scale = 1
@@ -534,6 +543,17 @@ class _Table:
     def deleted_all(self) -> tuple[Poly, ...]:
         return tuple(map(self.deleted, range(self.n)))
 
+    def class_key(self, v: int):
+        """A key equal for two vertices exactly when their phi(G - v) are:
+        here the polynomial, which keeps its hash for the memos it is read
+        by next."""
+        return self.deleted(v)
+
+    def may_divide(self, i: int, j: int) -> bool:
+        """False only when gcd(phi, phi') cannot divide phi(G - {i, j});
+        here always True."""
+        return True
+
     def path_sum(self, i: int, j: int) -> Poly:
         return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
 
@@ -563,10 +583,46 @@ class _Table:
         return quot
 
 
+def _unpack(value: int, bits: int) -> list[int]:
+    """The coefficient list (low degree first, [] for zero) of the P with
+    P(2^bits) = value, for a P whose coefficients lie in [-2^(bits-1),
+    2^(bits-1)): the balanced base-2^bits digits of value."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        value = (value - c) >> bits
+    return out
+
+
+def _quo_packed(a: int, b: int) -> int:
+    """a / b for the values of polynomials at X = 2^bits, PolyError on a
+    nonzero remainder."""
+    q, r = divmod(a, b)
+    if r:
+        raise PolyError("division is not exact")
+    return q
+
+
 class _ForestTables(_Table):
     """Branch polynomials of a loopless integer-weighted forest G, each
-    component rooted at its least vertex; coefficient lists of ints, low
-    degree first.
+    component rooted at its least vertex, kept as their values at X = 2^bits
+    (Kronecker substitution): a product of polynomials is one integer
+    product, an exact division one integer division, and a coefficient list
+    is read off the balanced base-X digits only when it is read.
+
+    Every polynomial that is unpacked is a forest characteristic polynomial
+    or |w(P)| times one.  phi(F) = sum over the matchings M of F of (-1)^|M|
+    prod_{e in M} w_e^2 t^(n - 2|M|), so its absolute coefficient sum is the
+    sum over the matchings of prod w_e^2, at most prod_e (1 + w_e^2) over the
+    edges of G; and |w(P)| <= prod_{e in P} (1 + w_e^2) for a path P whose
+    edges are not in G - P.  ``bits`` makes 2^(bits - 1) exceed that bound,
+    so the digits give every such polynomial back exactly.  Its roots are at
+    most 1 + the bound < X in absolute value (Cauchy), so a monic divisor of
+    one, such as gcd(phi, phi') or phi_c, is not zero at X.
 
     The downward pass gives phi_v = phi(T_v) and psi_v = phi(T_v - v), the
     product of phi_c over the children c, for each rooted subtree T_v:
@@ -578,8 +634,10 @@ class _ForestTables(_Table):
     Expanding phi(G) along the bridge from a child c to its parent v gives
     phi(G) = phi_c up_c - w_vc^2 psi_c Q with Q = phi(G - T_c - v) =
     phi(G - v) / phi_c, so up_c = (phi(G) + w_vc^2 psi_c Q) / phi_c: two exact
-    divisions by the monic phi_c per edge.  A forest has at most one i-j path
-    P, so S_ij is w(P) phi(G - P); the table keeps |w(P)|.
+    divisions by phi_c per edge, each checked by its integer remainder.  A
+    forest has at most one i-j path P, so S_ij is w(P) phi(G - P); the table
+    keeps |w(P)|.  Intermediates such as phi_i phi_j - S_ij^2 are divided,
+    never unpacked.
     """
 
     def __init__(self, parent: list[int], depth: list[int], weight: list[int],
@@ -588,51 +646,57 @@ class _ForestTables(_Table):
         self.parent, self.depth, self.weight = parent, depth, weight
         self.order, self.children = order, children
         self.n = n = len(parent)
-        phi: list = [None] * n
-        psi: list = [None] * n
+        bound = 1
+        for w in weight:
+            bound *= 1 + w * w
+        self.bits = b = bound.bit_length() + 1
+        phi: list = [0] * n
+        psi: list = [0] * n
         for v in reversed(order):
-            prod, tail = [1], [0]
+            prod, tail = 1, 0
             for c in children[v]:
                 # tail = sum over the children c so far of w^2 psi_c prod phi_c'
-                if children[c]:
-                    extra = _mul(psi[c], prod)
-                    tail, prod = _mul(tail, phi[c]), _mul(prod, phi[c])
-                else:  # a leaf: phi_c = t, psi_c = 1
-                    extra = prod
-                    tail, prod = [0] + tail, [0] + prod
                 w2 = weight[c] * weight[c]
-                for k, x in enumerate(extra):
-                    tail[k] += w2 * x
-            phi[v], psi[v] = _sub([0] + prod, tail), prod
+                if children[c]:
+                    tail = tail * phi[c] + w2 * psi[c] * prod
+                    prod *= phi[c]
+                else:  # a leaf: phi_c = X, psi_c = 1
+                    tail = (tail << b) + w2 * prod
+                    prod <<= b
+            phi[v], psi[v] = (prod << b) - tail, prod
         self.phi, self.psi = phi, psi
-        total = [1]
+        total = 1
         for v in order:
             if parent[v] < 0:
-                total = _mul(total, phi[v])
-        self.total = total
-        self.charpoly = Poly(total)
+                total *= phi[v]
+        self._total = total
+        self.total = _unpack(total, b)
+        self.charpoly = Poly(self.total)
 
     @cached_property
     def _upward(self) -> tuple[list, list]:
-        """(up_v, phi(G - v)) for every vertex v."""
-        phi, psi, total = self.phi, self.psi, self.total
-        up: list = [None] * len(phi)
-        deleted: list = [None] * len(phi)
+        """(up_v, phi(G - v)) at X for every vertex v."""
+        phi, psi, total = self.phi, self.psi, self._total
+        up: list = [0] * self.n
+        deleted: list = [0] * self.n
         for v in self.order:
             if self.parent[v] < 0:
-                up[v] = _quo_exact(total, phi[v])
-            dv = deleted[v] = _mul(up[v], psi[v])
+                up[v] = _quo_packed(total, phi[v])
+            dv = deleted[v] = up[v] * psi[v]
             for c in self.children[v]:
-                q = _quo_exact(dv, phi[c])
                 w2 = self.weight[c] * self.weight[c]
-                up[c] = _quo_exact(_sub(total, [-w2 * x for x in _mul(psi[c], q)]), phi[c])
+                q = _quo_packed(dv, phi[c])
+                up[c] = _quo_packed(total + w2 * psi[c] * q, phi[c])
         return up, deleted
 
-    def deleted_raw(self, v: int) -> list:
+    def class_key(self, v: int) -> int:
         return self._upward[1][v]
 
-    def path_raw(self, i: int, j: int) -> list:
-        """|w(P)| phi(G - P) for the i-j path P, [] when there is none:
+    def deleted_raw(self, v: int) -> list:
+        return _unpack(self._upward[1][v], self.bits)
+
+    def _path(self, i: int, j: int) -> int:
+        """|w(P)| phi(G - P) at X for the i-j path P, 0 when there is none:
         phi(G - P) is the product of the branches off P, which are the
         children off P of the path's vertices and the branch above its top."""
         parent, depth = self.parent, self.depth
@@ -641,16 +705,42 @@ class _ForestTables(_Table):
             if depth[i] < depth[j]:
                 i, j = j, i
             if parent[i] < 0:
-                return []  # different components
+                return 0  # different components
             weight *= self.weight[i]
             i = parent[i]
             on_path.add(i)
-        out = [weight * x for x in self._upward[0][i]]
+        out = weight * self._upward[0][i]
         for v in on_path:
             for c in self.children[v]:
                 if c not in on_path:
-                    out = _mul(out, self.phi[c])
+                    out *= self.phi[c]
         return out
+
+    def path_raw(self, i: int, j: int) -> list:
+        return _unpack(self._path(i, j), self.bits)
+
+    def _pair_value(self, i: int, j: int) -> int:
+        """phi(G - {i, j}) at X, memoized like ``_pair_quotient``."""
+        s, deleted = self._path(i, j), self._upward[1]
+        di, dj = deleted[i], deleted[j]
+        key = (di, dj, s) if di <= dj else (dj, di, s)
+        value = self._pair_quotients.get(key)
+        if value is None:
+            value = self._pair_quotients[key] = _quo_packed(di * dj - s * s, self._total)
+        return value
+
+    def _pair_quotient(self, i: int, j: int) -> Poly:
+        return Poly(_unpack(self._pair_value(i, j), self.bits))
+
+    @cached_property
+    def _repeated_value(self) -> int:
+        return self.repeated_part(1 << self.bits)
+
+    def may_divide(self, i: int, j: int) -> bool:
+        """Whether the value of gcd(phi, phi') at X divides that of
+        phi(G - {i, j}); a polynomial divisor divides at every integer, so
+        False proves that gcd(phi, phi') does not divide phi(G - {i, j})."""
+        return self._pair_value(i, j) % self._repeated_value == 0
 
 
 def _forest_tables(G: Graph) -> Optional[_ForestTables]:

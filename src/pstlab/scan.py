@@ -35,8 +35,6 @@ def Pool(processes: int):
 
 @dataclass
 class TreeResult:
-    order: int
-    index: int
     cospectral_pairs: int
     strongly_cospectral_pairs: int
     pst_pairs: list[dict]
@@ -51,9 +49,11 @@ _TREE_MEMOS = tuple(dict.fromkeys(
 
 
 def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
-    """One tree's pair counts, PST pairs and gap violations.  Its memos are emptied
-    afterwards, in a pool worker too, so memory stays bounded by one tree."""
-    n, index, T = args
+    """One tree's pair counts, PST pairs and gap violations; args is (order,
+    index, tree), and the index names the tree in each PST pair and
+    violation.  Its memos are emptied afterwards, in a pool worker too, so
+    memory stays bounded by one tree."""
+    _, index, T = args
     cosp = cospectral_pairs(T)
     strong = [(i, j) for i, j in cosp if is_strongly_cospectral(T, i, j)]
     pst_pairs, violations = [], []
@@ -69,7 +69,7 @@ def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
             violations.append({"tree_index": index, "pair": [i, j], "error": str(exc)})
     for memo in _TREE_MEMOS:
         memo.cache_clear()
-    return TreeResult(n, index, len(cosp), len(strong), pst_pairs, violations)
+    return TreeResult(len(cosp), len(strong), pst_pairs, violations)
 
 
 @dataclass

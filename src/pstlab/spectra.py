@@ -26,6 +26,7 @@ from .polys import (
     Poly,
     RatFunc,
     RootBox,
+    _require_vertices,
     _tables,
     charpoly,
     divides,
@@ -36,7 +37,6 @@ from .polys import (
     residue_at,
     simple_pole_residues,
     vertex_deleted_charpoly,  # re-exported under its old name
-    vertex_deleted_charpolys,
 )
 
 
@@ -45,18 +45,22 @@ class SpectraError(ValueError):
 
 
 def is_cospectral(G: Graph, i: int, j: int) -> bool:
-    """phi^{G\\i} == phi^{G\\j}, exactly."""
+    """phi^{G\\i} == phi^{G\\j}, exactly, by the class keys of the graph's
+    table."""
     if i == j:
         raise SpectraError("need distinct vertices")
-    return vertex_deleted_charpoly(G, i) == vertex_deleted_charpoly(G, j)
+    _require_vertices(G, (i, j))
+    tables = _tables(G)
+    return tables.class_key(i) == tables.class_key(j)
 
 
 def cospectral_pairs(G: Graph) -> list[tuple[int, int]]:
-    """Every cospectral pair i < j, in lexicographic order, from one read of
-    the vertex-deleted characteristic polynomials grouped into classes."""
-    classes: dict[Poly, list[int]] = {}
-    for v, p in enumerate(vertex_deleted_charpolys(G)):
-        classes.setdefault(p, []).append(v)
+    """Every cospectral pair i < j, in lexicographic order, from the
+    vertices grouped by the class keys of the graph's table."""
+    tables = _tables(G)
+    classes: dict[object, list[int]] = {}
+    for v in range(G.n):
+        classes.setdefault(tables.class_key(v), []).append(v)
     return sorted(
         (i, j)
         for members in classes.values()
@@ -75,11 +79,15 @@ def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     poles are simple iff gcd(phi^G, phi^G'), with theta of multiplicity
     m - 1, divides phi^{G\\{i,j}}: one divisibility test per distinct
     phi^{G\\{i,j}}, against a gcd taken once per graph, and none when the
-    spectrum is simple."""
+    spectrum is simple.  A forest's table rejects most pairs first on the
+    values of both polynomials at its Kronecker point."""
     if not is_cospectral(G, i, j):
         return False
-    g = _tables(G).repeated_part
-    return g.degree == 0 or _divides(g, vertex_deleted_charpoly(G, i, j))
+    tables = _tables(G)
+    g = tables.repeated_part
+    return g.degree == 0 or (
+        tables.may_divide(i, j) and _divides(g, vertex_deleted_charpoly(G, i, j))
+    )
 
 
 _divides = lru_cache(maxsize=100_000)(divides)

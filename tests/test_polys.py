@@ -793,6 +793,7 @@ def test_forest_charpoly_matches_berkowitz(parents, weights, cuts, perm_keys):
     # the branch tables against Berkowitz, brute force and the Wronskian
     F = _forest(parents, weights, cuts, perm_keys)
     assert charpoly(F) == berkowitz_charpoly(F)
+    _assert_packed_table(F)
     for S in _deletions(F):
         H = delete_vertices(F, S)
         assert vertex_deleted_charpoly(F, *S) == charpoly(H) == berkowitz_charpoly(H)
@@ -805,6 +806,7 @@ def test_forest_charpoly_matches_berkowitz(parents, weights, cuts, perm_keys):
 def test_forest_charpoly_matches_berkowitz_on_all_trees_to_n10():
     for _, T in trees_up_to(10, min_n=1):
         assert charpoly(T) == berkowitz_charpoly(T)
+        _assert_packed_table(T)
         for S in _deletions(T):
             H = delete_vertices(T, S)
             assert vertex_deleted_charpoly(T, *S) == charpoly(H) == berkowitz_charpoly(H)
@@ -829,6 +831,97 @@ def test_forest_tables_edge_cases():
             vertex_deleted_charpoly(G, -1, 0)
         with pytest.raises(GraphError):
             path_sum_poly(G, -1, 0)
+
+
+def _assert_packed_table(G):
+    """The packed forest table against the adjugate table, built directly,
+    and against Berkowitz: the total, every phi(G - v), every phi(G - {i, j})
+    and every |S_ij|, and the class keys against Poly equality."""
+    table, oracle = polys._forest_tables(G), polys._AdjugateTable(G)
+    assert isinstance(table, polys._ForestTables)
+    assert table.total == oracle.total
+    assert table.charpoly == oracle.charpoly == berkowitz_charpoly(G)
+    deleted = [oracle.deleted(v) for v in range(G.n)]
+    assert [table.deleted_raw(v) for v in range(G.n)] == [oracle.deleted_raw(v) for v in range(G.n)]
+    assert list(table.deleted_all()) == deleted
+    keys = [table.class_key(v) for v in range(G.n)]
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            assert (keys[i] == keys[j]) == (deleted[i] == deleted[j]), (G, i, j)
+            assert table.deleted(i, j) == oracle.deleted(i, j), (G, i, j)
+            s = oracle.path_raw(i, j)
+            assert table.path_raw(i, j) in (s, [-c for c in s]), (G, i, j)
+            assert table.path_raw(j, i) == table.path_raw(i, j)
+
+
+@pytest.mark.parametrize("w", [2**37, 2**31 - 1])
+def test_packed_table_with_large_weights(w):
+    # the bound prod (1 + w^2) sets the digit width, far above 2^(n + 1)
+    forests = [
+        Graph.from_edges(7, [(0, 1, w), (1, 2, -w), (1, 3, 1), (4, 5, w), (5, 6, 2)]),
+        Graph.from_edges(6, [(0, 1, w), (1, 2, w), (2, 3, w), (3, 4, w), (4, 5, w)]),
+        Graph.from_edges(5, [(0, 1, w), (0, 2, 3), (0, 3, -w), (0, 4, 5)]),
+    ]
+    for F in forests:
+        _assert_packed_table(F)
+    assert polys._forest_tables(forests[1]).bits > 5 * 2 * 31
+
+
+def test_packed_values_unpack_at_the_bound():
+    bits = 9
+    top = 2 ** (bits - 1) - 1  # X/2 - 1, the largest coefficient that unpacks
+    for cs in ([top], [-top], [top, 0, 0, -top], [-top, top, 0, -1, top],
+               [0, 0, 5, 0, -top], [1], [-1, 0, 1], []):
+        assert polys._unpack(Poly(cs)(1 << bits), bits) == cs
+    assert polys._unpack(0, bits) == []
+    # one past the bound carries into the next digit
+    assert polys._unpack(top + 1, bits) == [-top - 1, 1]
+
+
+def test_packed_division_by_a_non_divisor_raises():
+    bits, X = 8, 1 << 8
+    a, b = Poly([-1, 0, 1])(X), Poly([1, 1])(X)
+    assert polys._unpack(polys._quo_packed(a, b), bits) == [-1, 1]
+    with pytest.raises(PolyError):
+        polys._quo_packed(a, Poly([2, 1])(X))
+    with pytest.raises(PolyError):
+        polys._quo_packed(Poly([1, 0, 1])(X), b)
+
+
+def test_packed_table_edge_cases():
+    # one vertex, isolated vertices, several components; the empty graph has
+    # an adjugate table (test_adjugate_table_edge_cases)
+    single = Graph.from_edges(1, [])
+    isolated = Graph.from_edges(3, [])
+    pieces = Graph.from_edges(8, [(0, 1, 1), (2, 3, 2), (3, 4, 1), (5, 6, -3)])
+    for G in (single, isolated, pieces):
+        _assert_packed_table(G)
+    table = polys._forest_tables(single)
+    assert (table.total, table.deleted_raw(0), table.bits) == ([0, 1], [1], 2)
+    table = polys._forest_tables(isolated)
+    assert len({table.class_key(v) for v in range(3)}) == 1
+    assert table.path_raw(0, 1) == [] and table.deleted(0, 2) == X
+    table = polys._forest_tables(pieces)
+    assert table.path_raw(0, 2) == []
+    assert Poly(table.path_raw(5, 6)) == charpoly(delete_vertices(pieces, {5, 6})).scale(3)
+    assert table.deleted(1, 5) == charpoly(delete_vertices(pieces, {1, 5}))
+
+
+def test_packed_precheck_never_rejects_a_divisor():
+    # g(X) | P(X) whenever g | P: on every cospectral pair of every tree
+    # n <= 10, the pre-check keeps each pair that polynomial division accepts
+    pairs = kept = strong = 0
+    for _, T in trees_up_to(10):
+        table = polys._forest_tables(T)
+        g = table.repeated_part
+        for i, j in spectra.cospectral_pairs(T):
+            pairs += 1
+            divisible = polys.divides(g, table.deleted(i, j))
+            assert table.may_divide(i, j) or not divisible, (T, i, j)
+            assert spectra.is_strongly_cospectral(T, i, j) == divisible, (T, i, j)
+            kept += table.may_divide(i, j)
+            strong += divisible
+    assert pairs > kept >= strong > 0  # 1026 > 217 >= 217 > 0
 
 
 @pytest.mark.parametrize(
