@@ -9,19 +9,21 @@ returns and the signs of a polynomial at the roots of another
 modulo a monic f and a small prime p for ``pst.ratio_witness``.
 
 A graph's polynomials are kept on its table (``_tables``, an LRU of 16
-graphs) and nowhere else: phi(G), gcd(phi, phi'), and each phi(G \\ v) and
-phi(G \\ {i, j}) once read; the quotient (phi(G \\ i) phi(G \\ j) -
-S_ij^2) / phi(G) is memoized on what it reads.  A loopless integer-weighted
-forest gets branch polynomials (``_ForestTables``), every other graph an
-adjugate table (``_AdjugateTable``): Berkowitz on sparse integer rows, and a
-column of adj(tI - A) by Faddeev-LeVerrier for each vertex that is read.
+graphs) and nowhere else: phi(G), gcd(phi, phi'), each phi(G \\ v) and
+phi(G \\ {i, j}) once read, and the strong verdicts; the quotient
+(phi(G \\ i) phi(G \\ j) - S_ij^2) / phi(G) is memoized on what it reads.
+A loopless integer-weighted forest gets branch polynomials
+(``_ForestTables``), every other graph an adjugate table
+(``_AdjugateTable``): Berkowitz on sparse integer rows, and a column of
+adj(tI - A) by Faddeev-LeVerrier for each vertex that is read.
 
-A forest's table keeps each polynomial P as the integer P(X) at X = 2^b
-(Kronecker substitution), with 2^(b - 1) above prod_e (1 + w_e^2), which
-bounds the coefficients of every polynomial it reads (the matching
-expansion, see ``_ForestTables``).  It multiplies and divides these
-integers, groups cospectral vertices by them and tests g(X) | P(X) before
-g | P; a coefficient list is unpacked only when it is read.
+Both tables keep each polynomial P as the integer P(X) at X = 2^b
+(Kronecker substitution), with 2^(b - 1) above the absolute coefficient
+sum of every polynomial they read: prod_e (1 + w_e^2) on a forest (the
+matching expansion), Hadamard's bound on the minors of sI - A otherwise.
+A table multiplies and divides these integers, groups cospectral vertices
+by them and tests g(X) | P(X) before g | P; a coefficient list is
+unpacked only when it is read.
 
 A polynomial's roots are kept by ``real_roots``: isolated once by Sturm
 bisection, and refined only while a decision that reads them is open, by
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul, ne
 from typing import Iterable, Optional
 
@@ -493,96 +495,6 @@ def _unscale(cs: list, scale: int, d: int) -> Poly:
     return Poly([_div(c, scale ** (d - m)) for m, c in enumerate(cs)])
 
 
-def _sub(a: list, b: list) -> list:
-    """a - b for coefficient lists, low degree first."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for k, x in enumerate(b):
-        out[k] -= x
-    return out
-
-
-class _Table:
-    """The polynomials of one graph that the deletions and path sums are
-    read from, as integer coefficient lists (low degree first) of the
-    integer matrix ``scale`` * A: ``total`` is its monic characteristic
-    polynomial, ``deleted_raw(v)`` that of G - v and ``path_raw(i, j)`` the
-    path sum S_ij ([] when it is zero).
-
-    Both tables give phi(G - {i, j}) = (phi(G - i) phi(G - j) - S_ij^2) /
-    phi(G), Jacobi's identity for the 2 x 2 minors of adj(tI - A), as one
-    exact division by the monic phi(G).  ``class_key`` and ``may_divide``
-    let a forest's table answer the cospectral and strong tests on packed
-    values without unpacking them."""
-
-    n: int
-    scale = 1
-    total: list
-    charpoly: Poly
-
-    def deleted_raw(self, v: int) -> list:
-        raise NotImplementedError
-
-    def path_raw(self, i: int, j: int) -> list:
-        raise NotImplementedError
-
-    @cached_property
-    def _deleted(self) -> dict:
-        return {}
-
-    def deleted(self, *vertices: int) -> Poly:
-        """phi(G - vertices) for one vertex or two in ascending order, built
-        when first read and kept."""
-        poly = self._deleted.get(vertices)
-        if poly is None:
-            poly = self._deleted[vertices] = (
-                _unscale(self.deleted_raw(*vertices), self.scale, self.n - 1)
-                if len(vertices) == 1 else self._pair_quotient(*vertices)
-            )
-        return poly
-
-    def deleted_all(self) -> tuple[Poly, ...]:
-        return tuple(map(self.deleted, range(self.n)))
-
-    def class_key(self, v: int):
-        """A key equal for two vertices exactly when their phi(G - v) are:
-        here the polynomial, which keeps its hash for the memos it is read
-        by next."""
-        return self.deleted(v)
-
-    def may_divide(self, i: int, j: int) -> bool:
-        """False only when gcd(phi, phi') cannot divide phi(G - {i, j});
-        here always True."""
-        return True
-
-    def path_sum(self, i: int, j: int) -> Poly:
-        return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
-
-    @cached_property
-    def repeated_part(self) -> Poly:
-        """gcd(phi, phi'): each eigenvalue of multiplicity m >= 2 as a root
-        of multiplicity m - 1, and no other root."""
-        return poly_gcd(self.charpoly, self.charpoly.derivative())
-
-    @cached_property
-    def _pair_quotients(self) -> dict:
-        return {}
-
-    def _pair_quotient(self, i: int, j: int) -> Poly:
-        """phi(G - {i, j}), memoized on what the quotient reads: phi(G - i)
-        and phi(G - j) as an unordered pair and S_ij.  The memo lives on the
-        table, so the table's own total and scale are part of its key.  The
-        pairs of a symmetric graph carry equal lists, so they share one
-        exact division (Q6: 6 quotients for its 2016 cospectral pairs)."""
-        s = tuple(self.path_raw(i, j))
-        di, dj = tuple(self.deleted_raw(i)), tuple(self.deleted_raw(j))
-        key = (di, dj, s) if di <= dj else (dj, di, s)
-        quot = self._pair_quotients.get(key)
-        if quot is None:
-            raw = _quo_exact(_sub(_mul(di, dj), _mul(s, s) if s else []), self.total)
-            quot = self._pair_quotients[key] = _unscale(raw, self.scale, self.n - 2)
-        return quot
-
-
 def _unpack(value: int, bits: int) -> list[int]:
     """The coefficient list (low degree first, [] for zero) of the P with
     P(2^bits) = value, for a P whose coefficients lie in [-2^(bits-1),
@@ -607,12 +519,124 @@ def _quo_packed(a: int, b: int) -> int:
     return q
 
 
+class _Table:
+    """The polynomials of one graph for the integer matrix ``scale`` * A,
+    each kept as its value at X = 2^bits: a product is an integer product,
+    an exact division an integer division checked by its remainder, and a
+    coefficient list (low degree first) is read off the balanced base-X
+    digits when it is read.  A subclass sets ``bits`` with 2^(bits - 1)
+    above the absolute coefficient sum of every polynomial it unpacks, and
+    gives the values of the monic characteristic polynomial (``_total``),
+    of phi(G - v) (``_deleted_value``) and of the path sum S_ij (``_path``).
+    The roots of phi then lie below X in absolute value (Cauchy), so a monic
+    divisor of phi, such as gcd(phi, phi'), is not zero at X.
+
+    phi(G - {i, j}) = (phi(G - i) phi(G - j) - S_ij^2) / phi(G), Jacobi's
+    identity for the 2 x 2 minors of adj(tI - A), is one exact division of
+    values; the product is never unpacked."""
+
+    n: int
+    bits: int
+    scale = 1
+    _total: int
+
+    def __init__(self):
+        # memos: phi(G - S) by S, pair values by what they read, strong verdicts by value
+        self._deleted, self._pair_quotients, self._strong = {}, {}, {}
+
+    def _deleted_value(self, v: int) -> int:
+        raise NotImplementedError
+
+    def _path(self, i: int, j: int) -> int:
+        raise NotImplementedError
+
+    @cached_property
+    def total(self) -> list:
+        return _unpack(self._total, self.bits)
+
+    @cached_property
+    def charpoly(self) -> Poly:
+        return _unscale(self.total, self.scale, self.n)
+
+    def deleted_raw(self, v: int) -> list:
+        return _unpack(self._deleted_value(v), self.bits)
+
+    def path_raw(self, i: int, j: int) -> list:
+        return _unpack(self._path(i, j), self.bits)
+
+    def deleted(self, *vertices: int) -> Poly:
+        """phi(G - vertices) for one vertex or two in ascending order, built
+        when first read and kept."""
+        poly = self._deleted.get(vertices)
+        if poly is None:
+            value = (self._pair_value(*vertices) if vertices[1:]
+                     else self._deleted_value(*vertices))
+            raw = _unpack(value, self.bits)
+            poly = self._deleted[vertices] = _unscale(raw, self.scale, self.n - len(vertices))
+        return poly
+
+    def deleted_all(self) -> tuple[Poly, ...]:
+        return tuple(map(self.deleted, range(self.n)))
+
+    def class_key(self, v: int) -> int:
+        """Equal for two vertices exactly when their phi(G - v) are."""
+        return self._deleted_value(v)
+
+    def path_sum(self, i: int, j: int) -> Poly:
+        return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
+
+    def _pair_value(self, i: int, j: int) -> int:
+        """phi(G - {i, j}) at X, memoized on what the quotient reads: phi(G -
+        i) and phi(G - j) as an unordered pair and S_ij.  The memo lives on
+        the table, so the table's own total and scale are part of its key.
+        The pairs of a symmetric graph carry equal values, so they share one
+        exact division (Q6: 6 quotients for its 2016 cospectral pairs)."""
+        s, di, dj = self._path(i, j), self._deleted_value(i), self._deleted_value(j)
+        key = (di, dj, s) if di <= dj else (dj, di, s)
+        value = self._pair_quotients.get(key)
+        if value is None:
+            value = self._pair_quotients[key] = _quo_packed(di * dj - s * s, self._total)
+        return value
+
+    @cached_property
+    def _gcd(self) -> tuple[Poly, int]:
+        """gcd(phi, phi') of ``scale`` * A, taken once, and its value at X."""
+        total = Poly(self.total)
+        g = poly_gcd(total, total.derivative())
+        return g, g(1 << self.bits)
+
+    @cached_property
+    def repeated_part(self) -> Poly:
+        """gcd(phi, phi'): each eigenvalue of multiplicity m >= 2 as a root
+        of multiplicity m - 1, and no other root."""
+        g = self._gcd[0]
+        return _unscale(g.coeffs, self.scale, g.degree)
+
+    def may_divide(self, i: int, j: int) -> bool:
+        """Whether the value of gcd(phi, phi') at X divides that of
+        phi(G - {i, j}); a polynomial divisor divides at every integer, so
+        False proves that gcd(phi, phi') does not divide phi(G - {i, j})."""
+        return self._pair_value(i, j) % self._gcd[1] == 0
+
+    def strong(self, i: int, j: int) -> bool:
+        """Whether gcd(phi, phi') divides phi(G - {i, j}): False when
+        ``may_divide`` is, else by polynomial division, memoized on the value
+        of phi(G - {i, j})."""
+        g = self._gcd[0]
+        if not g.degree:
+            return True
+        if not self.may_divide(i, j):
+            return False
+        value = self._pair_value(i, j)
+        verdict = self._strong.get(value)
+        if verdict is None:
+            verdict = self._strong[value] = divides(g, Poly(_unpack(value, self.bits)))
+        return verdict
+
+
 class _ForestTables(_Table):
     """Branch polynomials of a loopless integer-weighted forest G, each
-    component rooted at its least vertex, kept as their values at X = 2^bits
-    (Kronecker substitution): a product of polynomials is one integer
-    product, an exact division one integer division, and a coefficient list
-    is read off the balanced base-X digits only when it is read.
+    component rooted at its least vertex, packed as in ``_Table``.
 
     Every polynomial that is unpacked is a forest characteristic polynomial
     or |w(P)| times one.  phi(F) = sum over the matchings M of F of (-1)^|M|
@@ -620,9 +644,7 @@ class _ForestTables(_Table):
     sum over the matchings of prod w_e^2, at most prod_e (1 + w_e^2) over the
     edges of G; and |w(P)| <= prod_{e in P} (1 + w_e^2) for a path P whose
     edges are not in G - P.  ``bits`` makes 2^(bits - 1) exceed that bound,
-    so the digits give every such polynomial back exactly.  Its roots are at
-    most 1 + the bound < X in absolute value (Cauchy), so a monic divisor of
-    one, such as gcd(phi, phi') or phi_c, is not zero at X.
+    so each phi_c, a divisor of phi(G), is not zero at X either.
 
     The downward pass gives phi_v = phi(T_v) and psi_v = phi(T_v - v), the
     product of phi_c over the children c, for each rooted subtree T_v:
@@ -636,42 +658,33 @@ class _ForestTables(_Table):
     phi(G - v) / phi_c, so up_c = (phi(G) + w_vc^2 psi_c Q) / phi_c: two exact
     divisions by phi_c per edge, each checked by its integer remainder.  A
     forest has at most one i-j path P, so S_ij is w(P) phi(G - P); the table
-    keeps |w(P)|.  Intermediates such as phi_i phi_j - S_ij^2 are divided,
-    never unpacked.
+    keeps |w(P)|.
     """
 
     def __init__(self, parent: list[int], depth: list[int], weight: list[int],
                  order: list[int], children: list[list[int]]):
         # order lists every vertex after its parent; weight[c] = |w(c, parent)|
+        super().__init__()
         self.parent, self.depth, self.weight = parent, depth, weight
         self.order, self.children = order, children
         self.n = n = len(parent)
-        bound = 1
-        for w in weight:
-            bound *= 1 + w * w
-        self.bits = b = bound.bit_length() + 1
+        self.bits = b = prod(1 + w * w for w in weight).bit_length() + 1
         phi: list = [0] * n
         psi: list = [0] * n
         for v in reversed(order):
-            prod, tail = 1, 0
+            psi_v, tail = 1, 0
             for c in children[v]:
                 # tail = sum over the children c so far of w^2 psi_c prod phi_c'
                 w2 = weight[c] * weight[c]
                 if children[c]:
-                    tail = tail * phi[c] + w2 * psi[c] * prod
-                    prod *= phi[c]
+                    tail = tail * phi[c] + w2 * psi[c] * psi_v
+                    psi_v *= phi[c]
                 else:  # a leaf: phi_c = X, psi_c = 1
-                    tail = (tail << b) + w2 * prod
-                    prod <<= b
-            phi[v], psi[v] = (prod << b) - tail, prod
+                    tail = (tail << b) + w2 * psi_v
+                    psi_v <<= b
+            phi[v], psi[v] = (psi_v << b) - tail, psi_v
         self.phi, self.psi = phi, psi
-        total = 1
-        for v in order:
-            if parent[v] < 0:
-                total *= phi[v]
-        self._total = total
-        self.total = _unpack(total, b)
-        self.charpoly = Poly(self.total)
+        self._total = prod(phi[v] for v in order if parent[v] < 0)
 
     @cached_property
     def _upward(self) -> tuple[list, list]:
@@ -689,11 +702,8 @@ class _ForestTables(_Table):
                 up[c] = _quo_packed(total + w2 * psi[c] * q, phi[c])
         return up, deleted
 
-    def class_key(self, v: int) -> int:
+    def _deleted_value(self, v: int) -> int:
         return self._upward[1][v]
-
-    def deleted_raw(self, v: int) -> list:
-        return _unpack(self._upward[1][v], self.bits)
 
     def _path(self, i: int, j: int) -> int:
         """|w(P)| phi(G - P) at X for the i-j path P, 0 when there is none:
@@ -716,41 +726,17 @@ class _ForestTables(_Table):
                     out *= self.phi[c]
         return out
 
-    def path_raw(self, i: int, j: int) -> list:
-        return _unpack(self._path(i, j), self.bits)
-
-    def _pair_value(self, i: int, j: int) -> int:
-        """phi(G - {i, j}) at X, memoized like ``_pair_quotient``."""
-        s, deleted = self._path(i, j), self._upward[1]
-        di, dj = deleted[i], deleted[j]
-        key = (di, dj, s) if di <= dj else (dj, di, s)
-        value = self._pair_quotients.get(key)
-        if value is None:
-            value = self._pair_quotients[key] = _quo_packed(di * dj - s * s, self._total)
-        return value
-
-    def _pair_quotient(self, i: int, j: int) -> Poly:
-        return Poly(_unpack(self._pair_value(i, j), self.bits))
-
-    @cached_property
-    def _repeated_value(self) -> int:
-        return self.repeated_part(1 << self.bits)
-
-    def may_divide(self, i: int, j: int) -> bool:
-        """Whether the value of gcd(phi, phi') at X divides that of
-        phi(G - {i, j}); a polynomial divisor divides at every integer, so
-        False proves that gcd(phi, phi') does not divide phi(G - {i, j})."""
-        return self._pair_value(i, j) % self._repeated_value == 0
-
 
 def _forest_tables(G: Graph) -> Optional[_ForestTables]:
     """The branch tables of a loopless integer-weighted forest, None for any
     other graph."""
     n = G.n
-    if len(G.edges) >= n or not G.is_integer_weighted() or G.has_loops():
+    if len(G.edges) >= n:
         return None
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in G.edges:
+        if u == v or w.denominator != 1:
+            return None
         adj[u].append((v, abs(w.numerator)))
         adj[v].append((u, abs(w.numerator)))
     parent, depth, weight = [-1] * n, [0] * n, [0] * n
@@ -778,7 +764,8 @@ def _forest_tables(G: Graph) -> Optional[_ForestTables]:
 
 class _AdjugateTable(_Table):
     """Columns of adj(sI - A') for the integer matrix A' = L A of any graph
-    (L the lcm of the weight denominators), each computed when first read.
+    (L the lcm of the weight denominators), each computed when first read,
+    and their entries packed as in ``_Table`` when read.
 
     Berkowitz gives phi' = det(sI - A') = s^n + c_1 s^(n-1) + ... + c_n.
     By Faddeev-LeVerrier, adj(sI - A') = sum_k B_k s^(n-1-k) with B_0 = I
@@ -788,14 +775,21 @@ class _AdjugateTable(_Table):
     paths P of w'(P) phi'(G - P) (Godsil).  Since adj(sI - A') = L^(n-1)
     adj((s/L)I - A), ``_unscale`` turns an entry into the one of A; only
     the entries that are read are rescaled.
+
+    Every polynomial it unpacks is a minor P of M = sI - A', of degree at
+    most n.  Its absolute coefficient sum is at most sqrt(n + 1) times its
+    coefficient 2-norm (Cauchy-Schwarz), which is at most max |P(z)| on
+    |z| = 1 (Parseval).  There Hadamard's inequality bounds |P(z)| by the
+    product of the 2-norms of the rows of the submatrix, and row r of M(z)
+    has 2-norm at most sqrt((1 + |A'_rr|)^2 + sum_{q != r} A'_rq^2) >= 1.
+    ``bits`` puts 2^(bits - 1) above sqrt(n + 1) times the product of these.
     """
 
     def __init__(self, G: Graph):
+        super().__init__()
         self.n = G.n
         self.scale, diag, lower = _scaled_rows(G)
         self._c = _berkowitz(diag, lower)
-        self.total = self._c[::-1]
-        self.charpoly = _unscale(self.total, self.scale, self.n)
         # row r of A' as (neighbor, weight) pairs, the diagonal included
         rows: list[list[tuple[int, int]]] = [[(r, d)] if d else [] for r, d in enumerate(diag)]
         for r, pairs in enumerate(lower):
@@ -803,7 +797,13 @@ class _AdjugateTable(_Table):
                 rows[r].append((q, w))
                 rows[q].append((r, w))
         self._rows = rows
+        # the square of the bound: (1 + |d|)^2 + sum_{q != r} w^2 = 1 + 2|d| + sum_q w^2
+        square = (self.n + 1) * prod(
+            1 + 2 * abs(d) + sum(w * w for _, w in row) for row, d in zip(rows, diag))
+        self.bits = b = (square.bit_length() + 1) // 2 + 1
+        self._total = Poly(self._c[::-1])(1 << b)
         self._columns: dict[int, list[list[int]]] = {}
+        self._diagonal: dict[int, int] = {}
 
     def _column(self, i: int) -> list[list[int]]:
         """[B_k e_i for k < n], computed once."""
@@ -820,20 +820,24 @@ class _AdjugateTable(_Table):
             self._columns[i] = col
         return col
 
-    def _entry(self, i: int, j: int) -> list:
-        """Entry (i, j) of adj(sI - A'), low degree first, trailing zeros
-        trimmed; read off column j when it is there, by symmetry."""
+    def _entry(self, i: int, j: int) -> int:
+        """Entry (i, j) of adj(sI - A') at X, read off column j when it is
+        there, by symmetry."""
         if i not in self._columns and j in self._columns:
             i, j = j, i
-        cs = [v[j] for v in reversed(self._column(i))]
-        while cs and not cs[-1]:
-            cs.pop()
-        return cs
+        value, b = 0, self.bits
+        for v in self._column(i):
+            value = (value << b) + v[j]
+        return value
 
-    def deleted_raw(self, v: int) -> list:
-        return self._entry(v, v)
+    def _deleted_value(self, v: int) -> int:
+        # kept: the class keys read each diagonal entry again and again
+        value = self._diagonal.get(v)
+        if value is None:
+            value = self._diagonal[v] = self._entry(v, v)
+        return value
 
-    def path_raw(self, i: int, j: int) -> list:
+    def _path(self, i: int, j: int) -> int:
         return self._entry(i, j)
 
 

@@ -10,7 +10,7 @@ tables, root midpoints and the 2^-40 boxes of the JSON output, computed when
 they are read.
 
 The pair quantities are memoized on the polynomials they read, so the pairs
-of a symmetric graph share them: the divisibility on gcd(phi, phi') and
+of a symmetric graph share them: the divisibility on the table's packed
 phi^{G\\{i,j}}, the support on phi^G and phi^{G\\i}, and one record per pair
 (``_PairRecord``), which the signed path sum and the partition are read off,
 on phi^G, phi^{G\\i} and the unsigned path sum.
@@ -29,7 +29,6 @@ from .polys import (
     _require_vertices,
     _tables,
     charpoly,
-    divides,
     isolate_real_roots,
     path_sum_poly,
     poly_gcd,
@@ -79,18 +78,9 @@ def is_strongly_cospectral(G: Graph, i: int, j: int) -> bool:
     poles are simple iff gcd(phi^G, phi^G'), with theta of multiplicity
     m - 1, divides phi^{G\\{i,j}}: one divisibility test per distinct
     phi^{G\\{i,j}}, against a gcd taken once per graph, and none when the
-    spectrum is simple.  A forest's table rejects most pairs first on the
-    values of both polynomials at its Kronecker point."""
-    if not is_cospectral(G, i, j):
-        return False
-    tables = _tables(G)
-    g = tables.repeated_part
-    return g.degree == 0 or (
-        tables.may_divide(i, j) and _divides(g, vertex_deleted_charpoly(G, i, j))
-    )
-
-
-_divides = lru_cache(maxsize=100_000)(divides)
+    spectrum is simple.  The table rejects most pairs first on the values
+    of both polynomials at its Kronecker point."""
+    return is_cospectral(G, i, j) and _tables(G).strong(i, j)
 
 
 def support_poly(G: Graph, i: int) -> Poly:

@@ -1,34 +1,48 @@
-"""The packed forest table's class keys and strong pre-check against the
-polynomials they stand for, on every tree up to an order.  For each tree it
-asserts that two vertices share a class key exactly when their phi(T - v)
-are equal as polynomials, and for each cospectral pair that the pre-check
-g(X) | phi(T - {i, j})(X) keeps the pair whenever polynomial division by
-g = gcd(phi, phi') accepts it.  Prints the pair counts of the last order and
-the time.  CI runs it to n = 12 (under a second; n = 14 takes a few):
+"""The packed tables' class keys, strong pre-check and strong verdict against
+the polynomials they stand for.  For each graph it asserts that two vertices
+share a class key exactly when their phi(G - v) are equal as polynomials,
+and for each cospectral pair that the pre-check g(X) | phi(G - {i, j})(X)
+keeps the pair whenever polynomial division by g = gcd(phi, phi') accepts
+it, and that the table's strong verdict is that division.  The graphs are
+every tree up to an order (forest tables), the Laplacian form of each of
+those trees, whose loops give it an adjugate table, and Q2-Q6 and P3 x P3
+(adjugate tables).  Prints the pair counts of the last order and of each
+named graph, and the time.  CI runs it to n = 12 (a few seconds):
 
     PYTHONPATH=src python tests/table_sweep.py 12
 """
 import sys
 import time
 
-from pstlab.polys import _forest_tables, divides
+from pstlab.graphs import Graph, hypercube, laplacian_form
+from pstlab.polys import _AdjugateTable, _ForestTables, _tables, divides
 from pstlab.trees import enumerate_trees
 
+P3_BY_P3 = Graph.from_edges(9, [(v, v + 1, 1) for v in range(9) if v % 3 != 2]
+                            + [(v, v + 3, 1) for v in range(6)])
 
-def check_tree(T) -> tuple[int, int, int]:
-    """(cospectral pairs, pairs the pre-check keeps, strong pairs) of T."""
-    table = _forest_tables(T)
-    keys = [table.class_key(v) for v in range(T.n)]
+
+def check_graph(G, kind) -> tuple[int, int, int]:
+    """(cospectral pairs, pairs the pre-check keeps, strong pairs) of G,
+    whose table must be of the class ``kind``."""
+    table = _tables(G)
+    assert isinstance(table, kind), G
+    keys = [table.class_key(v) for v in range(G.n)]
     deleted = table.deleted_all()
     g = table.repeated_part
+    verdicts: dict = {}  # polynomial division, once per distinct quotient
     cosp = kept = strong = 0
-    for i in range(T.n):
-        for j in range(i + 1, T.n):
-            assert (keys[i] == keys[j]) == (deleted[i] == deleted[j]), (T, i, j)
+    for i in range(G.n):
+        for j in range(i + 1, G.n):
+            assert (keys[i] == keys[j]) == (deleted[i] == deleted[j]), (G, i, j)
             if keys[i] != keys[j]:
                 continue
-            divisible = divides(g, table.deleted(i, j))
-            assert table.may_divide(i, j) or not divisible, (T, i, j)
+            pair = table.deleted(i, j)
+            divisible = verdicts.get(pair)
+            if divisible is None:
+                divisible = verdicts[pair] = divides(g, pair)
+            assert table.may_divide(i, j) or not divisible, (G, i, j)
+            assert table.strong(i, j) == divisible, (G, i, j)
             cosp += 1
             kept += table.may_divide(i, j)
             strong += divisible
@@ -39,16 +53,21 @@ def main(max_n: int) -> int:
     start = time.monotonic()
     trees = 0
     for n in range(2, max_n + 1):
-        counts = [0, 0, 0]
+        counts = {"trees": [0, 0, 0], "Laplacian": [0, 0, 0]}
         for T in enumerate_trees(n):
             trees += 1
-            counts = [a + b for a, b in zip(counts, check_tree(T))]
-    cosp, kept, strong = counts
-    print(
-        f"trees n <= {max_n}: {trees} trees; class keys agree with the polynomials on "
-        f"every tree; at n = {max_n}, {cosp} cospectral pairs, {kept} kept by the "
-        f"pre-check, {strong} strong; {time.monotonic() - start:.1f} s"
-    )
+            for name, G, kind in (("trees", T, _ForestTables),
+                                  ("Laplacian", laplacian_form(T), _AdjugateTable)):
+                counts[name] = [a + b for a, b in zip(counts[name], check_graph(G, kind))]
+    lines = [f"{name} n = {max_n}: {c} cospectral pairs, {k} kept by the pre-check, {s} strong"
+             for name, (c, k, s) in counts.items()]
+    for name, G in [(f"Q{d}", hypercube(d)) for d in range(2, 7)] + [("P3 x P3", P3_BY_P3)]:
+        c, k, s = check_graph(G, _AdjugateTable)
+        lines.append(f"{name}: {c} cospectral pairs, {k} kept by the pre-check, {s} strong")
+    print(f"{trees} trees n <= {max_n}, their Laplacian forms, Q2-Q6 and P3 x P3: class keys, "
+          f"pre-check and strong verdict agree with the polynomials; "
+          f"{time.monotonic() - start:.1f} s")
+    print("\n".join(lines))
     return 0
 
 

@@ -924,6 +924,22 @@ def test_packed_precheck_never_rejects_a_divisor():
     assert pairs > kept >= strong > 0  # 1026 > 217 >= 217 > 0
 
 
+def test_strong_verdict_does_not_rest_on_the_precheck(monkeypatch):
+    # the pre-check only rejects: with it keeping every pair, the verdict
+    # still comes from polynomial division, memoized on phi(G - {i, j})
+    monkeypatch.setattr(polys._Table, "may_divide", lambda self, i, j: True)
+    polys._tables.cache_clear()
+    pairs = strong = 0
+    for G in [T for _, T in trees_up_to(8)] + [hypercube(3), laplacian_form(grid(3, 3))]:
+        g = polys._tables(G).repeated_part
+        for i, j in spectra.cospectral_pairs(G):
+            divisible = polys.divides(g, vertex_deleted_charpoly(G, i, j))
+            assert spectra.is_strongly_cospectral(G, i, j) == divisible, (G, i, j)
+            pairs += 1
+            strong += divisible
+    assert pairs > strong > 0
+
+
 @pytest.mark.parametrize(
     "G",
     [
@@ -938,21 +954,33 @@ def test_charpoly_of_non_forests_matches_berkowitz(G):
 
 
 def _assert_adjugate_table(G, brute_force=True):
-    """The adjugate table against Berkowitz on every deleted subgraph, and
-    its signed path sums against the brute-force path sum (or, past its
-    guard, the test-local Wronskian, which fixes them up to sign)."""
+    """The packed adjugate table against Berkowitz on every deleted
+    subgraph, its class keys against Poly equality, its pre-check and strong
+    verdict against polynomial division by gcd(phi, phi'), and its signed
+    path sums against the brute-force path sum (or, past its guard, the
+    test-local Wronskian, which fixes them up to sign)."""
     table = polys._AdjugateTable(G)  # built directly, also for a forest
-    assert table.charpoly == charpoly(G) == berkowitz_charpoly(G)
+    _, diag, lower = polys._scaled_rows(G)
+    assert table.total == polys._berkowitz(diag, lower)[::-1]
+    phi = berkowitz_charpoly(G)
+    assert table.charpoly == charpoly(G) == phi
+    g = poly_gcd(phi, phi.derivative())
+    assert table.repeated_part == g
     deleted = [berkowitz_charpoly(delete_vertices(G, {v})) for v in range(G.n)]
     assert list(table.deleted_all()) == list(vertex_deleted_charpolys(G)) == deleted
     assert spectra.cospectral_pairs(G) == [
         (i, j) for i in range(G.n) for j in range(i + 1, G.n) if deleted[i] == deleted[j]
     ]
+    keys = [table.class_key(v) for v in range(G.n)]
     for i in range(G.n):
         assert vertex_deleted_charpoly(G, i) == deleted[i]
         for j in range(i + 1, G.n):
+            assert (keys[i] == keys[j]) == (deleted[i] == deleted[j]), (G, i, j)
             pair = berkowitz_charpoly(delete_vertices(G, {i, j}))
             assert table.deleted(i, j) == vertex_deleted_charpoly(G, i, j) == pair
+            divisible = polys.divides(g, pair)
+            assert table.may_divide(i, j) or not divisible, (G, i, j)
+            assert table.strong(i, j) == divisible, (G, i, j)
             s = table.path_sum(i, j)
             assert s == table.path_sum(j, i)
             if brute_force:
@@ -988,12 +1016,34 @@ def test_adjugate_table_past_the_brute_force_guard(G):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_adjugate_table_on_random_graphs(data):
-    # loops, negative and rational weights, and graphs in pieces
+    # loops, negative, rational (scale > 1) and 2^37 weights, and graphs in pieces
     n = data.draw(st.integers(0, 7))
     pairs = [(u, v) for u in range(n) for v in range(u, n)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    weight = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    numerators = st.sampled_from([-3, -2, -1, 1, 2, 3, 2**37, -2**37])
+    weight = st.builds(Fraction, numerators, st.integers(1, 4))
     _assert_adjugate_table(Graph.from_edges(n, [(u, v, data.draw(weight)) for u, v in chosen]))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (5, 2**37), (6, -3), (7, Fraction(-2, 3))])
+def test_packed_adjugate_table_unpacks_equal_loops_at_the_hadamard_width(n, d):
+    # A' = L d I: (s - L d)^n has absolute coefficient sum prod_r (1 + |L d|),
+    # the most a row-by-row bound allows, and Hadamard's bound on |.|^2,
+    # (n + 1) prod_r (1 + |L d|)^2, sets the least digit width above it
+    G = Graph.from_edges(n, [(v, v, d) for v in range(n)])
+    table = polys._AdjugateTable(G)
+    e = int(table.scale * d)
+    bound = (1 + abs(e)) ** n
+    assert bound < 2 ** (table.bits - 1)
+    assert 4 ** (table.bits - 2) <= (n + 1) * bound**2 < 4 ** (table.bits - 1)
+    assert table.total == list(lin(*[e] * n).coeffs)
+    assert sum(map(abs, table.total)) == bound
+    assert all(table.deleted_raw(v) == list(lin(*[e] * (n - 1)).coeffs) for v in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert table.path_raw(i, j) == []
+            assert table.deleted(i, j) == lin(*[d] * (n - 2))
+    _assert_adjugate_table(G)
 
 
 def test_adjugate_table_edge_cases():

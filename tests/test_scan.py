@@ -134,7 +134,6 @@ def test_scan_leaves_the_memos_of_each_tree_empty():
     assert sizes.keys() >= {
         "pstlab.polys._tables",
         "pstlab.polys.real_roots",
-        "pstlab.spectra._divides",
         "pstlab.spectra._support_poly",
         "pstlab.spectra._pair_records",
         "pstlab.pst.ratio_witness",

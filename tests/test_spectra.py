@@ -133,14 +133,18 @@ def test_strong_cospectrality_takes_one_gcd_per_graph(monkeypatch):
         return real_gcd(p, q)
 
     monkeypatch.setattr(polys, "poly_gcd", counting_gcd)
-    for G in (hypercube(3), grid(3, 3), star(5), path(6)):
+    # the gcd is taken on the scaled total: weights 1/2 give scale 2, and the
+    # Laplacian form has loops, so both get adjugate tables
+    halves = Graph.from_edges(8, [(u, v, Fraction(1, 2)) for u, v, _ in hypercube(3).edges])
+    looped = laplacian_form(grid(3, 3))
+    for G in (hypercube(3), grid(3, 3), star(5), path(6), halves, looped):
         polys._tables.cache_clear()
-        spectra._divides.cache_clear()
         calls.clear()
         for i in range(G.n):
             for j in range(i + 1, G.n):
                 is_strongly_cospectral(G, i, j)
         assert len(calls) == 1
+    assert (polys._tables(halves).scale, looped.has_loops()) == (2, True)
 
 
 def test_support_poly_p3():
