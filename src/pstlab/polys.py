@@ -25,11 +25,14 @@ A table multiplies and divides these integers, groups cospectral vertices
 by them and tests g(X) | P(X) before g | P; a coefficient list is
 unpacked only when it is read.
 
-A polynomial's roots are kept by ``real_roots``: isolated once by Sturm
-bisection, and refined only while a decision that reads them is open, by
-quadratic interval refinement on the bisection grid.  The last member of the
-Sturm chain, gcd(p, p'), gives the root multiplicities and decides whether
-poles are simple.  Floats are diagnostics only: root midpoints and the
+A polynomial's roots are kept by ``real_roots``: isolated by Sturm
+bisection only where a caller reads them, with the cells that hold two
+roots or more kept pending, no evaluation past a Fujiwara bound and, for an
+even or odd t^e R(t^2), the counts taken on the Sturm chain of R; a box is
+refined only while a decision that reads it is open, by quadratic interval
+refinement on the bisection grid.  The last member of the Sturm chain,
+gcd(p, p'), gives the root multiplicities and decides whether poles are
+simple.  Floats are diagnostics only: root midpoints and the
 residues of ``residue_at``, on the 2^-40 boxes of ``isolate_real_roots``.
 """
 from __future__ import annotations
@@ -372,6 +375,25 @@ def divides(g: Poly, p: Poly) -> bool:
     return not p.coeffs or not _prem(_int_vector(p), _int_primitive(g))
 
 
+def _even_odd(fi) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(e, R) for the integer polynomial fi = t^e R(t^2) with R(0) != 0 and
+    deg R >= 1, None when fi has no such form."""
+    e = 0
+    while not fi[e]:
+        e += 1
+    rest = fi[e:]
+    if len(rest) < 3 or any(rest[1::2]):
+        return None
+    return e, rest[::2]
+
+
+def _halve(cs, e: int) -> tuple[int, ...]:
+    """The coefficients of t^e R(t^2) for R = cs."""
+    out = [0] * (e + 2 * len(cs) - 1)
+    out[e::2] = cs
+    return tuple(out)
+
+
 # -- F_p[u] on integer lists, low degree first, for a small prime p --------
 
 
@@ -541,8 +563,9 @@ class _Table:
     _total: int
 
     def __init__(self):
-        # memos: phi(G - S) by S, pair values by what they read, strong verdicts by value
-        self._deleted, self._pair_quotients, self._strong = {}, {}, {}
+        # memos: phi(G - S) by S, pair values by pair and by what they read,
+        # strong verdicts by value
+        self._deleted, self._pairs, self._pair_quotients, self._strong = {}, {}, {}, {}
 
     def _deleted_value(self, v: int) -> int:
         raise NotImplementedError
@@ -586,23 +609,36 @@ class _Table:
         return _unscale(self.path_raw(i, j), self.scale, self.n - 1)
 
     def _pair_value(self, i: int, j: int) -> int:
-        """phi(G - {i, j}) at X, memoized on what the quotient reads: phi(G -
-        i) and phi(G - j) as an unordered pair and S_ij.  The memo lives on
-        the table, so the table's own total and scale are part of its key.
-        The pairs of a symmetric graph carry equal values, so they share one
-        exact division (Q6: 6 quotients for its 2016 cospectral pairs)."""
-        s, di, dj = self._path(i, j), self._deleted_value(i), self._deleted_value(j)
-        key = (di, dj, s) if di <= dj else (dj, di, s)
-        value = self._pair_quotients.get(key)
+        """phi(G - {i, j}) at X, kept for the pair and memoized on what the
+        quotient reads: phi(G - i) and phi(G - j) as an unordered pair and
+        S_ij.  The memo lives on the table, so the table's own total and
+        scale are part of its key.  The pairs of a symmetric graph carry
+        equal values, so they share one exact division (Q6: 6 quotients for
+        its 2016 cospectral pairs)."""
+        pair = (i, j) if i < j else (j, i)
+        value = self._pairs.get(pair)
         if value is None:
-            value = self._pair_quotients[key] = _quo_packed(di * dj - s * s, self._total)
+            s, di, dj = self._path(i, j), self._deleted_value(i), self._deleted_value(j)
+            key = (di, dj, s) if di <= dj else (dj, di, s)
+            value = self._pair_quotients.get(key)
+            if value is None:
+                value = self._pair_quotients[key] = _quo_packed(di * dj - s * s, self._total)
+            self._pairs[pair] = value
         return value
 
     @cached_property
     def _gcd(self) -> tuple[Poly, int]:
-        """gcd(phi, phi') of ``scale`` * A, taken once, and its value at X."""
-        total = Poly(self.total)
-        g = poly_gcd(total, total.derivative())
+        """gcd(phi, phi') of ``scale`` * A, taken once, and its value at X.
+        When phi = t^e R(t^2) with R(0) != 0, as on a forest, it is
+        t^max(e - 1, 0) gcd(R, R')(t^2), taken at half the degree."""
+        half = _even_odd(self.total)
+        if half is None:
+            total = Poly(self.total)
+            g = poly_gcd(total, total.derivative())
+        else:
+            e, r = half
+            r = Poly(r)
+            g = Poly(_halve(poly_gcd(r, r.derivative()).coeffs, max(e - 1, 0)))
         return g, g(1 << self.bits)
 
     @cached_property
@@ -1009,16 +1045,59 @@ def _sturm_chain_int(fi: tuple[int, ...]) -> list[tuple[int, ...]]:
     return _remainder_sequence(fi, _primitive([k * c for k, c in enumerate(fi) if k]))
 
 
-def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> int:
-    """Sign changes along the chain at xn/xd, zeros skipped."""
-    signs = [v > 0 for v in [_int_value_at(ic, xn, xd) for ic in chain] if v]
+def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> Optional[int]:
+    """Sign changes along the chain at xn/xd, zeros skipped; None when the
+    chain's first member vanishes there."""
+    first = _int_value_at(chain[0], xn, xd)
+    if not first:
+        return None
+    signs = [first > 0] + [v > 0 for v in [_int_value_at(ic, xn, xd) for ic in chain[1:]] if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _root_bound(fi: tuple[int, ...]) -> Fraction:
+def _positive(cs) -> tuple[int, ...]:
+    """The integer vector with its sign chosen so that the last entry is
+    positive."""
+    return tuple(cs) if cs[-1] > 0 else tuple(-c for c in cs)
+
+
+def _root_ceil(m: int, k: int) -> int:
+    """The least r >= 0 with r^k >= m, by Newton's method on integers."""
+    if m <= 1:
+        return max(m, 0)
+    r = 1 << -(-m.bit_length() // k)  # r^k > m
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k >= m else r + 1
+        r = s
+
+
+#: the Fujiwara bound is rounded up on the grid of 2^-FUJIWARA_BITS
+FUJIWARA_BITS = 4
+
+
+def _fujiwara(fi: tuple[int, ...]) -> tuple[int, int]:
+    """(m, 2^FUJIWARA_BITS), with m / 2^FUJIWARA_BITS above the absolute
+    value of every complex root of fi (deg fi >= 1): Fujiwara's bound
+    2 max_k |c_(n-k) / c_n|^(1/k), with c_0 / 2 in place of c_0, rounded up
+    on the grid of 2^-FUJIWARA_BITS, plus one grid step so that no root
+    equals it."""
+    n, lead, q = len(fi) - 1, abs(fi[-1]), FUJIWARA_BITS
+    top = max(
+        _root_ceil(-(-(abs(fi[n - k]) << (q * k)) // (lead << (k == n))), k)
+        for k in range(1, n + 1) if fi[n - k]
+    ) if any(fi[:-1]) else 0
+    return 2 * top + 1, 1 << q
+
+
+def _root_bound(fi: tuple[int, ...]) -> tuple[int, int]:
+    """(b, d) in lowest terms with b / d = 1 + max_k |c_k / c_n|, Cauchy's
+    bound, which every complex root of fi lies below in absolute value."""
     lead = abs(fi[-1])
     m = max((abs(c) for c in fi[:-1]), default=0)
-    return 1 + Fraction(m, lead)
+    g = gcd(m, lead)
+    return (lead + m) // g, lead // g
 
 
 def _bisect(a: int, b: int, d: int) -> tuple[int, int, int, int]:
@@ -1028,40 +1107,6 @@ def _bisect(a: int, b: int, d: int) -> tuple[int, int, int, int]:
     if s & 1:
         return 2 * a, 2 * b, s, 2 * d
     return a, b, s >> 1, d
-
-
-def _isolate(fi: tuple[int, ...], chain: list[tuple[int, ...]]) -> list[tuple[int, int, int]]:
-    """Sturm bisection of the square-free integer polynomial fi with its
-    Sturm chain: one interval (a, b, d) per real root, [a/d, b/d] with a sign
-    change of fi and no root at either end, in ascending order.  The stack
-    keeps the variation count at both ends of each interval, so a split
-    evaluates the chain once, at its midpoint."""
-    bound = _root_bound(fi)
-    # interval endpoints are integer numerators over a shared denominator
-    b, d = bound.numerator, bound.denominator
-    va, vb = _variations(chain, -b, d), _variations(chain, b, d)
-    if va < vb:
-        raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
-    intervals: list[tuple[int, int, int]] = []
-    stack = [(-b, b, d, va, vb)]
-    while stack:
-        a, b, d, va, vb = stack.pop()
-        if va - vb == 0:
-            continue
-        if va - vb == 1:
-            intervals.append((a, b, d))
-            continue
-        a, b, mid, d = _bisect(a, b, d)
-        while _int_sign_at(fi, mid, d) == 0:
-            # nudge off an exact root so counts stay clean
-            a, b, mid, d = 2 * a, 2 * b, a + mid, 2 * d
-        vm = _variations(chain, mid, d)
-        if not vb <= vm <= va:
-            raise PolyError("Sturm counts out of range: the chain is not a Sturm sequence")
-        stack.append((a, mid, d, va, vm))
-        stack.append((mid, b, d, vm, vb))
-    intervals.sort(key=lambda t: Fraction(t[0], t[2]))
-    return intervals
 
 
 def _halvings(w: int, d: int, wn: int, wd: int) -> int:
@@ -1104,59 +1149,162 @@ def _qir_cell(fi, slo: int, lo: int, hi: int, d: int, vlo: int, vhi: int, step: 
 
 
 class RealRoots:
-    """The distinct real roots of a polynomial, ascending, isolated once by
-    Sturm bisection and then refined lazily.
+    """The distinct real roots of a polynomial, ascending, isolated by Sturm
+    bisection only where a caller reads them, and refined lazily.
 
-    Root k is held as the integer interval [lo/d, hi/d] of the square-free
-    part ``fi``: an open interval with a sign change of fi, or the exact root
-    once lo == hi.  Every box is a cell of the dyadic grid that bisection of
-    the isolating interval visits: ``bisect`` takes one halving, ``narrow``
-    jumps down the grid to the first cell below a width, so a caller refines
-    a box only while its decision is open, and ``boxes`` still gives the
-    boxes of ``isolate_real_roots``.
+    Bisection starts from [-B, B] for the Cauchy bound B of the square-free
+    part ``fi`` and splits a cell at its midpoint, nudged left off a root.
+    The unsplit cells that hold two roots or more are kept pending with the
+    index of their first root, and a cell is split only when a root inside
+    it is read (``interval``, ``has_root``, ``narrow``, ``boxes``, ``signs``,
+    ``integers``); ``len`` is the count between the ends.  A split
+    evaluates the Sturm chain once at its midpoint (a nudge costs one more
+    evaluation of the chain's first member), and not at all past a rational
+    Fujiwara bound, where the count is read off the leading coefficients,
+    as it is at the ends.  When fi =
+    t^e R(t^2) (e <= 1, R(0) != 0), as for the characteristic polynomials of
+    bipartite graphs, the counts come from the Sturm chain of R at x^2: R
+    has as many roots above x^2 as fi has above |x|, and as fi has below
+    -|x|.
 
-    ``repeated`` is the last member of the Sturm chain of p, gcd(p, p') up
-    to a constant factor, or None when p is square-free: p has a repeated
-    root, real or not, exactly when it is not None.  ``multiplicities`` and
-    the simple-pole checks read it.
+    Root k, once isolated, is held as the integer interval [lo/d, hi/d]: an
+    open interval with a sign change of fi, or the exact root once lo ==
+    hi.  Every box is a cell of the dyadic grid that bisection visits, in
+    whatever order cells are split: ``bisect`` takes one halving,
+    ``narrow`` jumps down the grid to the first cell below a width, so a
+    caller refines a box only while its decision is open, and ``boxes``
+    still gives the boxes of ``isolate_real_roots``.
+
+    ``repeated`` is gcd(p, p'), primitive with a positive leading
+    coefficient, or None when p is square-free: p has a repeated root, real
+    or not, exactly when it is not None.  ``multiplicities`` and the
+    simple-pole checks read it.  ``fi`` has a positive leading coefficient.
     """
 
     def __init__(self, p: Poly):
         if p.is_zero():
             raise PolyError("cannot isolate roots of the zero polynomial")
-        fi = _int_primitive(p)
-        chain = _sturm_chain_int(fi) if len(fi) > 1 else []
-        self.repeated: Optional[Poly] = None
-        if chain and len(chain[-1]) > 1:  # a repeated root: take the square-free part
-            self.repeated = Poly(chain[-1])
-            fi = _int_primitive(Poly(fi).exact_div(self.repeated))
-            chain = _sturm_chain_int(fi)
-        self.fi = fi
+        fi = _positive(_int_primitive(p))
+        half = _even_odd(fi)
+        # the chain of f = fi, or of R for fi = t^e R(t^2)
+        e, f = (None, fi) if half is None else half
+        chain = _sturm_chain_int(f) if len(f) > 1 else []
+        g = chain[-1] if chain else (1,)
+        # gcd(t^e R(t^2), its derivative) = t^max(e - 1, 0) gcd(R, R')(t^2)
+        repeated = g if half is None else _halve(g, max(e - 1, 0))
+        self.repeated = Poly(_positive(repeated)) if len(repeated) > 1 else None
+        if len(g) > 1:  # a repeated root: take the square-free part
+            f = _positive(_quo_exact(f, g))
+            chain = _sturm_chain_int(f)
+        self._e = None if half is None else min(e, 1)
+        self.fi = fi = f if half is None else _halve(f, self._e)
         self.poly = Poly(fi)
-        intervals = _isolate(fi, chain) if chain else []
-        self._lo = [a for a, _, _ in intervals]
-        self._hi = [b for _, b, _ in intervals]
-        self._d = [d for _, _, d in intervals]
-        self._slo = [_int_sign_at(fi, a, d) for a, _, d in intervals]
+        self._chain = chain
+        # the counts at -+inf: V(-inf) on fi's chain, V(+inf) on R's
+        if half is None:
+            self._low, high = _end_variations(chain) if chain else (0, 0)
+            total = self._low - high
+        else:
+            self._high = _end_variations(chain)[1]
+            at_zero = [m[0] > 0 for m in chain if m[0]]
+            total = self._e + 2 * (sum(map(ne, at_zero, at_zero[1:])) - self._high)
+        if total < 0:
+            raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
+        self._total = total
+        b, d = _root_bound(fi)
+        if total:
+            m, md = _fujiwara(fi)
+            self._bound = (m, md) if m * d < b * md else (b, d)
+        self._lo = [-b] * total
+        self._hi = [b] * total
+        self._d = [d] * total
+        # the cells of two roots or more, by the index of their first root
+        self._pending: dict[int, int] = {0: total} if total > 1 else {}
         # the interval of each root where it first got narrower than BOX_WIDTH
-        self._fixed: list[Optional[tuple[int, int, int]]] = [None] * len(intervals)
+        self._fixed: list[Optional[tuple[int, int, int]]] = [None] * total
 
     def __len__(self) -> int:
-        return len(self._lo)
+        return self._total
+
+    def _below(self, x: int, d: int) -> Optional[int]:
+        """The number of roots below x/d, or None when x/d is a root."""
+        mn, md = self._bound
+        if x * md >= mn * d:
+            return self._total
+        if -x * md >= mn * d:
+            return 0
+        if self._e is None:
+            v = _variations(self._chain, x, d)
+            return None if v is None else self._low - v
+        if not x:
+            return None if self._e else self._total // 2
+        v = _variations(self._chain, x * x, d * d)
+        if v is None:
+            return None
+        beyond = v - self._high  # roots above |x/d|, and as many below -|x/d|
+        return self._total - beyond if x > 0 else beyond
+
+    def _split(self, first: int) -> None:
+        """Split the pending cell of roots first, first + 1, ... at its
+        midpoint, as Sturm bisection does."""
+        end = first + self._pending.pop(first)
+        a, b, mid, d = _bisect(self._lo[first], self._hi[first], self._d[first])
+        while (m := self._below(mid, d)) is None:
+            # nudge off an exact root so counts stay clean
+            a, b, mid, d = 2 * a, 2 * b, a + mid, 2 * d
+        if not first <= m <= end:
+            raise PolyError("Sturm counts out of range: the chain is not a Sturm sequence")
+        self._lo[first:end] = [a] * (m - first) + [mid] * (end - m)
+        self._hi[first:end] = [mid] * (m - first) + [b] * (end - m)
+        self._d[first:end] = [d] * (end - first)
+        for start, stop in ((first, m), (m, end)):
+            if stop - start > 1:
+                self._pending[start] = stop - start
+
+    def _isolate(self, k: int) -> None:
+        """Split the cells that hold root k until it is alone in its cell."""
+        while self._pending:
+            first = next((f for f, c in self._pending.items() if f <= k < f + c), None)
+            if first is None:
+                return
+            self._split(first)
+
+    def crowded(self, D: int) -> bool:
+        """Whether a pending cell proves that two consecutive roots lie at
+        most sqrt(D) apart, splitting the pending cells round by round until
+        one does or every root is isolated.  A cell that holds c >= 2 roots
+        in an open interval of width w, clipped to the root bound, has two
+        consecutive roots less than w / (c - 1) apart."""
+        while self._pending:
+            mn, md = self._bound
+            for first, count in self._pending.items():
+                lo, hi, d = self._lo[first], self._hi[first], self._d[first]
+                width = min(hi * md, mn * d) - max(lo * md, -mn * d)
+                if width * width <= (count - 1) ** 2 * D * (d * md) ** 2:
+                    return True
+            for first in list(self._pending):
+                self._split(first)
+        return False
+
+    def _sign_below(self, k: int) -> int:
+        """The sign of fi just below root k: fi is positive above its roots
+        and changes sign at each of them."""
+        return -1 if (self._total - k) & 1 else 1
 
     def interval(self, k: int) -> tuple[int, int, int]:
         """(lo, hi, d): root k lies in the open interval (lo/d, hi/d), or
         equals lo/d when lo == hi."""
+        self._isolate(k)
         return self._lo[k], self._hi[k], self._d[k]
 
     def below(self, k: int, width: Fraction) -> bool:
         """Whether the box of root k is narrower than width."""
-        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        lo, hi, d = self.interval(k)
         return (hi - lo) * width.denominator < d * width.numerator
 
     def bisect(self, k: int) -> None:
         """Halve the box of root k (no-op on an exact root)."""
-        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        lo, hi, d = self.interval(k)
         if lo != hi:
             self._narrow(k, hi - lo, d)
 
@@ -1171,8 +1319,8 @@ class RealRoots:
         return self._narrow(k, width.numerator, width.denominator)
 
     def _narrow(self, k: int, wn: int, wd: int) -> tuple[int, int, int]:
-        fi, slo, fixed = self.fi, self._slo[k], self._fixed[k]
-        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        lo, hi, d = self.interval(k)
+        fi, slo, fixed = self.fi, self._sign_below(k), self._fixed[k]
         bn, bd = BOX_WIDTH.numerator, BOX_WIDTH.denominator
         deg, m = len(fi) - 1, 1
         vlo = vhi = None  # the values of fi at the ends, once known
@@ -1237,7 +1385,7 @@ class RealRoots:
         return [self._vanishes(qi, k) for k in range(len(self))]
 
     def _vanishes(self, qi, k: int) -> bool:
-        lo, hi, d = self._lo[k], self._hi[k], self._d[k]
+        lo, hi, d = self.interval(k)
         if lo == hi:
             return _int_sign_at(qi, lo, d) == 0
         return _int_sign_at(qi, lo, d) * _int_sign_at(qi, hi, d) < 0
@@ -1252,8 +1400,10 @@ class RealRoots:
         consecutive boxes, at the midpoint of hi_k and lo_(k+1), where fi
         has no root, and at -+inf off the leading coefficients: no box is
         refined, and an exact box needs no special case."""
-        if not self._lo:
+        if not self._total:
             return []
+        for k in range(self._total):
+            self._isolate(k)
         fi = self.fi
         derivative = [k * c for k, c in enumerate(fi) if k]
         seq = _remainder_sequence(fi, _primitive(_prem(_mul(derivative, _int_vector(q)), fi)))
@@ -1304,12 +1454,17 @@ def _shift_norm(fi: tuple[int, ...], D: int) -> Poly:
 def roots_within(roots: RealRoots, D: int) -> bool:
     """Whether two consecutive real roots lie at most sqrt(D) apart.
 
-    A pair of boxes decides its gap once (hi' - lo)^2 <= D or
-    (lo' - hi)^2 > D; the boxes of open pairs are bisected.  Once they are all
-    narrower than BOX_WIDTH, f(t) and f(t + sqrt(D)) f(t - sqrt(D)) are tested
-    for a common real root: if there is one, two roots lie exactly sqrt(D)
-    apart, so some consecutive gap is at most sqrt(D); if not, no gap equals
-    sqrt(D) and bisection decides every pair."""
+    The pending cells of the roots answer True first when one of them
+    holds enough roots in a short enough width (``RealRoots.crowded``).
+    Otherwise every root is isolated, and a pair of boxes decides its gap
+    once (hi' - lo)^2 <= D or (lo' - hi)^2 > D; the boxes of open pairs are
+    bisected.  Once they are all narrower than BOX_WIDTH, f(t) and
+    f(t + sqrt(D)) f(t - sqrt(D)) are tested for a common real root: if
+    there is one, two roots lie exactly sqrt(D) apart, so some consecutive
+    gap is at most sqrt(D); if not, no gap equals sqrt(D) and bisection
+    decides every pair."""
+    if roots.crowded(D):
+        return True
     pending = list(range(len(roots) - 1))
     tested = False
     while pending:

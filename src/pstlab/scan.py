@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import __version__, gapcert, polys, pst, spectra
 from .gapcert import GapError, certify_gap
 from .pst import decide_pst
-from .spectra import cospectral_pairs, is_strongly_cospectral
+from .spectra import cospectral_pairs
 from .trees import MAX_TREE_ORDER, enumerate_trees
 
 SCHEMA_VERSION = 1
@@ -55,7 +55,9 @@ def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
     memory stays bounded by one tree."""
     _, index, T = args
     cosp = cospectral_pairs(T)
-    strong = [(i, j) for i, j in cosp if is_strongly_cospectral(T, i, j)]
+    # the pairs are cospectral already: only the table's strong test is left
+    tables = polys._tables(T)
+    strong = [(i, j) for i, j in cosp if tables.strong(i, j)]
     pst_pairs, violations = [], []
     for i, j in strong:
         cert = decide_pst(T, i, j)

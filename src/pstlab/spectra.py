@@ -128,8 +128,6 @@ class _PairRecord:
 
     @cached_property
     def partition(self) -> SupportPartition:
-        # each support root is classified on its current box, since both
-        # parts divide the support
         alphas = tuple(alpha for alpha, _ in self.quotients)
         plus, minus = (alpha.num.monic() for alpha in alphas)
         if plus * minus != self.support:
@@ -138,11 +136,10 @@ class _PairRecord:
         roots = real_roots(self.support)
         if roots.repeated is not None:
             raise SpectraError("repeated support root: plus and minus parts are not disjoint")
-        signs = tuple(+1 if in_plus else -1 for in_plus in roots.vanishing(plus))
-        if signs[-1] != +1:
+        if not roots.has_root(len(roots) - 1, plus):
             raise SpectraError("largest support root missing from the plus part")
         interlaced = all(_interlaces(*quotient) for quotient in self.quotients)
-        return SupportPartition(self.support, plus, minus, signs, alphas, interlaced)
+        return SupportPartition(self.support, plus, minus, alphas, interlaced)
 
 
 _pair_records = lru_cache(maxsize=100_000)(_PairRecord)
@@ -164,20 +161,26 @@ def signed_path_sum(G: Graph, i: int, j: int) -> Poly:
 @dataclass(frozen=True)
 class SupportPartition:
     """Eigenvalue support of i split into the plus/minus classes of a
-    strongly cospectral pair, as exact square-free polynomials, with the
-    class sign of each support root (ascending) and the pair's exact
-    (alpha+, alpha-), whose monic numerators are the two classes.
-    ``interlaced`` says whether both alphas have the form t - s0 -
+    strongly cospectral pair, as exact square-free polynomials, and the
+    pair's exact (alpha+, alpha-), whose monic numerators are the two
+    classes.  ``interlaced`` says whether both alphas have the form t - s0 -
     sum mu/(t - r) with simple poles and every mu > 0, read off the Cauchy
-    indices of the sign quotients.  The 2^-40 root boxes are diagnostics,
-    isolated when first read."""
+    indices of the sign quotients.  The class sign of each support root
+    (ascending), which isolates every root, and the 2^-40 root boxes, which
+    are diagnostics, are computed when first read."""
 
     support: Poly
     plus: Poly
     minus: Poly
-    signs: tuple[int, ...]
     alphas: tuple[RatFunc, RatFunc]
     interlaced: bool
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        # each support root is classified on its box, since both parts
+        # divide the support
+        roots = real_roots(self.support)
+        return tuple(+1 if in_plus else -1 for in_plus in roots.vanishing(self.plus))
 
     @cached_property
     def support_roots(self) -> tuple[RootBox, ...]:

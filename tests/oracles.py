@@ -157,8 +157,7 @@ def bisection_isolate(fi: tuple[int, ...], chain: list[tuple[int, ...]]) -> list
     """Sturm bisection of the square-free integer polynomial fi, evaluating
     the chain at both ends of every interval it splits: one interval
     (a, b, d) per real root, in ascending order."""
-    bound = _root_bound(fi)
-    b, d = bound.numerator, bound.denominator
+    b, d = _root_bound(fi)
     total = _variations(chain, -b, d) - _variations(chain, b, d)
     if total < 0:
         raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
@@ -184,10 +183,13 @@ def bisection_isolate(fi: tuple[int, ...], chain: list[tuple[int, ...]]) -> list
 
 
 class BisectionRoots(RealRoots):
-    """``RealRoots`` isolated by ``bisection_isolate`` and refined by plain
-    bisection, one exact evaluation per halving; the other methods
-    (``boxes``, ``integers``, ``multiplicities``, ...) are inherited and
-    read these boxes."""
+    """``RealRoots`` isolated at once by ``bisection_isolate`` on the Sturm
+    chain of the whole square-free part, with no pending cell, and refined
+    by plain bisection, one exact evaluation per halving, from the sign at
+    each box's lower end as evaluated; the other methods (``boxes``,
+    ``integers``, ``multiplicities``, ...) are inherited and read these
+    boxes.  ``repeated`` is the last member of the Sturm chain of p, made
+    positive."""
 
     def __init__(self, p: Poly):
         if p.is_zero():
@@ -196,12 +198,14 @@ class BisectionRoots(RealRoots):
         chain = _sturm_chain_int(fi) if len(fi) > 1 else []
         self.repeated: Optional[Poly] = None
         if chain and len(chain[-1]) > 1:
-            self.repeated = Poly(chain[-1])
+            self.repeated = Poly(chain[-1]) if chain[-1][-1] > 0 else -Poly(chain[-1])
             fi = _int_primitive(Poly(fi).exact_div(self.repeated))
             chain = _sturm_chain_int(fi)
         self.fi = fi
         self.poly = Poly(fi)
         intervals = bisection_isolate(fi, chain) if chain else []
+        self._total = len(intervals)
+        self._pending = {}
         self._lo = [a for a, _, _ in intervals]
         self._hi = [b for _, b, _ in intervals]
         self._d = [d for _, _, d in intervals]

@@ -1,13 +1,16 @@
-"""The packed tables' class keys, strong pre-check and strong verdict against
-the polynomials they stand for.  For each graph it asserts that two vertices
-share a class key exactly when their phi(G - v) are equal as polynomials,
-and for each cospectral pair that the pre-check g(X) | phi(G - {i, j})(X)
-keeps the pair whenever polynomial division by g = gcd(phi, phi') accepts
-it, and that the table's strong verdict is that division.  The graphs are
-every tree up to an order (forest tables), the Laplacian form of each of
-those trees, whose loops give it an adjugate table, and Q2-Q6 and P3 x P3
-(adjugate tables).  Prints the pair counts of the last order and of each
-named graph, and the time.  CI runs it to n = 12 (a few seconds):
+"""The packed tables' class keys, strong pre-check, strong verdict and
+gcd(phi, phi') against the polynomials they stand for.  For each graph it
+asserts that the table's gcd(phi, phi'), taken at half the degree when phi
+is even or odd, equals the full-degree gcd, that two vertices share a class
+key exactly when their phi(G - v) are equal as polynomials, and for each
+cospectral pair that the pre-check g(X) | phi(G - {i, j})(X) keeps the pair
+whenever polynomial division by g = gcd(phi, phi') accepts it, and that the
+table's strong verdict is that division.  The graphs are every tree up to
+an order (forest tables), the Laplacian form of each of those trees, whose
+loops give it an adjugate table, and Q2-Q6 and P3 x P3 (adjugate tables,
+whose bipartite phi takes the half-degree gcd).  Prints the pair counts of
+the last order and of each named graph, and the time.  CI runs it to n = 12
+(a few seconds):
 
     PYTHONPATH=src python tests/table_sweep.py 12
 """
@@ -15,7 +18,7 @@ import sys
 import time
 
 from pstlab.graphs import Graph, hypercube, laplacian_form
-from pstlab.polys import _AdjugateTable, _ForestTables, _tables, divides
+from pstlab.polys import Poly, _AdjugateTable, _ForestTables, _tables, divides, poly_gcd
 from pstlab.trees import enumerate_trees
 
 P3_BY_P3 = Graph.from_edges(9, [(v, v + 1, 1) for v in range(9) if v % 3 != 2]
@@ -29,6 +32,9 @@ def check_graph(G, kind) -> tuple[int, int, int]:
     assert isinstance(table, kind), G
     keys = [table.class_key(v) for v in range(G.n)]
     deleted = table.deleted_all()
+    total = Poly(table.total)
+    # gcd(phi, phi') at half the degree on an even or odd phi, at full degree on the rest
+    assert table._gcd[0] == poly_gcd(total, total.derivative()), G
     g = table.repeated_part
     verdicts: dict = {}  # polynomial division, once per distinct quotient
     cosp = kept = strong = 0
@@ -64,8 +70,8 @@ def main(max_n: int) -> int:
     for name, G in [(f"Q{d}", hypercube(d)) for d in range(2, 7)] + [("P3 x P3", P3_BY_P3)]:
         c, k, s = check_graph(G, _AdjugateTable)
         lines.append(f"{name}: {c} cospectral pairs, {k} kept by the pre-check, {s} strong")
-    print(f"{trees} trees n <= {max_n}, their Laplacian forms, Q2-Q6 and P3 x P3: class keys, "
-          f"pre-check and strong verdict agree with the polynomials; "
+    print(f"{trees} trees n <= {max_n}, their Laplacian forms, Q2-Q6 and P3 x P3: gcd, class "
+          f"keys, pre-check and strong verdict agree with the polynomials; "
           f"{time.monotonic() - start:.1f} s")
     print("\n".join(lines))
     return 0

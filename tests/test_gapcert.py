@@ -788,10 +788,9 @@ def _with_plus_alpha(part, alpha):
     off the Cauchy indices as the partition reads it."""
     plus = alpha.num.monic()
     support = plus * part.minus
-    signs = tuple(+1 if v else -1 for v in polys.real_roots(support).vanishing(plus))
     alphas = (alpha, part.alphas[1])
     interlaced = all(spectra._interlaces(*RatFunc.reduce(f.num, f.den)) for f in alphas)
-    return spectra.SupportPartition(support, plus, part.minus, signs, alphas, interlaced)
+    return spectra.SupportPartition(support, plus, part.minus, alphas, interlaced)
 
 
 FAILING_ALPHAS = {
@@ -831,7 +830,7 @@ def test_a_failing_alpha_raises_the_merge_route_message(monkeypatch, message):
 def test_a_false_flag_that_the_merge_route_accepts_is_an_internal_error(monkeypatch):
     part = support_partition(path(4), 0, 3)
     lying = spectra.SupportPartition(
-        part.support, part.plus, part.minus, part.signs, part.alphas, False
+        part.support, part.plus, part.minus, part.alphas, False
     )
     monkeypatch.setattr(gapcert, "support_partition", lambda G, i, j: lying)
     merged_alphas.cache_clear()

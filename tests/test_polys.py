@@ -1156,3 +1156,22 @@ def test_exact_results_never_leak_floats():
     assert _no_float(f.num) and _no_float(f.den) and f.den.leading == 1
     (box,) = isolate_real_roots(Poly([-1, 2]))
     assert isinstance(box.lo, Fraction) and box.lo <= Fraction(1, 2) <= box.hi
+
+
+@pytest.mark.parametrize("model", ["adjacency", "laplacian"])
+def test_table_gcd_at_half_degree_equals_the_full_gcd(model):
+    # a forest's or a bipartite graph's phi = t^e R(t^2) takes gcd(phi, phi')
+    # as t^max(e - 1, 0) gcd(R, R')(t^2); any other phi at full degree
+    graphs = [T for _, T in trees_up_to(10)] + [hypercube(d) for d in range(1, 5)]
+    graphs += [star(6), grid(3, 3), cycle(5), cycle(6)] + seeded_mirror_graphs(7, 6)
+    halves = 0
+    for G in graphs:
+        if model == "laplacian":
+            if G.has_loops():
+                continue
+            G = laplacian_form(G)
+        table = polys._tables(G)
+        total = Poly(table.total)
+        assert table._gcd[0] == poly_gcd(total, total.derivative()), G
+        halves += polys._even_odd(table.total) is not None
+    assert (halves > 100) == (model == "adjacency")

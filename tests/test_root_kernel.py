@@ -1,13 +1,18 @@
 """The root kernel of ``polys.RealRoots`` against the bisection oracle.
 
-The kernel isolates with one Sturm-chain evaluation per split and refines
-by quadratic interval refinement on the bisection grid; the oracle
-(``oracles.BisectionRoots``) evaluates the chain at both ends of a split
-and refines by plain halving.  Both must give the same isolating
-intervals, boxes, refinements (by ``narrow`` and by ``bisect``), integer
-roots and repeated parts.
+The kernel keeps the Sturm cells that hold two roots or more pending and
+splits one only when a root inside it is read, with one chain evaluation
+per split and none past the root bound, on the chain of R for an even or
+odd t^e R(t^2); it refines by quadratic interval refinement on the
+bisection grid.  The oracle (``oracles.BisectionRoots``) isolates every
+root at once on the chain of the whole polynomial, evaluates it at both
+ends of a split and refines by plain halving.  Both must give the same
+isolating intervals, boxes, refinements (by ``narrow`` and by ``bisect``),
+integer roots, repeated parts, signs, multiplicities and gap verdicts
+(``roots_within``), whatever order the roots are read in.
 """
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,7 @@ from pstlab.polys import (
     RealRoots,
     charpoly,
     isolate_real_roots,
+    roots_within,
     vertex_deleted_charpoly,
 )
 from pstlab.spectra import support_poly
@@ -51,6 +57,9 @@ def assert_matches_oracle(p: Poly) -> None:
         assert _fractions(new.narrow(k, FINE)) == _fractions(old.narrow(k, FINE))
     assert new.boxes() == old.boxes()
     assert RealRoots(p).integers() == BisectionRoots(p).integers()
+    # the gap verdicts on fresh roots, where pending cells may answer first
+    for D in (1, 2):
+        assert roots_within(RealRoots(p), D) == roots_within(BisectionRoots(p), D)
     # single halvings first, as decisions take them, then a deep refinement
     new, old = RealRoots(p), BisectionRoots(p)
     for k in range(len(new)):
@@ -63,14 +72,17 @@ def assert_matches_oracle(p: Poly) -> None:
 
 
 def test_isolation_evaluates_the_chain_once_per_split(monkeypatch):
-    # the oracle evaluates the chain at both ends of every split, the kernel
-    # at its midpoint only: 2 + splits evaluations, the two at the bound.
-    # Past that count the kernel fails at once rather than split forever.
+    # the oracle evaluates the chain at both ends of every split, 2 + 2
+    # splits in all; the kernel at most once per split (a nudge included)
+    # and never past the root bound, so at most 2 + splits to isolate
+    # every root.  Past that count the kernel fails at once rather than
+    # split forever.
     ps = [charpoly(T) for _, T in trees_up_to(9, 9)]
     ps += [charpoly(G) for G in seeded_mirror_graphs(3, 4)]
     ps += [Poly([0, -7, 6, 1]), Poly([0, 0, -2, 0, 1]) * Poly([-1, 3])]
     calls = {oracles: 0, polys: 0}
     limit = 0
+    total = {oracles: 0, polys: 0}
 
     def count(module):
         variations = module._variations
@@ -88,8 +100,15 @@ def test_isolation_evaluates_the_chain_once_per_split(monkeypatch):
         calls.update({oracles: 0, polys: 0})
         BisectionRoots(p)
         limit = 2 + (calls[oracles] - 2) // 2
-        RealRoots(p)
-        assert calls[polys] == limit
+        roots = RealRoots(p)
+        assert calls[polys] == 0  # nothing is isolated before it is read
+        for k in range(len(roots)):
+            roots.interval(k)
+        assert calls[polys] <= limit
+        total[oracles] += limit
+        total[polys] += calls[polys]
+    # the bound saves evaluations: 518 against 2 + splits = 687 in all
+    assert total[polys] < total[oracles]
 
 
 def _tree_polys(max_n):
@@ -196,11 +215,14 @@ def test_narrow_past_box_width_keeps_the_box_width_box():
 
 
 def test_refinement_takes_fewer_evaluations_than_bisection(monkeypatch):
-    # 13.4 exact evaluations per root to reach BOX_WIDTH on the tree
-    # polynomials, against 39.9 by bisection; without the retry of
-    # the neighbour cell it takes 15.0
+    # counted apart: isolating every root takes 3.9 exact evaluations per
+    # root on the tree polynomials (13.2 when every polynomial was isolated
+    # on the Sturm chain of its full degree from the Cauchy bound), and
+    # refining it to BOX_WIDTH 13.4, against 39.9 by bisection; without the
+    # retry of the neighbour cell refinement takes 15.0
     ps = _tree_polys(8)
     rs = [RealRoots(p) for p in ps]
+    roots = sum(len(r) for r in rs)
     count = 0
     value_at = polys._int_value_at
 
@@ -211,5 +233,137 @@ def test_refinement_takes_fewer_evaluations_than_bisection(monkeypatch):
 
     monkeypatch.setattr(polys, "_int_value_at", counting)
     for r in rs:
+        for k in range(len(r)):
+            r.interval(k)
+    assert count <= 4 * roots
+    count = 0
+    for r in rs:
         r.boxes()
-    assert count <= 14 * sum(len(r) for r in rs)
+    assert count <= 14 * roots
+
+
+# -- even and odd polynomials: the half-degree counts against the oracle ------
+
+# u for a factor t^2 - u: a square of an integer (roots on the grid, where
+# bisection is nudged), of a dyadic rational, any other rational (irrational
+# or complex roots), never 0
+_squares = st.one_of(
+    st.integers(1, 9).map(lambda r: Fraction(r * r)),
+    st.builds(lambda k, e: Fraction(k * k, 4**e), st.integers(1, 24), st.integers(1, 3)),
+    st.fractions(min_value=-6, max_value=12, max_denominator=3).filter(bool),
+)
+
+
+@st.composite
+def even_odd_polys(draw):
+    """(p, us): p = lead t^e prod (t^2 - u)^m with e <= 3 and m <= 2, so R
+    may repeat roots and t may divide p more than once, and the list of the
+    u of its factors."""
+    e = draw(st.integers(0, 3))
+    factors = draw(st.lists(st.tuples(_squares, st.integers(1, 2)), min_size=1, max_size=4))
+    lead = draw(st.sampled_from([1, -1, 2, -3, 5]))
+    p = Poly([0] * e + [lead])
+    for u, m in factors:
+        for _ in range(m):
+            p = p * Poly([-u, 0, 1])
+    return p, [u for u, _ in factors]
+
+
+def _exact_sign(q: Poly, x: Fraction) -> int:
+    v = q(x)
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_odd_polys(), st.lists(st.integers(-4, 4), min_size=1, max_size=4), st.randoms())
+def test_even_and_odd_polynomials_match_the_oracle(p_us, q_coeffs, rng):
+    p, us = p_us
+    assert RealRoots(p)._e is not None  # counted at half the degree
+    assert_matches_oracle(p)
+    new, old = RealRoots(p), BisectionRoots(p)
+    # read the roots in any order: the boxes are those of the grid
+    order = list(range(len(new)))
+    rng.shuffle(order)
+    for k in order:
+        assert _fractions(new.interval(k)) == _fractions(old.interval(k))
+    q = Poly(q_coeffs)
+    if not q.is_zero():
+        assert RealRoots(p).signs(q) == old.signs(q)
+        rational = [x for u in us if u > 0 for x in _rational_roots(u)]
+        if rational:
+            roots = RealRoots(p)
+            signs = dict(zip(roots.boxes(), roots.signs(q)))
+            for box in roots.boxes():
+                x = next((x for x in rational if box.lo <= x <= box.hi), None)
+                if x is not None:
+                    assert signs[box] == _exact_sign(q, x)
+    assert RealRoots(p).multiplicities() == old.multiplicities()
+    # the Fujiwara bound lies above every complex root: above |u| for the
+    # roots +-sqrt(u) and +-i sqrt(-u)
+    bound = Fraction(*polys._fujiwara(RealRoots(p).fi))
+    assert all(abs(u) < bound * bound for u in us) and bound > 0
+
+
+def _rational_roots(u: Fraction) -> list:
+    n, d = isqrt(u.numerator), isqrt(u.denominator)
+    return [Fraction(n, d), -Fraction(n, d)] if n * n == u.numerator and d * d == u.denominator else []
+
+
+def test_even_and_odd_polynomials_are_counted_on_the_half_degree_chain(monkeypatch):
+    # p = t (t^2 - 2)(t^2 - 9): R = (u - 2)(u - 9) has a chain of three
+    # members; t^2 + 1 times a root at 1 is neither even nor odd
+    p = Poly([0, 1]) * Poly([-2, 0, 1]) * Poly([-9, 0, 1])
+    lengths = []
+    variations = polys._variations
+    monkeypatch.setattr(polys, "_variations",
+                        lambda chain, xn, xd: lengths.append(len(chain)) or variations(chain, xn, xd))
+    roots = RealRoots(p)
+    assert (roots._e, len(roots)) == (1, 5)
+    assert roots.boxes() == BisectionRoots(p).boxes()
+    assert lengths and set(lengths) == {3}
+    assert RealRoots(Poly([1, 0, 1]) * Poly([-1, 1]))._e is None
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly([-1, 1]), Poly([-1, 0, 1]), Poly([0, -1, 0, 1]) * 7, Poly([-2, 0, 0, 0, 1]),
+        Poly([3, 0, 1]), Poly([-5, 1, 4, -1, 2]), Poly([0, 0, 0, 1]),
+    ],
+)
+def test_fujiwara_bound_is_strict(p):
+    # a root equal to the unrounded bound (t - 1: 2 |c_0 / 2|) still lies
+    # below the bound, and so does every root of the oracle's boxes
+    fi = polys._int_primitive(p)
+    bound = Fraction(*polys._fujiwara(fi))
+    assert all(max(-b.lo, b.hi) < bound for b in bisection_boxes(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**40), st.integers(1, 12))
+def test_root_ceil_is_the_least_integer_root(m, k):
+    r = polys._root_ceil(m, k)
+    assert r ** k >= m and (r == 0 or (r - 1) ** k < m)
+
+
+def test_decisions_isolate_only_the_roots_they_read():
+    # the pair record's sign pin and the partition's top-root check read
+    # only the top support root; the class signs are read when asked for
+    from pstlab import spectra
+    from pstlab.spectra import cospectral_pairs, is_strongly_cospectral, support_partition
+
+    for module in (polys, spectra):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    isolated = total = 0
+    for _, T in trees_up_to(9, 9):
+        for i, j in cospectral_pairs(T):
+            if is_strongly_cospectral(T, i, j):
+                part = support_partition(T, i, j)
+                roots = polys.real_roots(part.support)
+                pending = sum(roots._pending.values())
+                isolated += len(roots) - pending
+                total += len(roots)
+                assert part.signs[-1] == +1 and not roots._pending
+    assert 0 < isolated < total / 2

@@ -182,3 +182,20 @@ def test_scan_report_schema():
     assert report["max_n"] == 3
     assert {"n", "tree_count", "cospectral_pairs", "strongly_cospectral_pairs",
             "pst_pairs", "gap_violations"} <= set(report["per_order"][0])
+
+
+def test_scan_to_10_takes_at_most_10000_exact_evaluations(monkeypatch):
+    # the roots are isolated only where a decision reads them: 4246 exact
+    # evaluations, against 22954 when every support was isolated in full
+    calls = 0
+    value_at = polys._int_value_at
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return value_at(*args)
+
+    monkeypatch.setattr(polys, "_int_value_at", counting)
+    report = scan_trees(10)
+    assert [e["tree_count"] for e in report.per_order][-1] == 106
+    assert 0 < calls <= 10_000
