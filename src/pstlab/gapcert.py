@@ -422,7 +422,8 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
     have positive residues and simple poles (the partition's interlacing
     flag) and, under the cut-edge hypotheses, equal shifts; when a check
     fails, ``merged_alphas`` raises the GapError that names it.  The gap
-    bound is decided on the support's root boxes.  Equality forces the
+    bound is decided by ``roots_within`` with D = 2: on the support's
+    isolated root boxes, or else by signs at its roots.  Equality forces the
     component of the pair to be P3 and is detected by exact algebra.
     """
     sc = is_strongly_cospectral(G, i, j)
@@ -485,18 +486,16 @@ def residue_mass(
     """Total absolute residue mass of S / phi^{G\\{i,j}} and its
     Cauchy-Schwarz bound.
 
-    Without explicit neighbor sets, only the structurally unambiguous
-    cut-edge case (single separating neighbor on each side) is detected.
+    A side that is not passed is detected only in the structurally
+    unambiguous cut-edge case: the single separating neighbor of i (or j).
     """
     if i == j:
         raise GapError("need distinct vertices")
-    if i_side is None or j_side is None:
-        nbrs = _cut_edge_hypotheses(G, i, j)
-        if nbrs is None:
-            raise GapError(
-                "no separating neighbors detected; pass neighbor sets explicitly"
-            )
-        i_side, j_side = [nbrs[0]], [nbrs[1]]
+    sides = [[separating_neighbor(G, v, w)] if side is None else side
+             for side, v, w in ((i_side, i, j), (j_side, j, i))]
+    if [None] in sides:
+        raise GapError("no separating neighbors detected; pass neighbor sets explicitly")
+    i_side, j_side = sides
     s = signed_path_sum(G, i, j)
     mass = 0.0
     if not s.is_zero():
@@ -564,7 +563,9 @@ class BridgeGapReport:
 def bridge_gap_check(G: Graph, i: int, j: int) -> BridgeGapReport:
     """For a cospectral pair joined by a bridge: the support of i contains
     two eigenvalues at distance at most 1, unless the component of the pair
-    is P2: i and j are each other's only neighbor and carry no loop."""
+    is P2: i and j are each other's only neighbor and carry no loop.  The
+    bound is decided exactly by ``roots_within`` with D = 1; ``gap`` is a
+    float diagnostic."""
     if not G.has_edge(i, j):
         raise GapError("vertices are not adjacent")
     if (min(i, j), max(i, j)) not in bridges(G):

@@ -30,10 +30,12 @@ bisection only where a caller reads them, with the cells that hold two
 roots or more kept pending, no evaluation past a Fujiwara bound and, for an
 even or odd t^e R(t^2), the counts taken on the Sturm chain of R; a box is
 refined only while a decision that reads it is open, by quadratic interval
-refinement on the bisection grid.  The last member of the Sturm chain,
-gcd(p, p'), gives the root multiplicities and decides whether poles are
-simple.  Floats are diagnostics only: root midpoints and the
-residues of ``residue_at``, on the 2^-40 boxes of ``isolate_real_roots``.
+refinement on the bisection grid; the sqrt(D) gap bound (``roots_within``)
+reads signs at the roots instead.  The last member of the Sturm chain,
+gcd(p, p'), gives the root multiplicities and the tables' repeated part,
+and decides whether poles are simple.  Floats are diagnostics only: root
+midpoints and the residues of ``residue_at``, on the 2^-40 boxes of
+``isolate_real_roots``.
 """
 from __future__ import annotations
 
@@ -628,17 +630,10 @@ class _Table:
 
     @cached_property
     def _gcd(self) -> tuple[Poly, int]:
-        """gcd(phi, phi') of ``scale`` * A, taken once, and its value at X.
-        When phi = t^e R(t^2) with R(0) != 0, as on a forest, it is
-        t^max(e - 1, 0) gcd(R, R')(t^2), taken at half the degree."""
-        half = _even_odd(self.total)
-        if half is None:
-            total = Poly(self.total)
-            g = poly_gcd(total, total.derivative())
-        else:
-            e, r = half
-            r = Poly(r)
-            g = Poly(_halve(poly_gcd(r, r.derivative()).coeffs, max(e - 1, 0)))
+        """gcd(phi, phi') of ``scale`` * A, taken once as ``RealRoots``
+        takes it (at half the degree when phi is even or odd, as on a
+        forest), and its value at X."""
+        g = Poly(_positive(_chain_and_repeated(tuple(self.total))[2]))
         return g, g(1 << self.bits)
 
     @cached_property
@@ -1045,6 +1040,19 @@ def _sturm_chain_int(fi: tuple[int, ...]) -> list[tuple[int, ...]]:
     return _remainder_sequence(fi, _primitive([k * c for k, c in enumerate(fi) if k]))
 
 
+def _chain_and_repeated(fi: tuple[int, ...]) -> tuple[Optional[tuple], list, tuple]:
+    """(half, chain, repeated) for the nonzero integer polynomial fi: half =
+    (e, R) when fi = t^e R(t^2) (``_even_odd``), else None; chain the Sturm
+    chain of R, or of fi; repeated = gcd(fi, fi') up to sign, read off the
+    chain's last member g as g itself, or as t^max(e - 1, 0) g(t^2) at half
+    the degree."""
+    half = _even_odd(fi)
+    f = fi if half is None else half[1]
+    chain = _sturm_chain_int(f) if len(f) > 1 else []
+    g = chain[-1] if chain else (1,)
+    return half, chain, g if half is None else _halve(g, max(half[0] - 1, 0))
+
+
 def _variations(chain: list[tuple[int, ...]], xn: int, xd: int) -> Optional[int]:
     """Sign changes along the chain at xn/xd, zeros skipped; None when the
     chain's first member vanishes there."""
@@ -1170,10 +1178,10 @@ class RealRoots:
     Root k, once isolated, is held as the integer interval [lo/d, hi/d]: an
     open interval with a sign change of fi, or the exact root once lo ==
     hi.  Every box is a cell of the dyadic grid that bisection visits, in
-    whatever order cells are split: ``bisect`` takes one halving,
-    ``narrow`` jumps down the grid to the first cell below a width, so a
-    caller refines a box only while its decision is open, and ``boxes``
-    still gives the boxes of ``isolate_real_roots``.
+    whatever order cells are split: ``narrow`` jumps down the grid to the
+    first cell below a width, so a caller refines a box only while its
+    decision is open, and ``boxes`` still gives the boxes of
+    ``isolate_real_roots``.
 
     ``repeated`` is gcd(p, p'), primitive with a positive leading
     coefficient, or None when p is square-free: p has a repeated root, real
@@ -1185,13 +1193,9 @@ class RealRoots:
         if p.is_zero():
             raise PolyError("cannot isolate roots of the zero polynomial")
         fi = _positive(_int_primitive(p))
-        half = _even_odd(fi)
-        # the chain of f = fi, or of R for fi = t^e R(t^2)
+        half, chain, repeated = _chain_and_repeated(fi)
         e, f = (None, fi) if half is None else half
-        chain = _sturm_chain_int(f) if len(f) > 1 else []
         g = chain[-1] if chain else (1,)
-        # gcd(t^e R(t^2), its derivative) = t^max(e - 1, 0) gcd(R, R')(t^2)
-        repeated = g if half is None else _halve(g, max(e - 1, 0))
         self.repeated = Poly(_positive(repeated)) if len(repeated) > 1 else None
         if len(g) > 1:  # a repeated root: take the square-free part
             f = _positive(_quo_exact(f, g))
@@ -1297,17 +1301,6 @@ class RealRoots:
         self._isolate(k)
         return self._lo[k], self._hi[k], self._d[k]
 
-    def below(self, k: int, width: Fraction) -> bool:
-        """Whether the box of root k is narrower than width."""
-        lo, hi, d = self.interval(k)
-        return (hi - lo) * width.denominator < d * width.numerator
-
-    def bisect(self, k: int) -> None:
-        """Halve the box of root k (no-op on an exact root)."""
-        lo, hi, d = self.interval(k)
-        if lo != hi:
-            self._narrow(k, hi - lo, d)
-
     def narrow(self, k: int, width: Fraction) -> tuple[int, int, int]:
         """Refine root k to the box that bisection reaches first below
         width, by quadratic interval refinement on the bisection grid: a
@@ -1316,10 +1309,8 @@ class RealRoots:
         never passes the width, nor the BOX_WIDTH depth before the box there
         is kept for ``boxes``.  A step of one halving needs no end values,
         so a shallow refinement costs what bisection costs."""
-        return self._narrow(k, width.numerator, width.denominator)
-
-    def _narrow(self, k: int, wn: int, wd: int) -> tuple[int, int, int]:
         lo, hi, d = self.interval(k)
+        wn, wd = width.numerator, width.denominator
         fi, slo, fixed = self.fi, self._sign_below(k), self._fixed[k]
         bn, bd = BOX_WIDTH.numerator, BOX_WIDTH.denominator
         deg, m = len(fi) - 1, 1
@@ -1437,9 +1428,9 @@ def real_roots(p: Poly) -> RealRoots:
     return RealRoots(p)
 
 
-def _shift_norm(fi: tuple[int, ...], D: int) -> Poly:
-    """f(t + sqrt(D)) f(t - sqrt(D)) for the integer polynomial fi, as
-    A^2 - D B^2 where f(t + y) = A(t) + y B(t) modulo y^2 - D."""
+def _shift(fi: tuple[int, ...], D: int) -> tuple[Poly, Poly]:
+    """(A, B) with f(t + y) = A(t) + y B(t) modulo y^2 - D for the integer
+    polynomial fi, so that f(t +- sqrt(D)) = A(t) +- sqrt(D) B(t)."""
     A, B = [0], [0]
     for c in reversed(fi):
         # (A + yB)(t + y) + c = (tA + DB + c) + y(tB + A)
@@ -1447,8 +1438,7 @@ def _shift_norm(fi: tuple[int, ...], D: int) -> Poly:
             [x + D * y for x, y in zip([c] + A, B + [0])],
             [x + y for x, y in zip([0] + B, A + [0])],
         )
-    A, B = Poly(A), Poly(B)
-    return A * A - B * B * D
+    return Poly(A), Poly(B)
 
 
 def roots_within(roots: RealRoots, D: int) -> bool:
@@ -1456,39 +1446,40 @@ def roots_within(roots: RealRoots, D: int) -> bool:
 
     The pending cells of the roots answer True first when one of them
     holds enough roots in a short enough width (``RealRoots.crowded``).
-    Otherwise every root is isolated, and a pair of boxes decides its gap
-    once (hi' - lo)^2 <= D or (lo' - hi)^2 > D; the boxes of open pairs are
-    bisected.  Once they are all narrower than BOX_WIDTH, f(t) and
-    f(t + sqrt(D)) f(t - sqrt(D)) are tested for a common real root: if
-    there is one, two roots lie exactly sqrt(D) apart, so some consecutive
-    gap is at most sqrt(D); if not, no gap equals sqrt(D) and bisection
-    decides every pair."""
+    Otherwise one pass over the adjacent isolated boxes answers True once
+    (hi' - lo)^2 <= D, and False when every pair has (lo' - hi)^2 > D.
+
+    An open pair is decided by signs at the roots r_0 < ... < r_(m-1) of
+    the square-free f = ``roots.fi``, with no refinement.  f is positive
+    above its roots, and its complex roots change no sign, so sgn f(r_k +
+    sqrt(D)) = (-1)^(m - 1 - k - c_k), where c_k counts the roots in (r_k,
+    r_k + sqrt(D)].  The largest k with c_k >= 1 has c_k = 1, so some c_k is
+    odd exactly when some gap is at most sqrt(D).  With f(t +- sqrt(D)) =
+    A +- sqrt(D) B (``_shift``) and N = A^2 - D B^2 their product, N = 0 at
+    a root puts two roots exactly sqrt(D) apart; otherwise f(r_k + sqrt(D))
+    has the sign of A(r_k) where N(r_k) > 0 and of B(r_k) where N(r_k) < 0
+    (``RealRoots.signs``, by Sturm-Tarski)."""
     if roots.crowded(D):
         return True
-    pending = list(range(len(roots) - 1))
-    tested = False
-    while pending:
-        still = []
-        for k in pending:
-            alo, ahi, ad = roots.interval(k)
-            blo, bhi, bd = roots.interval(k + 1)
-            scale = D * (ad * bd) ** 2
-            up = bhi * ad - alo * bd
-            if up * up <= scale:
-                return True
-            low = blo * ad - ahi * bd
-            if low <= 0 or low * low <= scale:
-                still.append(k)
-        ends = sorted(set(still) | {k + 1 for k in still})
-        if not tested and all(roots.below(k, BOX_WIDTH) for k in ends):
-            tested = True
-            h = poly_gcd(roots.poly, _shift_norm(roots.fi, D))
-            if h.degree > 0 and any(roots.vanishing(h)):
-                return True
-        for k in ends:
-            roots.bisect(k)
-        pending = still
-    return False
+    m, open_pair = len(roots), False
+    for k in range(m - 1):
+        alo, ahi, ad = roots.interval(k)
+        blo, bhi, bd = roots.interval(k + 1)
+        scale = D * (ad * bd) ** 2
+        up = bhi * ad - alo * bd
+        if up * up <= scale:
+            return True
+        low = blo * ad - ahi * bd
+        open_pair = open_pair or low <= 0 or low * low <= scale
+    if not open_pair:
+        return False
+    A, B = _shift(roots.fi, D)
+    norm = roots.signs(A * A - B * B * D)
+    if 0 in norm:
+        return True
+    a = roots.signs(A) if 1 in norm else norm
+    b = roots.signs(B) if -1 in norm else norm
+    return any((a[k] if n > 0 else b[k]) != (-1) ** (m - 1 - k) for k, n in enumerate(norm))
 
 
 def isolate_real_roots(p: Poly) -> tuple[RootBox, ...]:

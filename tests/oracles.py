@@ -9,6 +9,10 @@
   isolation with two chain evaluations per split and refinement by plain
   bisection, for the root boxes of ``polys.RealRoots`` and
   ``polys.isolate_real_roots``.
+- ``halve``: one halving of a root box on the bisection grid.
+- ``refinement_within``: the sqrt(D) gap verdict by halving the boxes of
+  open pairs round by round, an exact tie settled by a gcd, for the sign
+  rule of ``polys.roots_within``.
 - ``box_has_root``: whether a square-free polynomial vanishes in a root
   box, by exact rational evaluation at its ends, for the index-based root
   classification of ``spectra.projector_entries``.
@@ -37,9 +41,11 @@ from pstlab.polys import (
     _div,
     _int_primitive,
     _int_sign_at,
+    _positive,
     _rational,
     _root_bound,
     _scaled_rows,
+    _shift,
     _sturm_chain_int,
     _unscale,
     charpoly,
@@ -188,18 +194,18 @@ class BisectionRoots(RealRoots):
     by plain bisection, one exact evaluation per halving, from the sign at
     each box's lower end as evaluated; the other methods (``boxes``,
     ``integers``, ``multiplicities``, ...) are inherited and read these
-    boxes.  ``repeated`` is the last member of the Sturm chain of p, made
-    positive."""
+    boxes.  ``repeated`` is the last member of the Sturm chain of p, and
+    ``fi`` the square-free part, each made positive."""
 
     def __init__(self, p: Poly):
         if p.is_zero():
             raise PolyError("cannot isolate roots of the zero polynomial")
-        fi = _int_primitive(p)
+        fi = _positive(_int_primitive(p))
         chain = _sturm_chain_int(fi) if len(fi) > 1 else []
         self.repeated: Optional[Poly] = None
         if chain and len(chain[-1]) > 1:
-            self.repeated = Poly(chain[-1]) if chain[-1][-1] > 0 else -Poly(chain[-1])
-            fi = _int_primitive(Poly(fi).exact_div(self.repeated))
+            self.repeated = Poly(_positive(chain[-1]))
+            fi = _positive(_int_primitive(Poly(fi).exact_div(self.repeated)))
             chain = _sturm_chain_int(fi)
         self.fi = fi
         self.poly = Poly(fi)
@@ -211,11 +217,6 @@ class BisectionRoots(RealRoots):
         self._d = [d for _, _, d in intervals]
         self._slo = [_int_sign_at(fi, a, d) for a, _, d in intervals]
         self._fixed: list[Optional[tuple[int, int, int]]] = [None] * len(intervals)
-
-    def bisect(self, k: int) -> None:
-        lo, hi, d = self.interval(k)
-        if lo != hi:
-            self.narrow(k, Fraction(hi - lo, d))
 
     def narrow(self, k: int, width: Fraction) -> tuple[int, int, int]:
         fi, slo, fixed = self.fi, self._slo[k], self._fixed[k]
@@ -235,6 +236,50 @@ class BisectionRoots(RealRoots):
                 hi = mid
         self._lo[k], self._hi[k], self._d[k], self._fixed[k] = lo, hi, d, fixed
         return lo, hi, d
+
+
+def halve(roots: RealRoots, k: int) -> None:
+    """Halve the box of root k on the bisection grid (no-op on an exact
+    root): a refinement to the box's own width takes one halving."""
+    lo, hi, d = roots.interval(k)
+    if lo != hi:
+        roots.narrow(k, Fraction(hi - lo, d))
+
+
+def refinement_within(roots: RealRoots, D: int) -> bool:
+    """Whether two consecutive real roots lie at most sqrt(D) apart, by
+    refinement.  A pair of boxes decides its gap once (hi' - lo)^2 <= D or
+    (lo' - hi)^2 > D, and the boxes of open pairs are halved round by round.
+    Once they are all narrower than BOX_WIDTH, f(t) and f(t + sqrt(D))
+    f(t - sqrt(D)) are tested for a common real root: if there is one, two
+    roots lie exactly sqrt(D) apart, so some consecutive gap is at most
+    sqrt(D); if not, no gap equals sqrt(D) and halving decides every
+    pair."""
+    pending = list(range(len(roots) - 1))
+    tested = False
+    while pending:
+        still = []
+        for k in pending:
+            alo, ahi, ad = roots.interval(k)
+            blo, bhi, bd = roots.interval(k + 1)
+            scale = D * (ad * bd) ** 2
+            up = bhi * ad - alo * bd
+            if up * up <= scale:
+                return True
+            low = blo * ad - ahi * bd
+            if low <= 0 or low * low <= scale:
+                still.append(k)
+        ends = sorted(set(still) | {k + 1 for k in still})
+        if not tested and all(Fraction(hi - lo, d) < BOX_WIDTH for lo, hi, d in map(roots.interval, ends)):
+            tested = True
+            A, B = _shift(roots.fi, D)
+            h = poly_gcd(roots.poly, A * A - B * B * D)
+            if h.degree > 0 and any(roots.vanishing(h)):
+                return True
+        for k in ends:
+            halve(roots, k)
+        pending = still
+    return False
 
 
 def box_has_root(p: Poly, box: RootBox) -> bool:
@@ -277,8 +322,8 @@ def compare_roots(a: RealRoots, k: int, b: RealRoots, m: int) -> int:
                 return 0
             if blo == bhi and _int_sign_at(a.fi, blo, bd) == 0:
                 return 0
-            a.bisect(k)
-            b.bisect(m)
+            halve(a, k)
+            halve(b, m)
             continue
         if common is None:
             g = poly_gcd(a.poly, b.poly)
@@ -287,8 +332,8 @@ def compare_roots(a: RealRoots, k: int, b: RealRoots, m: int) -> int:
             if blo * ad < alo * bd and ahi * bd < bhi * ad:
                 return 0
         else:
-            b.bisect(m)
-        a.bisect(k)
+            halve(b, m)
+        halve(a, k)
 
 
 def merge_roots(

@@ -3,9 +3,10 @@ tree up to an order: every characteristic polynomial, every support, and
 the merged pole polynomial (the lcm of the two alpha denominators) of every
 strongly cospectral pair.  Each is compared as in ``test_root_kernel``:
 isolating intervals, boxes with multiplicities, refinement to 2^-60,
-integer roots, the repeated part and the ``roots_within`` verdicts for
-D = 1 and D = 2.  Too slow for the tier-1 suite at n = 12 (CI runs it
-there):
+integer roots, the repeated part, and the ``roots_within`` verdicts for
+D = 1 and D = 2 against the refinement oracle
+(``oracles.refinement_within``).  Too slow for the tier-1 suite at n = 12
+(CI runs it there):
 
     PYTHONPATH=src:tests python tests/root_sweep.py 12
 """
@@ -38,7 +39,7 @@ def main(max_n: int) -> int:
     polys = tree_polys(max_n)
     for p in polys:
         assert_matches_oracle(p)
-    print(f"trees n <= {max_n}: {len(polys)} polynomials, boxes and gap verdicts equal the oracle's")
+    print(f"trees n <= {max_n}: {len(polys)} polynomials, boxes and gap verdicts equal the oracles'")
     return 0
 
 

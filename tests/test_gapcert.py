@@ -379,6 +379,22 @@ def test_residue_mass_explicit_sets():
         residue_mass(path(2), 0, 0)
 
 
+def test_residue_mass_detects_only_the_missing_side():
+    # a spider with three legs of two edges; 1 and 3 are the middles of two
+    # legs, and the detected sides are their neighbors toward the centre 0
+    G = Graph.from_edges(7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 5, 1), (5, 6, 1)])
+    assert residue_mass(G, 1, 3)[1] == pytest.approx(1.0)
+    assert residue_mass(G, 1, 3, i_side=[0, 2])[1] == pytest.approx(SQRT2)
+    assert residue_mass(G, 1, 3, j_side=[0, 4])[1] == pytest.approx(SQRT2)
+    assert residue_mass(G, 1, 3, i_side=[0, 2], j_side=[4])[1] == pytest.approx(SQRT2)
+    # no bridge on a cycle: the missing side cannot be detected
+    C4 = Graph.from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    with pytest.raises(GapError, match="no separating neighbors"):
+        residue_mass(C4, 0, 2, i_side=[1])
+    with pytest.raises(GapError, match="no separating neighbors"):
+        residue_mass(C4, 0, 2, j_side=[1])
+
+
 def test_general_bound_reduces_to_sqrt2():
     # unweighted non-adjacent pair with single unit neighbors on both sides:
     # a_ij = 0, u = v = 1, bound = sqrt(2)

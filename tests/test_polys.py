@@ -11,6 +11,7 @@ from oracles import (
     berkowitz_charpoly,
     box_has_root,
     compare_roots,
+    halve,
     merge_roots,
     path_sum_bruteforce,
     poly_sqrt,
@@ -522,18 +523,18 @@ def test_signs_match_exact_evaluation(p_roots, complex_factors, q, depths):
     roots = RealRoots(p)
     for k, depth in zip(range(len(roots)), depths):
         if depth is None:
-            roots.bisect(k)
+            halve(roots, k)
         elif depth:
             roots.narrow(k, Fraction(1, 2**depth))
     assert roots.signs(q) == _exact_signs(p_roots, q)
 
 
 def test_roots_within():
-    # t^3 - 2t: consecutive roots exactly sqrt2 apart, settled by the norm gcd
+    # t^3 - 2t: consecutive roots exactly sqrt2 apart, where the norm vanishes
     tie = real_roots(Poly([0, -2, 0, 1]))
     assert roots_within(tie, 2)
     assert not roots_within(tie, 1)
-    # t (t^2 - 2 - 2^-50): gaps just above sqrt2, decided past 2^-40
+    # t (t^2 - 2 - 2^-50): gaps just above sqrt2, decided by signs
     assert not roots_within(real_roots(Poly([0, -2 - Fraction(1, 2**50), 0, 1])), 2)
     # t ((t + 2^-50)^2 - 2): one gap just below sqrt2
     eps = Fraction(1, 2**50)

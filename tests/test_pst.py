@@ -25,6 +25,7 @@ from pstlab.pst import (
     WITNESS_PRIMES,
     PstError,
     QuadraticSpectrum,
+    _centred_squares,
     decide_pst,
     fit_quadratic_spectrum,
     pst_pairs,
@@ -54,6 +55,14 @@ def test_fit_integer_spectrum():
     qs = fit_quadratic_spectrum(lin(-1, 1))
     assert qs == QuadraticSpectrum(a=0, delta=1, b=(2, -2))
     assert qs.theta(0) == 1.0
+
+
+def test_fit_integer_spectrum_whose_roots_do_not_pair_up():
+    # twice the mean of 0, 1 and 3 is 8/3, no integer a: the roots do not
+    # pair up around a/2, and only the integer route fits them
+    support = lin(0, 1, 3)
+    assert _centred_squares(support) is None
+    assert fit_quadratic_spectrum(support) == QuadraticSpectrum(0, 1, (6, 2, 0))
 
 
 def test_fit_quadratic_spectrum_p3():

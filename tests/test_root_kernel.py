@@ -7,9 +7,11 @@ odd t^e R(t^2); it refines by quadratic interval refinement on the
 bisection grid.  The oracle (``oracles.BisectionRoots``) isolates every
 root at once on the chain of the whole polynomial, evaluates it at both
 ends of a split and refines by plain halving.  Both must give the same
-isolating intervals, boxes, refinements (by ``narrow`` and by ``bisect``),
-integer roots, repeated parts, signs, multiplicities and gap verdicts
-(``roots_within``), whatever order the roots are read in.
+isolating intervals, boxes, refinements (by ``narrow`` and by single
+halvings), integer roots, repeated parts, signs, multiplicities and gap
+verdicts, whatever order the roots are read in.  The gap verdict of
+``roots_within``, read off signs at the roots, must equal that of the
+refinement oracle (``oracles.refinement_within``).
 """
 from fractions import Fraction
 from math import isqrt
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import seeded_mirror_graphs, trees_up_to
 import oracles
-from oracles import BisectionRoots, bisection_boxes
+from oracles import BisectionRoots, bisection_boxes, halve, refinement_within
 from pstlab import polys
 from pstlab.graphs import Graph
 from pstlab.polys import (
@@ -47,6 +49,11 @@ def _fractions(interval):
     return Fraction(lo, d), Fraction(hi, d)
 
 
+def _width(interval):
+    lo, hi, d = interval
+    return Fraction(hi - lo, d)
+
+
 def assert_matches_oracle(p: Poly) -> None:
     assert isolate_real_roots(p) == bisection_boxes(p)
     new, old = RealRoots(p), BisectionRoots(p)
@@ -57,15 +64,18 @@ def assert_matches_oracle(p: Poly) -> None:
         assert _fractions(new.narrow(k, FINE)) == _fractions(old.narrow(k, FINE))
     assert new.boxes() == old.boxes()
     assert RealRoots(p).integers() == BisectionRoots(p).integers()
-    # the gap verdicts on fresh roots, where pending cells may answer first
+    # the gap verdicts on fresh roots, where pending cells may answer first;
+    # deciding leaves the boxes those of the grid
     for D in (1, 2):
-        assert roots_within(RealRoots(p), D) == roots_within(BisectionRoots(p), D)
+        new = RealRoots(p)
+        assert roots_within(new, D) == refinement_within(BisectionRoots(p), D)
+        assert new.boxes() == old.boxes()
     # single halvings first, as decisions take them, then a deep refinement
     new, old = RealRoots(p), BisectionRoots(p)
     for k in range(len(new)):
         for _ in range(3):
-            new.bisect(k)
-            old.bisect(k)
+            halve(new, k)
+            halve(old, k)
         assert _fractions(new.interval(k)) == _fractions(old.interval(k))
         assert _fractions(new.narrow(k, FINE)) == _fractions(old.narrow(k, FINE))
     assert new.boxes() == old.boxes()
@@ -199,15 +209,67 @@ def test_squares_match_the_oracle(coeffs, power):
     assert_matches_oracle(p * Poly([-1, 0, 1]))
 
 
+# -- the sqrt(D) gap verdict against the refinement oracle ---------------------
+
+_quarters = st.builds(Fraction, st.integers(-24, 24), st.just(4))
+
+
+@st.composite
+def gap_polys(draw):
+    """(p, D): rational roots, some repeated; pairs a +- sqrt(D + eps)/2,
+    exactly sqrt(D) apart at eps = 0 and just off it otherwise; triples a,
+    a +- sqrt(D); quadratics t^2 + bt + c, often with complex roots; all
+    under a leading coefficient of either sign."""
+    D = draw(st.sampled_from([1, 2, 3, 5, 8, 12]))
+    p = Poly([draw(st.sampled_from([1, -1, 2, -3]))])
+    for r, m in draw(st.lists(st.tuples(_quarters, st.integers(1, 3)), max_size=3)):
+        for _ in range(m):
+            p = p * Poly.linear(r)
+    for a, eps in draw(st.lists(st.tuples(_quarters, st.sampled_from([0, 0, 2**-30, -2**-30])), max_size=2)):
+        s = (D + Fraction(eps)) / 4
+        p = p * Poly([a * a - s, -2 * a, 1])
+    for a in draw(st.lists(_quarters, max_size=1)):
+        p = p * Poly.linear(a) * Poly([a * a - D, -2 * a, 1])
+    for b, c in draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 6)), max_size=2)):
+        p = p * Poly([c, b, 1])
+    return p, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_polys())
+def test_gap_verdicts_match_the_refinement_oracle(p_D):
+    p, D = p_D
+    roots = RealRoots(p)
+    assert roots_within(roots, D) == refinement_within(BisectionRoots(p), D)
+    assert roots.boxes() == BisectionRoots(p).boxes()
+
+
+def test_open_gaps_are_decided_by_signs_without_refinement(monkeypatch):
+    # gaps exactly sqrt(D), or 2^-50 off it, stay open on isolated boxes:
+    # the signs at the roots decide them, and no box is narrowed
+    calls = []
+    signs = RealRoots.signs
+    monkeypatch.setattr(RealRoots, "signs", lambda self, q: calls.append(q) or signs(self, q))
+    tie, near = Poly([0, -2, 0, 1]), Poly([0, -2 - Fraction(1, 2**50), 0, 1])
+    cube = Poly([1, -1]) * Poly([1, -1]) * Poly([1, -1]) * Poly([1, 1])  # -(t - 1)^3 (t + 1)
+    for p, D, verdict in [(tie, 2, True), (near, 2, False), (cube, 2, False), (cube, 4, True)]:
+        roots = RealRoots(p)
+        isolated = _intervals(RealRoots(p))
+        calls.clear()
+        assert roots_within(roots, D) is verdict
+        assert calls and _intervals(roots) == isolated
+        assert refinement_within(BisectionRoots(p), D) is verdict
+
+
 def test_narrow_past_box_width_keeps_the_box_width_box():
     # boxes() after a refinement below BOX_WIDTH reports the box at the
     # first width below BOX_WIDTH, not the finer one
     p = Poly([-2, 0, 1]) * Poly([-3, 0, 0, 1]) * Poly([-1, 7])
     roots = RealRoots(p)
     for k in range(len(roots)):
-        assert roots.below(k, BOX_WIDTH) is False
+        assert _width(roots.interval(k)) >= BOX_WIDTH
         roots.narrow(k, FINE)
-        assert roots.below(k, FINE)
+        assert _width(roots.interval(k)) < FINE
     boxes = roots.boxes()
     assert boxes == BisectionRoots(p).boxes()
     for box in boxes:

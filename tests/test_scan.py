@@ -185,8 +185,9 @@ def test_scan_report_schema():
 
 
 def test_scan_to_10_takes_at_most_10000_exact_evaluations(monkeypatch):
-    # the roots are isolated only where a decision reads them: 4246 exact
+    # the roots are isolated only where a decision reads them: 5110 exact
     # evaluations, against 22954 when every support was isolated in full
+    # (4246 when open sqrt(D) gaps were refined instead of read off signs)
     calls = 0
     value_at = polys._int_value_at
 

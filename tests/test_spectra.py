@@ -125,14 +125,15 @@ def test_strong_cospectrality_matches_the_pole_route_on_other_graphs():
 
 
 def test_strong_cospectrality_takes_one_gcd_per_graph(monkeypatch):
+    # the table takes gcd(phi, phi') from the helper that RealRoots uses
     calls = []
-    real_gcd = polys.poly_gcd
+    real_gcd = polys._chain_and_repeated
 
-    def counting_gcd(p, q):
-        calls.append((p, q))
-        return real_gcd(p, q)
+    def counting_gcd(fi):
+        calls.append(fi)
+        return real_gcd(fi)
 
-    monkeypatch.setattr(polys, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(polys, "_chain_and_repeated", counting_gcd)
     # the gcd is taken on the scaled total: weights 1/2 give scale 2, and the
     # Laplacian form has loops, so both get adjugate tables
     halves = Graph.from_edges(8, [(u, v, Fraction(1, 2)) for u, v, _ in hypercube(3).edges])
