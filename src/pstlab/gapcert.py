@@ -5,8 +5,8 @@ Every decision here is exact.  ``certify_gap`` reads the residue signs of
 both alphas off the support partition's interlacing flag: every mu > 0
 exactly when the Cauchy index of 1/alpha, taken from the remainder sequence
 that reduces alpha, equals deg num.  The shift s0 is read off two
-coefficients, the square-root-of-two gap bound off lazily refined root
-boxes (``polys.real_roots``) with ties settled by gcds, and the equality
+coefficients, the square-root-of-two gap bound off the support's isolated
+root boxes or signs at its roots (``polys.roots_within``), and the equality
 case is exact algebra on the alpha functions.  ``partial_fraction`` and
 ``merged_alphas`` read the sign of each alpha's numerator at every pole off
 one signed remainder sequence (``RealRoots.signs``, Sturm-Tarski); they
@@ -14,6 +14,13 @@ give the arrow matrices and the pigeonhole index that a certificate prints,
 and the error that names a failed check.  Floats (poles, residues, arrow
 matrices and their eigenvalues, gaps) are diagnostics, computed when first
 read.
+
+``certify_gap`` checks the pair, then runs one core (``_certify``) on the
+pair's record and its cut-edge pair (i', j').  A forest's table reads that
+pair off the i-j path: the next vertex on each side, none at distance 1.
+Other graphs find it by a bridge search (``graphs.separating_neighbor``).
+The tree scan calls the core directly, with the record it builds once per
+strong pair.
 """
 from __future__ import annotations
 
@@ -31,6 +38,8 @@ from .polys import (
     PolyError,
     RatFunc,
     RealRoots,
+    _ForestTables,
+    _tables,
     isolate_real_roots,
     poly_gcd,
     real_roots,
@@ -39,6 +48,8 @@ from .polys import (
     vertex_deleted_charpoly,
 )
 from .spectra import (
+    _pair_record,
+    _PairRecord,
     is_cospectral,
     is_strongly_cospectral,
     min_support_gap,
@@ -294,11 +305,14 @@ def arrow_matrix(pf: PartialFraction) -> ArrowMatrix:
 # gap certificates
 
 
-@lru_cache(maxsize=50_000)
 def _cut_edge_hypotheses(G: Graph, i: int, j: int) -> Optional[tuple[int, int]]:
     """Neighbors (i', j'), i' != j of i and j' != i of j, such that the edges
     ii' and jj' are cut-edges, each separating i and j; None if either is
-    missing."""
+    missing.  A forest's table reads them off its paths (``cut_pair``);
+    other graphs take ``separating_neighbor``."""
+    tables = _tables(G)
+    if isinstance(tables, _ForestTables):
+        return tables.cut_pair(i, j)
     ni = separating_neighbor(G, i, j)
     nj = None if ni is None else separating_neighbor(G, j, i)
     return None if nj is None else (ni, nj)
@@ -427,14 +441,22 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
     component of the pair to be P3 and is detected by exact algebra.
     """
     sc = is_strongly_cospectral(G, i, j)
-    nbrs = _cut_edge_hypotheses(G, i, j)
+    record = _pair_record(G, i, j) if sc else None
+    return _certify(G, i, j, record, _cut_edge_hypotheses(G, i, j))
+
+
+def _certify(G: Graph, i: int, j: int, record: Optional[_PairRecord],
+             nbrs: Optional[tuple[int, int]]) -> GapCertificate:
+    """certify_gap on the record of a strongly cospectral pair, None for
+    any other pair, and the cut-edge pair (``_cut_edge_hypotheses``)."""
+    sc = record is not None
     cut_ok = nbrs is not None
     # the weighted bound sqrt(2 |w(i,i') w(j,j')|) is at most sqrt(2) only here
     hypotheses_ok = sc and cut_ok and abs(G.weight(i, nbrs[0]) * G.weight(j, nbrs[1])) <= 1
     equality = False
     conclusion = "hypotheses not satisfied"
     if sc:
-        part = support_partition(G, i, j)
+        part = record.partition
         plus_rf, minus_rf = part.alphas
         if not part.interlaced or (
             cut_ok and _coefficient_shift(plus_rf) != _coefficient_shift(minus_rf)
@@ -448,7 +470,7 @@ def certify_gap(G: Graph, i: int, j: int) -> GapCertificate:
                 raise GapError("equality case detected on a graph that is not P3")
         if hypotheses_ok:
             # equality puts the support at r - sqrt(2), r, r + sqrt(2)
-            sup = support_poly(G, i)
+            sup = record.support
             if not equality and sup.degree >= 2 and not roots_within(real_roots(sup), 2):
                 raise GapError(f"support gap {min_support_gap(G, i)} exceeds sqrt(2)")
             if equality:

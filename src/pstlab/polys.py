@@ -5,7 +5,10 @@ Integral coefficients are stored as ``int`` and only the others as
 the signed remainder sequence over the integers (``_remainder_sequence``),
 gives the Sturm chains, the gcds, the Cauchy index that ``RatFunc.reduce``
 returns and the signs of a polynomial at the roots of another
-(``RealRoots.signs``, by Sturm-Tarski).  Small helpers reduce integer lists
+(``RealRoots.signs``, by Sturm-Tarski).  On even or odd polynomials t^e
+R(t^2) (``_parity_split``) it runs on the R parts: for gcd(phi, phi'), for
+the Sturm counts and for a pair's support and sign quotients in
+``spectra``.  Small helpers reduce integer lists
 modulo a monic f and a small prime p for ``pst.ratio_witness``.
 
 A graph's polynomials are kept on its table (``_tables``, an LRU of 16
@@ -15,7 +18,9 @@ phi(G \\ {i, j}) once read, and the strong verdicts; the quotient
 A loopless integer-weighted forest gets branch polynomials
 (``_ForestTables``), every other graph an adjugate table
 (``_AdjugateTable``): Berkowitz on sparse integer rows, and a column of
-adj(tI - A) by Faddeev-LeVerrier for each vertex that is read.
+adj(tI - A) by Faddeev-LeVerrier for each vertex that is read.  A forest's
+table also reads each i-j path off its parent links, for S_ij and for the
+cut-edge pair of the gap certificate (``cut_pair``).
 
 Both tables keep each polynomial P as the integer P(X) at X = 2^b
 (Kronecker substitution), with 2^(b - 1) above the absolute coefficient
@@ -377,16 +382,20 @@ def divides(g: Poly, p: Poly) -> bool:
     return not p.coeffs or not _prem(_int_vector(p), _int_primitive(g))
 
 
-def _even_odd(fi) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(e, R) for the integer polynomial fi = t^e R(t^2) with R(0) != 0 and
-    deg R >= 1, None when fi has no such form."""
+def _parity_split(fi) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(e, R) for the nonzero integer polynomial fi = t^e R(t^2) with R(0)
+    != 0, None when fi is neither even nor odd."""
     e = 0
     while not fi[e]:
         e += 1
     rest = fi[e:]
-    if len(rest) < 3 or any(rest[1::2]):
-        return None
-    return e, rest[::2]
+    return None if any(rest[1::2]) else (e, rest[::2])
+
+
+def _even_odd(fi) -> Optional[tuple[int, tuple[int, ...]]]:
+    """``_parity_split`` of fi when deg R >= 1, None otherwise."""
+    half = _parity_split(fi)
+    return half if half is not None and len(half[1]) > 1 else None
 
 
 def _halve(cs, e: int) -> tuple[int, ...]:
@@ -736,26 +745,49 @@ class _ForestTables(_Table):
     def _deleted_value(self, v: int) -> int:
         return self._upward[1][v]
 
+    def _tree_path(self, i: int, j: int) -> Optional[tuple[list[int], int]]:
+        """(the i-j path from i to j, its top vertex m), from the climbs up
+        the rooted forest from i and from j that meet at m; None when i and
+        j lie in different components."""
+        parent, depth = self.parent, self.depth
+        up_i, up_j = [i], [j]
+        while up_i[-1] != up_j[-1]:
+            side = up_i if depth[up_i[-1]] >= depth[up_j[-1]] else up_j
+            if parent[side[-1]] < 0:
+                return None
+            side.append(parent[side[-1]])
+        return up_i + up_j[-2::-1], up_i[-1]
+
     def _path(self, i: int, j: int) -> int:
         """|w(P)| phi(G - P) at X for the i-j path P, 0 when there is none:
         phi(G - P) is the product of the branches off P, which are the
         children off P of the path's vertices and the branch above its top."""
-        parent, depth = self.parent, self.depth
-        on_path, weight = {i, j}, 1
-        while i != j:
-            if depth[i] < depth[j]:
-                i, j = j, i
-            if parent[i] < 0:
-                return 0  # different components
-            weight *= self.weight[i]
-            i = parent[i]
-            on_path.add(i)
-        out = weight * self._upward[0][i]
+        found = self._tree_path(i, j)
+        if found is None:
+            return 0
+        path, top = found
+        on_path = set(path)
+        out = prod(self.weight[v] for v in path if v != top) * self._upward[0][top]
         for v in on_path:
             for c in self.children[v]:
                 if c not in on_path:
                     out *= self.phi[c]
         return out
+
+    def cut_pair(self, i: int, j: int) -> Optional[tuple[int, int]]:
+        """(i', j') of the gap certificate's cut-edge hypotheses for i != j:
+        for each of i and j, the least neighbor other than the other vertex
+        whose edge separates the two.  Every edge of a forest is a cut-edge.
+        In one component that neighbor is the next vertex on the i-j path,
+        so there is none at distance 1; in two, any neighbor separates them,
+        and an isolated vertex has none."""
+        found = self._tree_path(i, j)
+        if found is None:
+            least = [min(self.children[v] + ([self.parent[v]] if self.parent[v] >= 0 else []),
+                         default=None) for v in (i, j)]
+            return None if None in least else (least[0], least[1])
+        path = found[0]
+        return None if len(path) == 2 else (path[1], path[-2])
 
 
 def _forest_tables(G: Graph) -> Optional[_ForestTables]:

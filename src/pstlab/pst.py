@@ -21,7 +21,7 @@ from typing import Optional
 from . import walk
 from .graphs import Graph, GraphError, laplacian_form
 from .polys import Poly, gcd_mod, pow_x_mod, real_roots, squarefree_part_int
-from .spectra import cospectral_pairs, is_strongly_cospectral, support_partition, support_poly
+from .spectra import _pair_record, _PairRecord, cospectral_pairs, is_strongly_cospectral
 
 NOT_STRONGLY_COSPECTRAL = "not_strongly_cospectral"
 RATIO_CONDITION_B = "ratio_condition_b"
@@ -195,7 +195,14 @@ def _decide(H: Graph, i: int, j: int, model: str) -> PstCertificate:
     """decide_pst on the matrix of the model, H = _prepare_model(G, model)."""
     if not is_strongly_cospectral(H, i, j):
         return PstCertificate((i, j), model, "NO_PST", NOT_STRONGLY_COSPECTRAL)
-    support = support_poly(H, i)
+    return _decide_strong(H, i, j, model, _pair_record(H, i, j))
+
+
+def _decide_strong(H: Graph, i: int, j: int, model: str, record: _PairRecord) -> PstCertificate:
+    """The decision for a strongly cospectral pair of H, on the pair's
+    record: the support always, the class signs only where the fit
+    passes."""
+    support = record.support
     prime = ratio_witness(support)
     if prime is not None:
         return PstCertificate((i, j), model, "NO_PST", RATIO_CONDITION_B, witness_prime=prime)
@@ -203,7 +210,7 @@ def _decide(H: Graph, i: int, j: int, model: str) -> PstCertificate:
     if spectrum is None:
         return PstCertificate((i, j), model, "NO_PST", RATIO_CONDITION_B)
     # support roots ascending; spectrum.b is descending in theta
-    sigmas = tuple(reversed(support_partition(H, i, j).signs))
+    sigmas = tuple(reversed(record.partition.signs))
     if sigmas[0] != +1:
         raise PstError("largest support eigenvalue must carry sigma = +1")
     b0 = spectrum.b[0]

@@ -1,6 +1,12 @@
 """Tree-scan harness: machine-checks, at desk scale, that no tree on more
 than three vertices admits perfect state transfer, and that the support-gap
 bound holds with equality only on P3.
+
+Each tree is read once per strong pair: the table's strong verdict picks
+the pairs, and each pair's record (``spectra._PairRecord``) and cut-edge
+pair (``_ForestTables.cut_pair``) go to the cores of ``pst.decide_pst`` and
+``gapcert.certify_gap``, which skip the checks that the public functions
+make on their arguments.
 """
 from __future__ import annotations
 
@@ -10,8 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import __version__, gapcert, polys, pst, spectra
-from .gapcert import GapError, certify_gap
-from .pst import decide_pst
+from .gapcert import GapError
 from .spectra import cospectral_pairs
 from .trees import MAX_TREE_ORDER, enumerate_trees
 
@@ -60,13 +65,15 @@ def analyze_tree(args: tuple[int, int, object]) -> TreeResult:
     strong = [(i, j) for i, j in cosp if tables.strong(i, j)]
     pst_pairs, violations = [], []
     for i, j in strong:
-        cert = decide_pst(T, i, j)
+        # one record per pair, read by the cores of decide_pst and certify_gap
+        record = spectra._pair_record(T, i, j)
+        cert = pst._decide_strong(T, i, j, "adjacency", record)
         if cert.result == "PST":
             pst_pairs.append({"tree_index": index, "pair": [i, j],
                               "certificate": cert.to_json()})
-        # certify_gap raises on a gap above sqrt(2) and on equality off P3
+        # the certificate raises on a gap above sqrt(2) and on equality off P3
         try:
-            certify_gap(T, i, j)
+            gapcert._certify(T, i, j, record, tables.cut_pair(i, j))
         except GapError as exc:
             violations.append({"tree_index": index, "pair": [i, j], "error": str(exc)})
     for memo in _TREE_MEMOS:

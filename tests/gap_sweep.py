@@ -1,6 +1,10 @@
-"""The gap certificate's sign decisions against the merge oracle on every
-strongly cospectral pair of every tree up to an order.  For each pair it
-asserts that both sign quotients have full Cauchy index (so the
+"""The pair record at half degree, and the gap certificate's sign
+decisions, against their oracles on every strongly cospectral pair of every
+tree up to an order.  For each pair it asserts that the record's support,
+signed path sum, both reduced sign quotients and both Cauchy indices, taken
+at half degree or mirrored from one reduction, equal the full-degree
+oracle's (``oracles.full_degree_record``), that both sign quotients have
+full Cauchy index (so the
 partition's interlacing flag is set), and that ``merged_alphas``, which
 reads the residue signs and arrow flags off Sturm-Tarski sign counts,
 accepts both alphas, finds a pigeonhole index, reads the same shifts s0 as
@@ -13,9 +17,9 @@ the time.  Too slow for the tier-1 suite at n = 12 (CI runs it there):
 import sys
 import time
 
-from oracles import merge_residue_signs
+from oracles import full_degree_record, merge_residue_signs
 from pstlab.gapcert import _coefficient_shift, merged_alphas
-from pstlab.polys import RealRoots, poly_gcd
+from pstlab.polys import RealRoots, charpoly, path_sum_poly, poly_gcd, vertex_deleted_charpoly
 from pstlab.spectra import (
     _pair_record,
     cospectral_pairs,
@@ -26,7 +30,10 @@ from pstlab.trees import enumerate_trees
 
 
 def check_pair(G, i: int, j: int) -> None:
-    for alpha, index in _pair_record(G, i, j).quotients:
+    record = _pair_record(G, i, j)
+    want = full_degree_record(charpoly(G), vertex_deleted_charpoly(G, i), path_sum_poly(G, i, j))
+    assert (record.support, record.s) + record.quotients == want, (G, i, j)
+    for alpha, index in record.quotients:
         assert index == alpha.num.degree, (G, i, j, index, alpha)
     part = support_partition(G, i, j)
     assert part.interlaced, (G, i, j)
@@ -53,8 +60,9 @@ def main(max_n: int) -> int:
                     check_pair(T, i, j)
                     pairs += 1
     print(
-        f"trees n <= {max_n}: {trees} trees, {pairs} strong pairs, both indices "
-        f"full and the merge oracle agrees on every pair, {time.monotonic() - start:.1f} s"
+        f"trees n <= {max_n}: {trees} trees, {pairs} strong pairs, the half-degree record "
+        f"equals the full-degree oracle's, both indices full and the merge oracle agrees "
+        f"on every pair, {time.monotonic() - start:.1f} s"
     )
     return 0
 

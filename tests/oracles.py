@@ -16,6 +16,10 @@
 - ``box_has_root``: whether a square-free polynomial vanishes in a root
   box, by exact rational evaluation at its ends, for the index-based root
   classification of ``spectra.projector_entries``.
+- ``full_degree_record``: a pair's support by ``poly_gcd`` and both sign
+  quotients by ``RatFunc.reduce`` at full degree, the path sum's sign
+  pinned on the top support root, for the half-degree and mirrored routes
+  of ``spectra._PairRecord``.
 - ``compare_roots``, ``merge_roots`` and ``merge_residue_signs``: the
   residue signs and arrow flags of ``gapcert._residue_signs`` by an exact
   merge of the poles with the numerator's roots on their root boxes, ties
@@ -389,3 +393,20 @@ def merge_residue_signs(f: RatFunc, poles: RealRoots, own: list[bool]) -> tuple[
     if negative is not None:
         raise GapError(f"negative residue {_on_union(f, own)[negative]}")
     return tuple(flags + [True] * (len(num) - emitted))
+
+
+def full_degree_record(phi: Poly, phi_i: Poly, s: Poly):
+    """(support, signed s, (alpha+, index+), (alpha-, index-)) of the pair
+    record on phi, phi(G \\ i) and the path sum s, every gcd at full
+    degree: the support is phi / gcd(phi, phi_i) by ``poly_gcd``, and each
+    sign quotient is ``RatFunc.reduce`` of phi over phi_i +- s, with the
+    sign of s chosen so that the top support root is a root of the plus
+    numerator."""
+    support = phi.exact_div(poly_gcd(phi, phi_i)).monic()
+    quotients = RatFunc.reduce(phi, phi_i + s), RatFunc.reduce(phi, phi_i - s)
+    if not s.is_zero():
+        roots = RealRoots(support)
+        top = roots.boxes()[-1]
+        if not box_has_root(quotients[0][0].num, top):
+            s, quotients = -s, quotients[::-1]
+    return (support, s) + quotients

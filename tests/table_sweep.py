@@ -8,16 +8,19 @@ whenever polynomial division by g = gcd(phi, phi') accepts it, and that the
 table's strong verdict is that division.  The graphs are every tree up to
 an order (forest tables), the Laplacian form of each of those trees, whose
 loops give it an adjugate table, and Q2-Q6 and P3 x P3 (adjugate tables,
-whose bipartite phi takes the half-degree gcd).  Prints the pair counts of
-the last order and of each named graph, and the time.  CI runs it to n = 12
-(a few seconds):
+whose bipartite phi takes the half-degree gcd).  On every ordered pair of
+every tree it also asserts that the forest table's cut pair (``cut_pair``)
+is the pair of separating neighbors that the graph search finds
+(``graphs.separating_neighbor``).  Prints the pair counts of the last order
+and of each named graph, and the time.  CI runs it to n = 12 (a few
+seconds):
 
     PYTHONPATH=src python tests/table_sweep.py 12
 """
 import sys
 import time
 
-from pstlab.graphs import Graph, hypercube, laplacian_form
+from pstlab.graphs import Graph, hypercube, laplacian_form, separating_neighbor
 from pstlab.polys import Poly, _AdjugateTable, _ForestTables, _tables, divides, poly_gcd
 from pstlab.trees import enumerate_trees
 
@@ -55,13 +58,28 @@ def check_graph(G, kind) -> tuple[int, int, int]:
     return cosp, kept, strong
 
 
+def check_cut_pairs(T) -> int:
+    """The ordered pairs of the tree T, each with its cut pair checked."""
+    table = _tables(T)
+    pairs = 0
+    for i in range(T.n):
+        for j in range(T.n):
+            if i != j:
+                ni = separating_neighbor(T, i, j)
+                nj = None if ni is None else separating_neighbor(T, j, i)
+                assert table.cut_pair(i, j) == (None if nj is None else (ni, nj)), (T, i, j)
+                pairs += 1
+    return pairs
+
+
 def main(max_n: int) -> int:
     start = time.monotonic()
-    trees = 0
+    trees = ordered = 0
     for n in range(2, max_n + 1):
         counts = {"trees": [0, 0, 0], "Laplacian": [0, 0, 0]}
         for T in enumerate_trees(n):
             trees += 1
+            ordered += check_cut_pairs(T)
             for name, G, kind in (("trees", T, _ForestTables),
                                   ("Laplacian", laplacian_form(T), _AdjugateTable)):
                 counts[name] = [a + b for a, b in zip(counts[name], check_graph(G, kind))]
@@ -71,7 +89,8 @@ def main(max_n: int) -> int:
         c, k, s = check_graph(G, _AdjugateTable)
         lines.append(f"{name}: {c} cospectral pairs, {k} kept by the pre-check, {s} strong")
     print(f"{trees} trees n <= {max_n}, their Laplacian forms, Q2-Q6 and P3 x P3: gcd, class "
-          f"keys, pre-check and strong verdict agree with the polynomials; "
+          f"keys, pre-check and strong verdict agree with the polynomials; the cut pair "
+          f"agrees with the separating neighbors on {ordered} ordered tree pairs; "
           f"{time.monotonic() - start:.1f} s")
     print("\n".join(lines))
     return 0

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from pstlab import cli, scan
+from pstlab import cli, gapcert, scan
 from pstlab.cli import main
 from pstlab.gapcert import GapError
 from pstlab.pst import PstError
@@ -155,14 +155,15 @@ def test_scan_trees_stdout_and_determinism(capsys):
 
 
 def test_scan_trees_gap_violation_exit_5(tmp_path, capsys, monkeypatch):
-    true_certify_gap = scan.certify_gap
+    # the scan certifies each strong pair by the core of certify_gap
+    true_certify = gapcert._certify
 
-    def certify_gap(T, i, j):
+    def certify(T, i, j, record, nbrs):
         if T.n == 5:
             raise GapError("planted violation")
-        return true_certify_gap(T, i, j)
+        return true_certify(T, i, j, record, nbrs)
 
-    monkeypatch.setattr(scan, "certify_gap", certify_gap)
+    monkeypatch.setattr(gapcert, "_certify", certify)
     out = tmp_path / "scan.json"
     assert main(["scan-trees", "--max-n", "6", "--out", str(out)]) == 5
     assert "gap-bound violation at n=5" in capsys.readouterr().err

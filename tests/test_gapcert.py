@@ -473,8 +473,12 @@ def test_bridge_gap_check_rejections():
 
 
 def test_certify_gap_evaluates_the_cut_edge_hypotheses_once(monkeypatch):
-    neighbor_calls, bridge_calls = [], []
+    # a forest's table reads the cut pair off its paths, once per
+    # certificate and with no bridge search; any other graph finds the
+    # separating neighbor of each side by one bridge search
+    neighbor_calls, bridge_calls, cut_calls = [], [], []
     real_neighbor, real_bridges = graphs.separating_neighbor, graphs.bridges
+    real_cut_pair = polys._ForestTables.cut_pair
 
     def counting_neighbor(G, v, other):
         neighbor_calls.append((v, other))
@@ -484,22 +488,41 @@ def test_certify_gap_evaluates_the_cut_edge_hypotheses_once(monkeypatch):
         bridge_calls.append(G)
         return real_bridges(G)
 
+    def counting_cut_pair(table, i, j):
+        cut_calls.append((i, j))
+        return real_cut_pair(table, i, j)
+
     monkeypatch.setattr(gapcert, "separating_neighbor", counting_neighbor)
     monkeypatch.setattr(graphs, "bridges", counting_bridges)
+    monkeypatch.setattr(polys._ForestTables, "cut_pair", counting_cut_pair)
+
+    def certify(G, i, j):
+        merged_alphas.cache_clear()
+        for calls in (neighbor_calls, bridge_calls, cut_calls):
+            calls.clear()
+        certify_gap(G, i, j)
+
     pairs = 0
     for _, T in trees_up_to(8):
         for i, j in sc_pairs(T):
-            # both certify_gap and merged_alphas read the hypotheses
-            once = [(i, j)] if real_neighbor(T, i, j) is None else [(i, j), (j, i)]
-            gapcert._cut_edge_hypotheses.cache_clear()
-            merged_alphas.cache_clear()
-            neighbor_calls.clear()
-            bridge_calls.clear()
-            certify_gap(T, i, j)
-            assert neighbor_calls == once
-            assert len(bridge_calls) == len(once)
+            certify(T, i, j)
+            assert cut_calls == [(i, j)]
+            assert neighbor_calls == bridge_calls == []
             pairs += 1
     assert pairs > 50
+    pairs = 0
+    for G in seeded_mirror_graphs(3, 12):
+        if isinstance(polys._tables(G), polys._ForestTables):
+            continue  # loopless with integer weights: a forest, as above
+        for i, j in sc_pairs(G):
+            # the second side is searched only when the first one has a neighbor
+            once = [(i, j)] if real_neighbor(G, i, j) is None else [(i, j), (j, i)]
+            certify(G, i, j)
+            assert neighbor_calls == once
+            assert len(bridge_calls) == len(once)
+            assert cut_calls == []
+            pairs += 1
+    assert pairs > 10
 
 
 # -- the exact certificate against the earlier float route ------------------
@@ -825,13 +848,22 @@ FAILING_ALPHAS = {
 }
 
 
+class _Record:
+    """A pair record that carries a given partition."""
+
+    def __init__(self, partition):
+        self.partition, self.support = partition, partition.support
+
+
 @pytest.mark.parametrize("message", sorted(FAILING_ALPHAS))
 def test_a_failing_alpha_raises_the_merge_route_message(monkeypatch, message):
     G = path(4)
     part = support_partition(G, 0, 3)
     bad = _with_plus_alpha(part, FAILING_ALPHAS[message](part.alphas[0]))
     assert not bad.interlaced or message.startswith("shifts")
+    # merged_alphas reads the partition, certify_gap the pair's record
     monkeypatch.setattr(gapcert, "support_partition", lambda G, i, j: bad)
+    monkeypatch.setattr(gapcert, "_pair_record", lambda G, i, j: _Record(bad))
     merged_alphas.cache_clear()
     with pytest.raises(GapError) as merge:
         merged_alphas(G, 0, 3)
@@ -849,6 +881,7 @@ def test_a_false_flag_that_the_merge_route_accepts_is_an_internal_error(monkeypa
         part.support, part.plus, part.minus, part.alphas, False
     )
     monkeypatch.setattr(gapcert, "support_partition", lambda G, i, j: lying)
+    monkeypatch.setattr(gapcert, "_pair_record", lambda G, i, j: _Record(lying))
     merged_alphas.cache_clear()
     with pytest.raises(RuntimeError, match="arrow-form checks accept"):
         certify_gap(path(4), 0, 3)
@@ -857,19 +890,32 @@ def test_a_false_flag_that_the_merge_route_accepts_is_an_internal_error(monkeypa
 
 def test_scan_makes_one_strong_check_per_pair_in_the_gap_layer(monkeypatch):
     """Every pstlab module that binds is_strongly_cospectral calls the
-    counting wrapper; scan_trees(11) made 4144 calls before the gap layer
-    read alpha+- off the partition, and must not make more."""
-    real = spectra.is_strongly_cospectral
-    calls = []
+    counting wrapper.  scan_trees(11) made 4144 calls before the gap layer
+    read alpha+- off the partition; now the scan reads the table's strong
+    verdict once per cospectral pair and passes it to the cores of
+    decide_pst and certify_gap, so it makes none."""
+    real, real_strong = spectra.is_strongly_cospectral, polys._Table.strong
+    calls, verdicts = [], []
 
     def counting(G, i, j):
         calls.append((i, j))
         return real(G, i, j)
 
+    def counting_strong(table, i, j):
+        verdicts.append((i, j))
+        return real_strong(table, i, j)
+
     for name, module in list(sys.modules.items()):
         binds = getattr(module, "is_strongly_cospectral", None) is real
         if name.split(".")[0] == "pstlab" and binds:
             monkeypatch.setattr(module, "is_strongly_cospectral", counting)
+    monkeypatch.setattr(polys._Table, "strong", counting_strong)
     _clear_caches()
-    scan_trees(11)
-    assert 0 < len(calls) <= 4144
+    certify_gap(path(3), 0, 2)
+    assert calls == [(0, 2)]  # the public function still checks
+    calls.clear()
+    _clear_caches()
+    verdicts.clear()
+    report = scan_trees(11)
+    assert calls == []
+    assert len(verdicts) == sum(entry["cospectral_pairs"] for entry in report.per_order)

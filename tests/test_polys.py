@@ -17,8 +17,19 @@ from oracles import (
     poly_sqrt,
     squarefree_decomposition,
 )
-from pstlab.graphs import Graph, GraphError, delete_vertices, hypercube, laplacian_form, path, star
-from pstlab import polys, spectra
+from pstlab.gapcert import GapError
+from pstlab.graphs import (
+    Graph,
+    GraphError,
+    delete_vertices,
+    hypercube,
+    laplacian_form,
+    path,
+    separating_neighbor,
+    star,
+)
+from pstlab import gapcert, polys, spectra
+from pstlab.spectra import is_strongly_cospectral
 from pstlab.polys import (
     Poly,
     PolyError,
@@ -1176,3 +1187,74 @@ def test_table_gcd_at_half_degree_equals_the_full_gcd(model):
         assert table._gcd[0] == poly_gcd(total, total.derivative()), G
         halves += polys._even_odd(table.total) is not None
     assert (halves > 100) == (model == "adjacency")
+
+
+# -- the cut pair of a forest's table ---------------------------------------
+
+
+def _separating_pair(G, i, j):
+    """The cut-edge pair by graph search: the separating neighbor of each
+    side, as ``gapcert`` takes it on a graph that is not a forest."""
+    ni = separating_neighbor(G, i, j)
+    nj = None if ni is None else separating_neighbor(G, j, i)
+    return None if nj is None else (ni, nj)
+
+
+def test_cut_pair_matches_the_separating_neighbors_on_all_trees_to_n10():
+    pairs = 0
+    for _, T in trees_up_to(10, min_n=1):
+        table = polys._tables(T)
+        for i in range(T.n):
+            for j in range(T.n):
+                if i != j:
+                    assert table.cut_pair(i, j) == _separating_pair(T, i, j), (T, i, j)
+                    pairs += 1
+    assert pairs == 14946
+
+
+def _certificate(certify):
+    try:
+        return certify()
+    except GapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 100), min_size=0, max_size=10),
+    st.lists(st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]), min_size=1, max_size=11),
+    st.sets(st.integers(1, 10), max_size=5),
+    st.lists(st.integers(0, 20), min_size=1, max_size=11),
+)
+def test_cut_pair_matches_the_separating_neighbors_on_forests(parents, weights, cuts, perm_keys):
+    # pairs in different components, isolated vertices and weights |w| > 1;
+    # the certificate read through the table's cut pair equals the one read
+    # through the graph search, weights and conclusion included
+    F = _forest(parents, weights, cuts, perm_keys)
+    table = polys._tables(F)
+    assert isinstance(table, polys._ForestTables)
+    for i in range(F.n):
+        for j in range(F.n):
+            if i == j:
+                continue
+            nbrs = _separating_pair(F, i, j)
+            assert table.cut_pair(i, j) == nbrs, (F, i, j)
+            record = spectra._pair_record(F, i, j) if is_strongly_cospectral(F, i, j) else None
+            searched = _certificate(lambda: gapcert._certify(F, i, j, record, nbrs))
+            assert _certificate(lambda: gapcert.certify_gap(F, i, j)) == searched, (F, i, j)
+
+
+def test_cut_pair_weights_decide_the_hypotheses():
+    for w, ok in ((2, False), (-1, True)):
+        P = Graph.from_edges(5, [(0, 1, w), (1, 2, 1), (2, 3, 1), (3, 4, w)])
+        assert polys._tables(P).cut_pair(0, 4) == (1, 3)
+        assert polys._tables(P).cut_pair(4, 0) == (3, 1)
+        cert = gapcert.certify_gap(P, 0, 4)
+        assert cert.strongly_cospectral and cert.cut_edges_ok
+        assert cert.hypotheses_ok == ok
+    # adjacent: no cut pair; in two components: the least neighbor of each
+    F = Graph.from_edges(6, [(0, 1, 1), (1, 2, 1), (3, 4, 3), (3, 5, 1)])
+    table = polys._tables(F)
+    assert table.cut_pair(0, 1) is None and table.cut_pair(1, 0) is None
+    assert table.cut_pair(0, 2) == (1, 1)
+    assert table.cut_pair(1, 3) == (0, 4) and table.cut_pair(5, 2) == (3, 1)

@@ -137,7 +137,7 @@ def test_scan_leaves_the_memos_of_each_tree_empty():
         "pstlab.spectra._support_poly",
         "pstlab.spectra._pair_records",
         "pstlab.pst.ratio_witness",
-        "pstlab.gapcert._cut_edge_hypotheses",
+        "pstlab.gapcert.merged_alphas",
     }
     assert sizes == dict.fromkeys(sizes, 0)
 

@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
-from oracles import berkowitz_charpoly, box_has_root
+from oracles import berkowitz_charpoly, box_has_root, full_degree_record
 from pstlab import polys, spectra
 from pstlab.graphs import (
     Graph,
@@ -23,6 +25,7 @@ from pstlab.polys import (
     RatFunc,
     charpoly,
     isolate_real_roots,
+    path_sum_poly,
     residue_at,
     square_free_part,
 )
@@ -312,3 +315,139 @@ def test_polys_and_partitions_survive_pickle_and_deepcopy():
     with pytest.raises(AttributeError):
         twin.coeffs = ()
     assert pickle.loads(pickle.dumps(part)).to_json() == part.to_json()
+
+
+# -- the half-degree reduction ----------------------------------------------
+
+
+X = Poly.x()
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def _even_odd_poly(e, low):
+    """t^e R(t^2) for the monic R with the lower coefficients low."""
+    return Poly(polys._halve(list(low) + [1], e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(_rationals, min_size=0, max_size=3),
+    st.lists(_rationals, min_size=0, max_size=3),
+    st.lists(st.integers(-4, 4), min_size=0, max_size=2),
+)
+def test_reduce_even_odd_matches_the_full_reduction(a, b, n_low, d_low, c_low):
+    # num = t^a N(t^2) and den = t^b D(t^2) share the factor C(t^2), and
+    # often a factor t^k with k >= 3; rational coefficients, complex and
+    # repeated roots; even and odd b - a, both signs of N(0) D(0)
+    common = _even_odd_poly(0, c_low)
+    num = _even_odd_poly(a, n_low) * common
+    den = _even_odd_poly(b, d_low) * common
+    assert spectra._reduce_even_odd(num, den) == RatFunc.reduce(num, den)
+
+
+def test_reduce_even_odd_examples():
+    # den/num for num = t (t^2 - 2): over t^2 - 1 it jumps up at 0 and at
+    # +-sqrt(2), index 2 * 1 + 1; over t^2 + 1 it jumps down at 0, index
+    # 2 * 1 - 1
+    num = Poly([0, -2, 0, 1])
+    for den, index in ((Poly([-1, 0, 1]), 3), (Poly([1, 0, 1]), 1)):
+        assert spectra._reduce_even_odd(num, den) == (RatFunc(num, den), index)
+        assert RatFunc.reduce(num, den)[1] == index
+    # even b - a: t^3 / t reduces to t^2 / 1, and 1/t^2 has index 0
+    assert spectra._reduce_even_odd(X * X * X, X) == (RatFunc(X * X, Poly.one()), 0)
+
+
+# -- the pair record against its full-degree oracle --------------------------
+
+
+def _assert_record_matches_the_oracle(G, i, j):
+    """Support, signed path sum and both reduced sign quotients with their
+    Cauchy indices, against gcds and reductions at full degree."""
+    record = spectra._pair_record(G, i, j)
+    want = full_degree_record(charpoly(G), vertex_deleted_charpoly(G, i), path_sum_poly(G, i, j))
+    assert (record.support, record.s) + record.quotients == want, (G, i, j)
+    return record
+
+
+def test_pair_record_matches_the_full_degree_oracle_on_trees():
+    pairs = odd = 0
+    for _, T in trees_up_to(9):
+        for i in range(T.n):
+            for j in range(i + 1, T.n):
+                if is_strongly_cospectral(T, i, j):
+                    _assert_record_matches_the_oracle(T, i, j)
+                    pairs += 1
+                    odd += path_sum_poly(T, i, j).degree % 2 == T.n % 2
+    assert pairs == 104 and odd > 0
+
+
+def _counting_routes(monkeypatch):
+    """Count the full-degree and the half-degree reductions."""
+    calls = {"full": 0, "half": 0}
+    full, half = RatFunc.reduce, spectra._reduce_even_odd
+
+    def counting(name, route):
+        def wrapper(num, den):
+            calls[name] += 1
+            return route(num, den)
+        return wrapper
+
+    monkeypatch.setattr(RatFunc, "reduce", staticmethod(counting("full", full)))
+    monkeypatch.setattr(spectra, "_reduce_even_odd", counting("half", half))
+    return calls
+
+
+def test_pair_record_routes_where_the_index_is_not_full(monkeypatch):
+    # 0 and 1 at distance 2: both sign quotients and the support at half
+    # degree; 0 and 2 at distance 1: one full reduction, mirrored.  Neither
+    # pair is strongly cospectral, and no index equals its degree.
+    G = Graph.from_edges(3, [(0, 2, -1), (1, 2, 2)])
+    calls = _counting_routes(monkeypatch)
+    for (i, j), indices, routes in (((0, 1), [3, -1], {"full": 0, "half": 3}),
+                                    ((0, 2), [1, 1], {"full": 1, "half": 1})):
+        spectra._support_poly.cache_clear()
+        spectra._pair_records.cache_clear()
+        calls.update(full=0, half=0)
+        record = spectra._pair_record(G, i, j)
+        record.quotients
+        assert calls == routes
+        assert [index for _, index in record.quotients] == indices
+        assert [alpha.num.degree for alpha, _ in record.quotients] == [3, 3]
+        _assert_record_matches_the_oracle(G, i, j)
+
+
+def test_pair_record_keeps_the_full_route_off_even_and_odd_polynomials(monkeypatch):
+    # a triangle with a pendant vertex on each of two corners: phi is
+    # neither even nor odd
+    G = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (1, 4, 1)])
+    calls = _counting_routes(monkeypatch)
+    spectra._support_poly.cache_clear()
+    spectra._pair_records.cache_clear()
+    assert _assert_record_matches_the_oracle(G, 3, 4).quotients
+    assert calls == {"full": 4, "half": 0}  # the record's 2, the oracle's 2
+
+
+_weights = st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.lists(st.booleans(), min_size=7, max_size=7),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _weights), max_size=12),
+)
+def test_pair_record_matches_the_full_degree_oracle_on_weighted_bipartite_graphs(
+    n, sides, items
+):
+    # negative and rational weights, cycles and several components: pairs at
+    # odd and even distance and in two components, often with an index that
+    # is not full
+    edges = {tuple(sorted((u % n, v % n))): w for u, v, w in items
+             if sides[u % n] != sides[v % n]}
+    G = Graph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()])
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                _assert_record_matches_the_oracle(G, i, j)
