@@ -3,7 +3,7 @@
 Exit codes: 0 success (or PST found), 1 no PST, 2 parse error, 3 invalid
 vertices, 4 Laplacian with non-integer weights or a loop, 5 scan invariant
 violation (or a gap-certificate violation in analyze, or a failed exact
-check in decide-pst), 6 unwritable output.
+check in decide-pst), 6 unwritable output path or closed standard output.
 """
 from __future__ import annotations
 
@@ -263,10 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         # helpers signal parse/vertex/output failures via SystemExit
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    except BrokenPipeError:
+        # the reader closed standard output; what is left in its buffer goes
+        # to the null device, so the flush at exit cannot raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

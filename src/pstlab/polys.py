@@ -6,10 +6,11 @@ the signed remainder sequence over the integers (``_remainder_sequence``),
 gives the Sturm chains, the gcds, the Cauchy index that ``RatFunc.reduce``
 returns and the signs of a polynomial at the roots of another
 (``RealRoots.signs``, by Sturm-Tarski).  On even or odd polynomials t^e
-R(t^2) (``_parity_split``) it runs on the R parts: for gcd(phi, phi'), for
-the Sturm counts and for a pair's support and sign quotients in
-``spectra``.  Small helpers reduce integer lists
-modulo a monic f and a small prime p for ``pst.ratio_witness``.
+R(t^2) it runs on the R parts: for every gcd and reduction whose two
+inputs are even or odd (``_split_sequence``), so for a pair's support and
+sign quotients in ``spectra`` too, for gcd(phi, phi') and for the Sturm
+counts.  Small helpers reduce integer lists modulo a monic f and a small
+prime p for ``pst.ratio_witness``.
 
 A graph's polynomials are kept on its table (``_tables``, an LRU of 16
 graphs) and nowhere else: phi(G), gcd(phi, phi'), each phi(G \\ v) and
@@ -365,15 +366,25 @@ def _cauchy_index(seq: list[tuple[int, ...]]) -> int:
     return low - high
 
 
+def _zero_variations(seq: list[tuple[int, ...]]) -> int:
+    """V(0) on seq, read off the constant terms.  On the signed remainder
+    sequence of N and D with N(0) != 0, V(0) - V(+inf) is the Cauchy index of
+    D/N over (0, +inf), the number of positive roots of N when D = N'."""
+    at_zero = [m[0] > 0 for m in seq if m[0]]
+    return sum(map(ne, at_zero, at_zero[1:]))
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by a primitive remainder sequence over the integers;
+    """Monic gcd by a primitive remainder sequence over the integers, at
+    half the degree when p and q are even or odd (``_split_sequence``);
     gcd(p, 0) = monic p."""
     if p.is_zero() and q.is_zero():
         raise PolyError("gcd of two zero polynomials")
     a, b = _int_primitive(p), _int_primitive(q)
     if len(a) < len(b):
         a, b = b, a
-    return Poly(_remainder_sequence(a, b)[-1]).monic()
+    seq, halves = _split_sequence(a, b)
+    return Poly(seq[-1] if halves is None else _halve(seq[-1], min(halves))).monic()
 
 
 def divides(g: Poly, p: Poly) -> bool:
@@ -403,6 +414,22 @@ def _halve(cs, e: int) -> tuple[int, ...]:
     out = [0] * (e + 2 * len(cs) - 1)
     out[e::2] = cs
     return tuple(out)
+
+
+def _split_sequence(a, b) -> tuple[list[tuple[int, ...]], Optional[tuple[int, int]]]:
+    """The signed remainder sequence that gives gcd(a, b) for the nonzero
+    integer vector a and any b, and (p, q) when it runs at half the degree:
+    for a = t^p N(t^2) and b = t^q D(t^2) with N(0) D(0) != 0
+    (``_parity_split``), it is that of N and D, and gcd(a, b) = t^m G(t^2)
+    for m = min(p, q) and G = gcd(N, D), its last member.  t divides neither
+    N(t^2) nor D(t^2), and u N + v D = G in x gives u(t^2) N(t^2) + v(t^2)
+    D(t^2) = G(t^2).  Otherwise it is that of a and b, with None."""
+    half_a = _parity_split(a)
+    half_b = half_a and b and _parity_split(b)
+    if not half_b:
+        return _remainder_sequence(a, b), None
+    (p, N), (q, D) = half_a, half_b
+    return _remainder_sequence(N, D), (p, q)
 
 
 # -- F_p[u] on integer lists, low degree first, for a small prime p --------
@@ -983,17 +1010,41 @@ class RatFunc:
     @staticmethod
     def reduce(num: Poly, den: Poly) -> tuple["RatFunc", int]:
         """(num/den reduced, the Cauchy index of den/num over the reals; 0
-        for num = 0), both from the remainder sequence whose last member is
-        gcd(num, den)."""
+        for num = 0), from the remainder sequence whose last member gives
+        gcd(num, den) (``_split_sequence``): V(-inf) - V(+inf) at full degree.
+
+        At half the degree, num = c t^p N(t^2) and den = c' t^q D(t^2) with
+        rationals c, c' > 0 and gcd t^m G(t^2), so the parts t^(p - m)
+        (N/G)(t^2) and t^(q - m) (D/G)(t^2) are divided at half the degree.
+        f = den/num = (c'/c) t^k (D/N)(t^2), k = q - p, has f(-t) = (-1)^k
+        f(t).  For even k the jump of f at -r is the opposite of its jump at
+        r, and f has no sign change at 0: the index is 0.  For odd k the
+        jumps at -r and r agree, so the index is 2 I + j0, with I the index
+        over (0, +inf) and j0 the jump at 0.  There (c'/c) t^k > 0 and x =
+        t^2 increases, so I is the index of D/N in x over (0, +inf): V(0) -
+        V(+inf) on the sequence of N and D, as N(0) != 0 (Basu, Pollack and
+        Roy, ch. 2; ``_zero_variations``).  f has a pole at 0 exactly when k
+        < 0, and there f ~ (c'/c) t^k D(0)/N(0) runs from -inf to +inf times
+        sgn(D(0) N(0)): j0 is that sign, and 0 when k > 0."""
         if den.is_zero():
             raise PolyError("zero denominator")
         if num.is_zero():
             return RatFunc(Poly.zero(), Poly.one()), 0
-        seq = _remainder_sequence(_int_primitive(num), _int_primitive(den))
-        g = Poly(seq[-1])
-        num, den = num.exact_div(g), den.exact_div(g)
-        scale = Fraction(1, den.leading)
-        return RatFunc(num.scale(scale), den.scale(scale)), _cauchy_index(seq)
+        a, b = _int_primitive(num), _int_primitive(den)
+        seq, halves = _split_sequence(a, b)
+        g = seq[-1]  # the sequence starts with a and b, or with N and D
+        n, d = seq[:2] if len(g) == 1 else (_quo_exact(v, g) for v in seq[:2])
+        index = _cauchy_index(seq) if halves is None else 0
+        if halves is not None:
+            (p, q), m = halves, min(halves)
+            n, d = _halve(n, p - m), _halve(d, q - m)
+            if (q - p) % 2:
+                index = 2 * (_zero_variations(seq) - _end_variations(seq)[1])
+                if p > q:
+                    index += 1 if (seq[0][0] > 0) == (seq[1][0] > 0) else -1
+        # num / den = (c / c') n / d for c = num.leading / a[-1], c' likewise
+        scale = _div(num.leading * b[-1], den.leading * a[-1] * d[-1])
+        return RatFunc(Poly([x * scale for x in n]), Poly(d).monic()), index
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(
@@ -1242,8 +1293,7 @@ class RealRoots:
             total = self._low - high
         else:
             self._high = _end_variations(chain)[1]
-            at_zero = [m[0] > 0 for m in chain if m[0]]
-            total = self._e + 2 * (sum(map(ne, at_zero, at_zero[1:])) - self._high)
+            total = self._e + 2 * (_zero_variations(chain) - self._high)
         if total < 0:
             raise PolyError("negative Sturm count: the chain is not a Sturm sequence")
         self._total = total

@@ -15,10 +15,10 @@ phi^{G\\{i,j}}, the support on phi^G and phi^{G\\i}, and one record per pair
 (``_PairRecord``), which the signed path sum and the partition are read off,
 on phi^G, phi^{G\\i} and the unsigned path sum.  The record builds each of
 them when first read, so a PST decision that reads only the support pays
-for no sign quotient.  Where the polynomials are even or odd, as on a
-bipartite graph, the support and the sign quotients are reduced at half the
-degree, or at odd distance one quotient is the mirror image of the other
-(``_sign_quotients``); other graphs take them at full degree.  The tree scan
+for no sign quotient.  ``poly_gcd`` and ``RatFunc.reduce`` take them at
+half the degree where the polynomials are even or odd, as on a bipartite
+graph; at odd distance one sign quotient is the mirror image of the other
+(``_sign_quotients``).  The tree scan
 builds one record per strong pair and passes it to the cores of
 ``pst.decide_pst`` and ``gapcert.certify_gap``.
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import ne
 from typing import Optional
 
 from .graphs import Graph
@@ -34,12 +33,6 @@ from .polys import (
     Poly,
     RatFunc,
     RootBox,
-    _end_variations,
-    _halve,
-    _int_primitive,
-    _parity_split,
-    _quo_exact,
-    _remainder_sequence,
     _require_vertices,
     _tables,
     charpoly,
@@ -103,12 +96,10 @@ def support_poly(G: Graph, i: int) -> Poly:
     return _support_poly(charpoly(G), vertex_deleted_charpoly(G, i))
 
 
-def _parity(p: Poly) -> Optional[int]:
-    """The parity k of deg p when p(-t) = (-1)^k p(t), None when p is
-    neither even nor odd."""
+def _even_or_odd(p: Poly) -> bool:
+    """Whether p(-t) = +-p(t)."""
     cs = p.coeffs
-    k = (len(cs) - 1) % 2
-    return None if any(cs[1 - k::2]) else k
+    return not any(cs[len(cs) % 2::2])
 
 
 def _reflect(p: Poly, sign: int) -> Poly:
@@ -116,80 +107,31 @@ def _reflect(p: Poly, sign: int) -> Poly:
     return Poly([sign * (-1) ** k * c for k, c in enumerate(p.coeffs)])
 
 
-def _reduce_even_odd(num: Poly, den: Poly) -> tuple[RatFunc, int]:
-    """``RatFunc.reduce`` at half the degree, for monic num and den that
-    are each even or odd.
-
-    With num = t^a N(t^2) and den = t^b D(t^2), where N(0) D(0) != 0
-    (``_parity_split``), gcd(num, den) = t^m G(t^2) for m = min(a, b)
-    and G = gcd(N, D): t divides neither N(t^2) nor D(t^2), and u N + v
-    D = G in x gives u(t^2) N(t^2) + v(t^2) D(t^2) = G(t^2).  The reduced
-    parts are t^(a - m) (N/G)(t^2) and t^(b - m) (D/G)(t^2), made monic:
-    num and den are monic, so dividing both by the monic gcd leaves both
-    monic.
-
-    The Cauchy index of f = den/num = t^k (D/N)(t^2), k = b - a, is read
-    off the remainder sequence of N and D.  Since f(-t) = (-1)^k f(t),
-    for even k the jump of f at -r is the opposite of its jump at r, and
-    f has no sign change at 0, so the index is 0.  For odd k the jumps
-    at -r and r agree, so the index is 2 I + j0, with I the index of f
-    over (0, +inf) and j0 its jump at 0.  On (0, +inf), t^k > 0 and x =
-    t^2 increases, so I is the index of D/N in x over (0, +inf): V(0) -
-    V(+inf) on the signed remainder sequence of N and D (Basu, Pollack
-    and Roy, ch. 2), which holds as N(0) != 0; V(0) is read off the
-    constant terms and V(+inf) off the leading coefficients.  f has a
-    pole at 0 exactly when k < 0, that is when the reduced numerator
-    has the factor t.  There f ~ t^k D(0)/N(0) with k odd, which runs
-    from -inf to +inf times sgn(D(0) N(0)): j0 is that sign, and 0 when
-    k > 0."""
-    (a, N), (b, D) = (_parity_split(_int_primitive(p)) for p in (num, den))
-    seq = _remainder_sequence(N, D)
-    g, m = seq[-1], min(a, b)
-    parts = [Poly(_halve(R if len(g) == 1 else _quo_exact(R, g), e - m)).monic()
-             for R, e in ((N, a), (D, b))]
-    index = 0
-    if (b - a) % 2:
-        at_zero = [c[0] > 0 for c in seq if c[0]]
-        index = 2 * (sum(map(ne, at_zero, at_zero[1:])) - _end_variations(seq)[1])
-        if a > b:
-            index += 1 if (N[0] > 0) == (D[0] > 0) else -1
-    return RatFunc(*parts), index
-
-
 @lru_cache(maxsize=100_000)
 def _support_poly(phi: Poly, phi_i: Poly) -> Poly:
-    """phi / gcd(phi, phi_i), monic: the reduced numerator of phi/phi_i,
-    taken at half the degree when both are even or odd, as on a bipartite
-    graph."""
-    if _parity(phi) is not None and _parity(phi_i) is not None:
-        return _reduce_even_odd(phi, phi_i)[0].num
+    """phi / gcd(phi, phi_i), monic: the reduced numerator of phi/phi_i."""
     return phi.exact_div(poly_gcd(phi, phi_i)).monic()
 
 
 def _sign_quotients(phi: Poly, phi_i: Poly, s: Poly) -> tuple[tuple[RatFunc, int], ...]:
     """``RatFunc.reduce`` of phi / (phi_i + s) and phi / (phi_i - s), each
-    with the Cauchy index of its inverse, on the route that the form of the
-    polynomials allows.
+    with the Cauchy index of its inverse.
 
-    All three monic polynomials phi, phi_i +- s even or odd, as at even
-    distance on a bipartite graph: both at half the degree
-    (``_reduce_even_odd``).  phi even or odd with (phi_i + s)(-t) =
-    (-1)^(n-1) (phi_i - s)(t), n = deg phi, as at odd distance: then
-    phi(-t) = (-1)^n phi(t), so the minus quotient is -q(-t) for the plus
-    quotient q, and one reduction gives both.  With q = P/Q and Q monic of
-    degree d, -q(-t) is -(-1)^d P(-t) over the monic (-1)^d Q(-t).  The
-    jump of 1/q at r and that of -1/q(-t) at -r agree, so the two Cauchy
-    indices are equal.  Any other form: both at full degree."""
+    phi_i + s neither even nor odd, phi even or odd and (phi_i + s)(-t) =
+    (-1)^(n-1) (phi_i - s)(t), n = deg phi, as at odd distance on a
+    bipartite graph: then phi(-t) = (-1)^n phi(t), so the minus quotient is
+    -q(-t) for the plus quotient q, and one reduction gives both.  With q =
+    P/Q and Q monic of degree d, -q(-t) is -(-1)^d P(-t) over the monic
+    (-1)^d Q(-t).  The jump of 1/q at r and that of -1/q(-t) at -r agree,
+    so the two Cauchy indices are equal.  Otherwise two reductions."""
     plus, minus = phi_i + s, phi_i - s
-    if _parity(phi) is not None:
-        if _parity(plus) is not None and _parity(minus) is not None:
-            return _reduce_even_odd(phi, plus), _reduce_even_odd(phi, minus)
-        if _reflect(plus, (-1) ** plus.degree) == minus:
-            q, index = RatFunc.reduce(phi, plus)
-            d = q.den.degree
-            mirror = RatFunc(_reflect(q.num, (-1) ** (d + 1)), _reflect(q.den, (-1) ** d))
-            return (q, index), (mirror, index)
-    return RatFunc.reduce(phi, plus), RatFunc.reduce(phi, minus)
+    q, index = RatFunc.reduce(phi, plus)
+    if (not _even_or_odd(plus) and _even_or_odd(phi)
+            and _reflect(plus, (-1) ** plus.degree) == minus):
+        d = q.den.degree
+        mirror = RatFunc(_reflect(q.num, (-1) ** (d + 1)), _reflect(q.den, (-1) ** d))
+        return (q, index), (mirror, index)
+    return (q, index), RatFunc.reduce(phi, minus)
 
 
 def _interlaces(f: RatFunc, index: int) -> bool:

@@ -16,10 +16,13 @@
 - ``box_has_root``: whether a square-free polynomial vanishes in a root
   box, by exact rational evaluation at its ends, for the index-based root
   classification of ``spectra.projector_entries``.
-- ``full_degree_record``: a pair's support by ``poly_gcd`` and both sign
-  quotients by ``RatFunc.reduce`` at full degree, the path sum's sign
-  pinned on the top support root, for the half-degree and mirrored routes
-  of ``spectra._PairRecord``.
+- ``full_degree_gcd`` and ``full_degree_reduce``: gcds, reduced quotients
+  and Cauchy indices by Euclid over Q at full degree (``divmod`` on
+  ``Poly``), for the half-degree route of ``polys.poly_gcd`` and
+  ``polys.RatFunc.reduce``.
+- ``full_degree_record``: a pair's support and both sign quotients by
+  those two, the path sum's sign pinned on the top support root, for the
+  half-degree and mirrored routes of ``spectra._PairRecord``.
 - ``compare_roots``, ``merge_roots`` and ``merge_residue_signs``: the
   residue signs and arrow flags of ``gapcert._residue_signs`` by an exact
   merge of the poles with the numerator's roots on their root boxes, ties
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import ne
 from typing import Optional
 
 from pstlab.gapcert import GapError, _on_union
@@ -395,15 +399,45 @@ def merge_residue_signs(f: RatFunc, poles: RealRoots, own: list[bool]) -> tuple[
     return tuple(flags + [True] * (len(num) - emitted))
 
 
+def _euclid_sequence(p: Poly, q: Poly) -> list[Poly]:
+    """The signed remainder sequence p, q, -(p mod q), ... over Q by
+    ``divmod``, up to its last nonzero member, for p != 0."""
+    seq = [p, q]
+    while not seq[-1].is_zero():
+        seq.append(-(seq[-2] % seq[-1]))
+    return seq[:-1]
+
+
+def full_degree_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd(p, q) for p != 0, by Euclid over Q at full degree."""
+    return _euclid_sequence(p, q)[-1].monic()
+
+
+def full_degree_reduce(num: Poly, den: Poly) -> tuple[RatFunc, int]:
+    """``RatFunc.reduce`` at full degree by Euclid over Q: num and den
+    divided by the last member of their signed remainder sequence, the
+    denominator made monic, and the Cauchy index of den/num as V(-inf) -
+    V(+inf) on that sequence, read off the leading coefficients and
+    degrees."""
+    if num.is_zero():
+        return RatFunc(Poly.zero(), Poly.one()), 0
+    seq = _euclid_sequence(num, den)
+    high = [p.leading > 0 for p in seq]
+    low = [up == (p.degree % 2 == 0) for up, p in zip(high, seq)]
+    index = sum(map(ne, low, low[1:])) - sum(map(ne, high, high[1:]))
+    num, den = num // seq[-1], den // seq[-1]
+    return RatFunc(num.scale(1 / Fraction(den.leading)), den.monic()), index
+
+
 def full_degree_record(phi: Poly, phi_i: Poly, s: Poly):
     """(support, signed s, (alpha+, index+), (alpha-, index-)) of the pair
     record on phi, phi(G \\ i) and the path sum s, every gcd at full
-    degree: the support is phi / gcd(phi, phi_i) by ``poly_gcd``, and each
-    sign quotient is ``RatFunc.reduce`` of phi over phi_i +- s, with the
-    sign of s chosen so that the top support root is a root of the plus
-    numerator."""
-    support = phi.exact_div(poly_gcd(phi, phi_i)).monic()
-    quotients = RatFunc.reduce(phi, phi_i + s), RatFunc.reduce(phi, phi_i - s)
+    degree: the support is phi / gcd(phi, phi_i), and each sign quotient is
+    phi over phi_i +- s reduced, by ``full_degree_gcd`` and
+    ``full_degree_reduce``, with the sign of s chosen so that the top
+    support root is a root of the plus numerator."""
+    support = (phi // full_degree_gcd(phi, phi_i)).monic()
+    quotients = full_degree_reduce(phi, phi_i + s), full_degree_reduce(phi, phi_i - s)
     if not s.is_zero():
         roots = RealRoots(support)
         top = roots.boxes()[-1]

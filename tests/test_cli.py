@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import pstlab
 from pstlab import cli, gapcert, scan
 from pstlab.cli import main
 from pstlab.gapcert import GapError
@@ -276,6 +280,28 @@ def test_simulate_csv(tmp_path, capsys, p3_file):
 def test_simulate_unwritable_exit_6(capsys, p3_file):
     code = main(["simulate", p3_file, "0", "2", "--out", "/nonexistent/dir/x.csv"])
     assert code == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide-pst", "P3", "0", "2"],
+    ["analyze", "P3", "0", "2"],
+    ["simulate", "P3", "0", "2"],
+    ["scan-trees", "--max-n", "6"],
+], ids=lambda argv: argv[0])
+def test_closed_stdout_exit_6_without_a_traceback(p3_file, argv):
+    # the read end is closed before the command starts, so its first write
+    # to standard output fails, as under `pstlab ... | true`
+    argv = [p3_file if arg == "P3" else arg for arg in argv]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pstlab.__file__))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run([sys.executable, "-m", "pstlab.cli", *argv], stdout=write,
+                             stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert out.returncode == 6
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr, out.stderr
 
 
 @pytest.mark.parametrize("command", ["scan-trees", "simulate"])

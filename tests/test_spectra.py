@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
-from oracles import berkowitz_charpoly, box_has_root, full_degree_record
+from oracles import (
+    berkowitz_charpoly,
+    box_has_root,
+    full_degree_gcd,
+    full_degree_record,
+    full_degree_reduce,
+)
 from pstlab import polys, spectra
 from pstlab.graphs import (
     Graph,
@@ -26,6 +32,7 @@ from pstlab.polys import (
     charpoly,
     isolate_real_roots,
     path_sum_poly,
+    poly_gcd,
     residue_at,
     square_free_part,
 )
@@ -322,6 +329,7 @@ def test_polys_and_partitions_survive_pickle_and_deepcopy():
 
 X = Poly.x()
 _rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+_contents = st.sampled_from([1, -1, 3, -2, Fraction(1, 2), Fraction(-5, 3)])
 
 
 def _even_odd_poly(e, low):
@@ -336,15 +344,39 @@ def _even_odd_poly(e, low):
     st.lists(_rationals, min_size=0, max_size=3),
     st.lists(_rationals, min_size=0, max_size=3),
     st.lists(st.integers(-4, 4), min_size=0, max_size=2),
+    st.one_of(st.just(0), _contents),
+    _contents,
 )
-def test_reduce_even_odd_matches_the_full_reduction(a, b, n_low, d_low, c_low):
-    # num = t^a N(t^2) and den = t^b D(t^2) share the factor C(t^2), and
-    # often a factor t^k with k >= 3; rational coefficients, complex and
+def test_reduce_even_odd_matches_the_full_reduction(a, b, n_low, d_low, c_low, c_num, c_den):
+    # num = c t^a N(t^2) and den = c' t^b D(t^2) share the factor C(t^2), and
+    # often a factor t^k with k >= 3; rational coefficients and contents,
+    # negative leading coefficients and a zero numerator, complex and
     # repeated roots; even and odd b - a, both signs of N(0) D(0)
     common = _even_odd_poly(0, c_low)
-    num = _even_odd_poly(a, n_low) * common
-    den = _even_odd_poly(b, d_low) * common
-    assert spectra._reduce_even_odd(num, den) == RatFunc.reduce(num, den)
+    num = (_even_odd_poly(a, n_low) * common).scale(c_num)
+    den = (_even_odd_poly(b, d_low) * common).scale(c_den)
+    assert RatFunc.reduce(num, den) == full_degree_reduce(num, den)
+    assert poly_gcd(den, num) == full_degree_gcd(den, num)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.lists(_rationals, min_size=0, max_size=3),
+    st.lists(_rationals, min_size=0, max_size=3),
+    st.lists(st.integers(-4, 4), min_size=0, max_size=2),
+    _contents,
+)
+def test_gcd_and_square_free_part_of_even_and_odd_polynomials_match_euclid(
+    a, b, p_low, q_low, c_low, content
+):
+    # a repeated factor C(t^2)^2 and t^a: repeated roots, at 0 too
+    common = _even_odd_poly(0, c_low)
+    p = (_even_odd_poly(a, p_low) * common * common).scale(content)
+    q = _even_odd_poly(b, q_low) * common
+    assert poly_gcd(p, q) == full_degree_gcd(p, q)
+    assert square_free_part(p) == (p // full_degree_gcd(p, p.derivative())).monic()
 
 
 def test_reduce_even_odd_examples():
@@ -353,10 +385,10 @@ def test_reduce_even_odd_examples():
     # 2 * 1 - 1
     num = Poly([0, -2, 0, 1])
     for den, index in ((Poly([-1, 0, 1]), 3), (Poly([1, 0, 1]), 1)):
-        assert spectra._reduce_even_odd(num, den) == (RatFunc(num, den), index)
-        assert RatFunc.reduce(num, den)[1] == index
+        assert RatFunc.reduce(num, den) == (RatFunc(num, den), index)
+        assert full_degree_reduce(num, den)[1] == index
     # even b - a: t^3 / t reduces to t^2 / 1, and 1/t^2 has index 0
-    assert spectra._reduce_even_odd(X * X * X, X) == (RatFunc(X * X, Poly.one()), 0)
+    assert RatFunc.reduce(X * X * X, X) == (RatFunc(X * X, Poly.one()), 0)
 
 
 # -- the pair record against its full-degree oracle --------------------------
@@ -384,35 +416,52 @@ def test_pair_record_matches_the_full_degree_oracle_on_trees():
 
 
 def _counting_routes(monkeypatch):
-    """Count the full-degree and the half-degree reductions."""
-    calls = {"full": 0, "half": 0}
-    full, half = RatFunc.reduce, spectra._reduce_even_odd
+    """The degree of the first member of each remainder sequence that
+    ``poly_gcd`` and ``RatFunc.reduce`` run: deg phi at full degree, deg
+    phi // 2 at half the degree on these graphs."""
+    degrees, inside = [], []
+    sequence, gcd, reduce = polys._remainder_sequence, polys.poly_gcd, RatFunc.reduce
 
-    def counting(name, route):
-        def wrapper(num, den):
-            calls[name] += 1
-            return route(num, den)
+    def counting(a, b):
+        if inside:
+            degrees.append(len(a) - 1)
+        return sequence(a, b)
+
+    def route(kernel):
+        def wrapper(*args):
+            inside.append(kernel)
+            try:
+                return kernel(*args)
+            finally:
+                inside.pop()
         return wrapper
 
-    monkeypatch.setattr(RatFunc, "reduce", staticmethod(counting("full", full)))
-    monkeypatch.setattr(spectra, "_reduce_even_odd", counting("half", half))
-    return calls
+    monkeypatch.setattr(polys, "_remainder_sequence", counting)
+    monkeypatch.setattr(spectra, "poly_gcd", route(gcd))
+    monkeypatch.setattr(RatFunc, "reduce", staticmethod(route(reduce)))
+    return degrees
+
+
+def _routes(degrees, n):
+    assert all(d in (n, n // 2) for d in degrees), degrees
+    return {"full": degrees.count(n), "half": degrees.count(n // 2)}
 
 
 def test_pair_record_routes_where_the_index_is_not_full(monkeypatch):
     # 0 and 1 at distance 2: both sign quotients and the support at half
-    # degree; 0 and 2 at distance 1: one full reduction, mirrored.  Neither
-    # pair is strongly cospectral, and no index equals its degree.
+    # degree; 0 and 2 at distance 1: the support at half degree and one
+    # full reduction, mirrored.  Neither pair is strongly cospectral, and no
+    # index equals its degree.
     G = Graph.from_edges(3, [(0, 2, -1), (1, 2, 2)])
-    calls = _counting_routes(monkeypatch)
+    degrees = _counting_routes(monkeypatch)
     for (i, j), indices, routes in (((0, 1), [3, -1], {"full": 0, "half": 3}),
                                     ((0, 2), [1, 1], {"full": 1, "half": 1})):
         spectra._support_poly.cache_clear()
         spectra._pair_records.cache_clear()
-        calls.update(full=0, half=0)
+        degrees.clear()
         record = spectra._pair_record(G, i, j)
         record.quotients
-        assert calls == routes
+        assert _routes(degrees, G.n) == routes
         assert [index for _, index in record.quotients] == indices
         assert [alpha.num.degree for alpha, _ in record.quotients] == [3, 3]
         _assert_record_matches_the_oracle(G, i, j)
@@ -422,11 +471,11 @@ def test_pair_record_keeps_the_full_route_off_even_and_odd_polynomials(monkeypat
     # a triangle with a pendant vertex on each of two corners: phi is
     # neither even nor odd
     G = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (1, 4, 1)])
-    calls = _counting_routes(monkeypatch)
+    degrees = _counting_routes(monkeypatch)
     spectra._support_poly.cache_clear()
     spectra._pair_records.cache_clear()
     assert _assert_record_matches_the_oracle(G, 3, 4).quotients
-    assert calls == {"full": 4, "half": 0}  # the record's 2, the oracle's 2
+    assert _routes(degrees, G.n) == {"full": 3, "half": 0}  # the support and 2 quotients
 
 
 _weights = st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
