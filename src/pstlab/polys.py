@@ -1,15 +1,16 @@
 """Exact polynomial arithmetic over the rationals, on an integer kernel.
 
-Integral coefficients are stored as ``int`` and only the others as
-``Fraction``; exact divisions divide integer primitive parts.  One loop,
-the signed remainder sequence over the integers (``_remainder_sequence``),
-gives the Sturm chains, the gcds, the Cauchy index that ``RatFunc.reduce``
-returns and the signs of a polynomial at the roots of another
-(``RealRoots.signs``, by Sturm-Tarski).  On even or odd polynomials t^e
-R(t^2) it runs on the R parts: for every gcd and reduction whose two
-inputs are even or odd (``_split_sequence``), so for a pair's support and
-sign quotients in ``spectra`` too, for gcd(phi, phi') and for the Sturm
-counts.  Small helpers reduce integer lists modulo a monic f and a small
+A ``Poly`` is a positive rational content times a primitive integer
+vector with the polynomial's signs, and the kernel reads that vector with
+no conversion; products and exact divisions work on vectors and contents
+apart (Gauss's lemma).  One loop, the signed remainder sequence over the
+integers (``_remainder_sequence``), gives the Sturm chains, the gcds, the
+Cauchy index that ``RatFunc.reduce`` returns and the signs of a polynomial
+at the roots of another (``RealRoots.signs``, by Sturm-Tarski).  On even
+or odd polynomials t^e R(t^2) it runs on the R parts: for every gcd and
+reduction whose two inputs are even or odd (``_split_sequence``), so for a
+pair's support and sign quotients in ``spectra`` too, for gcd(phi, phi')
+and for the Sturm counts.  Small helpers reduce integer lists modulo a monic f and a small
 prime p for ``pst.ratio_witness``.
 
 A graph's polynomials are kept on its table (``_tables``, an LRU of 16
@@ -64,6 +65,8 @@ class PolyError(ValueError):
 
 def _rational(c):
     """c as an exact rational: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
     if not isinstance(c, Fraction):
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
@@ -89,30 +92,55 @@ def _mul(a, b) -> list:
     return out
 
 
-class Poly:
-    """Dense univariate polynomial with rational coefficients, low degree
-    first.  Integral coefficients are ints, the others Fractions."""
+_set = object.__setattr__
 
-    __slots__ = ("coeffs", "_hash")
+
+class Poly:
+    """Dense univariate polynomial with rational coefficients: a positive
+    rational ``content`` (an int when integral, 1 for zero) times
+    ``vector``, a primitive integer tuple with the polynomial's signs, low
+    degree first (() for zero).  ``coeffs``, the coefficients as ints where
+    integral and Fractions otherwise, is built when first read, and is
+    ``vector`` itself when the content is 1."""
+
+    __slots__ = ("vector", "content", "_coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [c if type(c) is int else _rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        scale = lcm(*[c.denominator for c in cs])
+        if scale != 1:
+            cs = [c.numerator * (scale // c.denominator) for c in cs]
+        g = gcd(cs[-1], *cs) if cs else 1  # the leading one first: monic costs no gcd
+        self._put(tuple(cs) if g == 1 else tuple([c // g for c in cs]),
+                  g if scale == 1 else _rational(Fraction(g, scale)))
+
+    def _put(self, vector: tuple, content) -> None:
+        _set(self, "vector", vector)
+        _set(self, "content", content)
+        _set(self, "_coeffs", vector if content == 1 else None)
+
+    @staticmethod
+    def _of(vector: tuple, content=1) -> "Poly":
+        """content times vector, for a vector that is already primitive and
+        a content in the form ``Poly`` keeps; no gcd is taken."""
+        p = object.__new__(Poly)
+        p._put(vector, content)
+        return p
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly._of(())
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return Poly._of((1,))
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((0, 1))
+        return Poly._of((0, 1))
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -125,29 +153,37 @@ class Poly:
 
     # -- basics ------------------------------------------------------------
     @property
+    def coeffs(self) -> tuple:
+        cs = self._coeffs
+        if cs is None:
+            c = self.content
+            cs = tuple([_rational(x * c) for x in self.vector])
+            _set(self, "_coeffs", cs)
+        return cs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.vector) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vector
 
     @property
     def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.vector else 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self.vector == other.vector
+                and self.content == other.content)
 
     def __hash__(self) -> int:
         # computed once: the memos keyed by polynomials hash them on every
-        # lookup, and a Fraction hashes slowly
+        # lookup
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.vector, self.content))
+            _set(self, "_hash", h)
             return h
 
     def __reduce__(self):
@@ -172,7 +208,7 @@ class Poly:
         return Poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of(tuple([-c for c in self.vector]), self.content)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -181,14 +217,18 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly.zero()
-            return Poly(_mul(self.coeffs, other.coeffs))
+            return Poly._of(tuple(_mul(self.vector, other.vector)),
+                            _rational(self.content * other.content))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = _rational(c)
-        return Poly(tuple(a * c for a in self.coeffs))
+        if not c or not self.vector:
+            return Poly.zero()
+        vector = self.vector if c > 0 else tuple([-x for x in self.vector])
+        return Poly._of(vector, _rational(self.content * abs(c)))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -216,24 +256,24 @@ class Poly:
     def exact_div(self, other: "Poly") -> "Poly":
         """self / other, or PolyError when other does not divide self.
 
-        The integer primitive parts are divided by exact integer long
-        division: by Gauss's lemma their quotient is integral when other
-        divides self, so a step that is not integral means the division is
-        not exact.  The rational quotient of the contents is applied last."""
+        The vectors are divided by exact integer long division: by Gauss's
+        lemma their quotient is integral, and primitive, when other divides
+        self, so a step that is not integral means the division is not
+        exact.  The quotient of the contents is applied last."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a, ca = _content_split(self)
-        b, cb = _content_split(other)
-        q = Poly(_quo_exact(a, b))
-        return q if ca == cb else q.scale(ca / cb)
+        q = Poly._of(tuple(_quo_exact(self.vector, other.vector)))
+        ca, cb = self.content, other.content
+        return q if ca == cb else q.scale(_div(ca, cb))
 
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.leading == 1:
+        v = self.vector
+        if not v or (v[-1] == 1 and self.content == 1):
             return self
-        return self.scale(Fraction(1, self.leading))
+        return Poly._of(v).scale(Fraction(1, v[-1]))
 
     def __call__(self, x):
         acc = 0 * x if not isinstance(x, Fraction) else Fraction(0)
@@ -252,33 +292,6 @@ def _primitive(cs) -> tuple[int, ...]:
     if content <= 1:
         return tuple(cs)
     return tuple(c // content for c in cs)
-
-
-def _scaled_ints(p: Poly):
-    """(L times the coefficients of p, L) for the least positive integer L
-    that makes them integers."""
-    cs = p.coeffs
-    scale = 1
-    for c in cs:
-        if type(c) is not int:
-            scale = lcm(scale, c.denominator)
-    if scale == 1:
-        return cs, 1
-    return [c * scale if type(c) is int else c.numerator * (scale // c.denominator)
-            for c in cs], scale
-
-
-def _int_vector(p: Poly):
-    """Integer coefficients of p times a positive integer."""
-    return _scaled_ints(p)[0]
-
-
-def _content_split(p: Poly) -> tuple[tuple[int, ...], Fraction]:
-    """(the primitive integer vector of p, the positive rational c) with p
-    = c times the vector; (), 1 for zero."""
-    cs, scale = _scaled_ints(p)
-    content = gcd(*cs) or 1
-    return _primitive(cs), Fraction(content, scale)
 
 
 def _quo_exact(a, b) -> list:
@@ -308,12 +321,6 @@ def _quo_exact(a, b) -> list:
     if any(rem[:db]):
         raise PolyError("division is not exact")
     return quot
-
-
-def _int_primitive(p: Poly) -> tuple[int, ...]:
-    """Integer coefficient vector with the same sign behavior as p (scaled
-    by a positive rational, content removed)."""
-    return _primitive(_int_vector(p))
 
 
 def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -380,17 +387,17 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     gcd(p, 0) = monic p."""
     if p.is_zero() and q.is_zero():
         raise PolyError("gcd of two zero polynomials")
-    a, b = _int_primitive(p), _int_primitive(q)
+    a, b = p.vector, q.vector
     if len(a) < len(b):
         a, b = b, a
     seq, halves = _split_sequence(a, b)
-    return Poly(seq[-1] if halves is None else _halve(seq[-1], min(halves))).monic()
+    return Poly._of(seq[-1] if halves is None else _halve(seq[-1], min(halves))).monic()
 
 
 def divides(g: Poly, p: Poly) -> bool:
     """Whether the nonzero g divides p, by a pseudo-remainder over the
     integers."""
-    return not p.coeffs or not _prem(_int_vector(p), _int_primitive(g))
+    return not p.vector or not _prem(p.vector, g.vector)
 
 
 def _parity_split(fi) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -669,7 +676,7 @@ class _Table:
         """gcd(phi, phi') of ``scale`` * A, taken once as ``RealRoots``
         takes it (at half the degree when phi is even or odd, as on a
         forest), and its value at X."""
-        g = Poly(_positive(_chain_and_repeated(tuple(self.total))[2]))
+        g = Poly._of(_positive(_chain_and_repeated(tuple(self.total))[2]))
         return g, g(1 << self.bits)
 
     @cached_property
@@ -1030,7 +1037,7 @@ class RatFunc:
             raise PolyError("zero denominator")
         if num.is_zero():
             return RatFunc(Poly.zero(), Poly.one()), 0
-        a, b = _int_primitive(num), _int_primitive(den)
+        a, b = num.vector, den.vector
         seq, halves = _split_sequence(a, b)
         g = seq[-1]  # the sequence starts with a and b, or with N and D
         n, d = seq[:2] if len(g) == 1 else (_quo_exact(v, g) for v in seq[:2])
@@ -1042,9 +1049,9 @@ class RatFunc:
                 index = 2 * (_zero_variations(seq) - _end_variations(seq)[1])
                 if p > q:
                     index += 1 if (seq[0][0] > 0) == (seq[1][0] > 0) else -1
-        # num / den = (c / c') n / d for c = num.leading / a[-1], c' likewise
-        scale = _div(num.leading * b[-1], den.leading * a[-1] * d[-1])
-        return RatFunc(Poly([x * scale for x in n]), Poly(d).monic()), index
+        # num / den = (c / c') n / d for the contents c of num and c' of den
+        scale = _div(num.content, den.content * d[-1])
+        return RatFunc(Poly._of(tuple(n)).scale(scale), Poly._of(tuple(d)).monic()), index
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(
@@ -1275,17 +1282,17 @@ class RealRoots:
     def __init__(self, p: Poly):
         if p.is_zero():
             raise PolyError("cannot isolate roots of the zero polynomial")
-        fi = _positive(_int_primitive(p))
+        fi = _positive(p.vector)
         half, chain, repeated = _chain_and_repeated(fi)
         e, f = (None, fi) if half is None else half
         g = chain[-1] if chain else (1,)
-        self.repeated = Poly(_positive(repeated)) if len(repeated) > 1 else None
+        self.repeated = Poly._of(_positive(repeated)) if len(repeated) > 1 else None
         if len(g) > 1:  # a repeated root: take the square-free part
             f = _positive(_quo_exact(f, g))
             chain = _sturm_chain_int(f)
         self._e = None if half is None else min(e, 1)
         self.fi = fi = f if half is None else _halve(f, self._e)
-        self.poly = Poly(fi)
+        self.poly = Poly._of(fi)
         self._chain = chain
         # the counts at -+inf: V(-inf) on fi's chain, V(+inf) on R's
         if half is None:
@@ -1306,8 +1313,6 @@ class RealRoots:
         self._d = [d] * total
         # the cells of two roots or more, by the index of their first root
         self._pending: dict[int, int] = {0: total} if total > 1 else {}
-        # the interval of each root where it first got narrower than BOX_WIDTH
-        self._fixed: list[Optional[tuple[int, int, int]]] = [None] * total
 
     def __len__(self) -> int:
         return self._total
@@ -1388,21 +1393,15 @@ class RealRoots:
         width, by quadratic interval refinement on the bisection grid: a
         step of 2^m cells goes m halvings deep, m doubles after each hit and
         halves after a miss, which takes one bisection step instead.  A step
-        never passes the width, nor the BOX_WIDTH depth before the box there
-        is kept for ``boxes``.  A step of one halving needs no end values,
+        never passes the width.  A step of one halving needs no end values,
         so a shallow refinement costs what bisection costs."""
         lo, hi, d = self.interval(k)
         wn, wd = width.numerator, width.denominator
-        fi, slo, fixed = self.fi, self._sign_below(k), self._fixed[k]
-        bn, bd = BOX_WIDTH.numerator, BOX_WIDTH.denominator
+        fi, slo = self.fi, self._sign_below(k)
         deg, m = len(fi) - 1, 1
         vlo = vhi = None  # the values of fi at the ends, once known
         while (hi - lo) * wd >= d * wn:
-            if fixed is None and (hi - lo) * bd < d * bn:
-                fixed = (lo, hi, d)
             step = min(m, _halvings(hi - lo, d, wn, wd))
-            if fixed is None:
-                step = min(step, _halvings(hi - lo, d, bn, bd))
             if step > 1:
                 if vlo is None:
                     vlo = _int_value_at(fi, lo, d)
@@ -1425,15 +1424,16 @@ class RealRoots:
                 lo, vlo, vhi = mid, vm, vhi and vhi << deg
             else:
                 hi, vlo, vhi = mid, vlo and vlo << deg, vm
-        self._lo[k], self._hi[k], self._d[k], self._fixed[k] = lo, hi, d, fixed
+        self._lo[k], self._hi[k], self._d[k] = lo, hi, d
         return lo, hi, d
 
     def boxes(self) -> tuple[RootBox, ...]:
         """Every box at its first width below BOX_WIDTH: the boxes of
-        ``isolate_real_roots``, however far a decision refined them since."""
+        ``isolate_real_roots``.  Decisions narrow a box no further than
+        that width."""
         out = []
         for k in range(len(self)):
-            lo, hi, d = self._fixed[k] or self.narrow(k, BOX_WIDTH)
+            lo, hi, d = self.narrow(k, BOX_WIDTH)
             out.append(RootBox(Fraction(lo, d), Fraction(hi, d), 1))
         return tuple(out)
 
@@ -1450,12 +1450,11 @@ class RealRoots:
     def has_root(self, k: int, q: Poly) -> bool:
         """Whether q vanishes at root k, for q whose real roots are roots of
         the polynomial (so q has at most one root in the box)."""
-        return self._vanishes(_int_vector(q), k)
+        return self._vanishes(q.vector, k)
 
     def vanishing(self, q: Poly) -> list[bool]:
         """``has_root`` at every root."""
-        qi = _int_vector(q)
-        return [self._vanishes(qi, k) for k in range(len(self))]
+        return [self._vanishes(q.vector, k) for k in range(len(self))]
 
     def _vanishes(self, qi, k: int) -> bool:
         lo, hi, d = self.interval(k)
@@ -1479,7 +1478,7 @@ class RealRoots:
             self._isolate(k)
         fi = self.fi
         derivative = [k * c for k, c in enumerate(fi) if k]
-        seq = _remainder_sequence(fi, _primitive(_prem(_mul(derivative, _int_vector(q)), fi)))
+        seq = _remainder_sequence(fi, _primitive(_prem(_mul(derivative, q.vector), fi)))
         low, high = _end_variations(seq)
         v = [low]
         for hi, d, lo, e in zip(self._hi, self._d, self._lo[1:], self._d[1:]):

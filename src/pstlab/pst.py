@@ -97,7 +97,7 @@ def _centred_squares(support: Poly) -> Optional[tuple[int, list[int]]]:
     pair up around 0 exactly when F is even or odd, F(u) = u^e H(u^2).  The
     roots of H, low degree first, are then the numbers (2 theta - a)^2."""
     cs, d = support.coeffs, support.degree
-    if d < 1 or support.leading != 1 or any(c.denominator != 1 for c in cs):
+    if d < 1 or support.content != 1 or support.vector[-1] != 1:
         return None
     a, rem = divmod(-2 * cs[d - 1], d)
     if rem:
@@ -125,7 +125,7 @@ def fit_quadratic_spectrum(support: Poly) -> Optional[QuadraticSpectrum]:
     those s has deg H distinct positive integer roots."""
     if support.degree < 1:
         raise PstError("support polynomial must be nonconstant")
-    if support.leading != 1 or any(c.denominator != 1 for c in support.coeffs):
+    if support.content != 1 or support.vector[-1] != 1:
         return None  # eigenvalues are not algebraic integers
     int_roots = real_roots(support).integers()
     if len(int_roots) == support.degree:

@@ -33,6 +33,7 @@ from .polys import (
     Poly,
     RatFunc,
     RootBox,
+    _parity_split,
     _require_vertices,
     _tables,
     charpoly,
@@ -96,15 +97,9 @@ def support_poly(G: Graph, i: int) -> Poly:
     return _support_poly(charpoly(G), vertex_deleted_charpoly(G, i))
 
 
-def _even_or_odd(p: Poly) -> bool:
-    """Whether p(-t) = +-p(t)."""
-    cs = p.coeffs
-    return not any(cs[len(cs) % 2::2])
-
-
 def _reflect(p: Poly, sign: int) -> Poly:
     """sign * p(-t), for sign = +-1."""
-    return Poly([sign * (-1) ** k * c for k, c in enumerate(p.coeffs)])
+    return Poly._of(tuple([sign * (-1) ** k * c for k, c in enumerate(p.vector)]), p.content)
 
 
 @lru_cache(maxsize=100_000)
@@ -126,7 +121,7 @@ def _sign_quotients(phi: Poly, phi_i: Poly, s: Poly) -> tuple[tuple[RatFunc, int
     so the two Cauchy indices are equal.  Otherwise two reductions."""
     plus, minus = phi_i + s, phi_i - s
     q, index = RatFunc.reduce(phi, plus)
-    if (not _even_or_odd(plus) and _even_or_odd(phi)
+    if (_parity_split(plus.vector) is None and _parity_split(phi.vector) is not None
             and _reflect(plus, (-1) ** plus.degree) == minus):
         d = q.den.degree
         mirror = RatFunc(_reflect(q.num, (-1) ** (d + 1)), _reflect(q.den, (-1) ** d))

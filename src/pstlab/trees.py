@@ -103,25 +103,27 @@ def _forests(pool: list[tuple[str, int]], total: int, start: int = 0) -> Iterato
                 yield code + rest
 
 
-def _codes(n: int) -> tuple[str, ...]:
-    """Sorted centroid-rooted codes of the trees on n vertices: a root whose
-    branches each have fewer than n/2 vertices, or, for even n, two rooted
-    halves of n/2 vertices joined at their roots."""
+def _codes(n: int) -> Iterator[str]:
+    """The centroid-rooted codes of the trees on n vertices, sorted as they
+    are built: a root whose branches each have fewer than n/2 vertices, or,
+    for even n, two rooted halves of n/2 vertices joined at their roots.  No
+    rooted code is a prefix of another, so ``_forests`` on a sorted pool
+    yields sorted joins, and the codes "[AB]", with halves of one length,
+    sort after every "(" code."""
     if not (1 <= n <= MAX_TREE_ORDER):
         raise GraphError(f"tree order must be in 1..{MAX_TREE_ORDER}")
     pool: list[tuple[str, int]] = []  # rooted trees of fewer than size vertices
     for size in range(1, n // 2 + 1):
-        rooted = sorted("(" + f + ")" for f in _forests(pool, size - 1))
+        rooted = ["(" + f + ")" for f in _forests(pool, size - 1)]
         if 2 * size < n:
             pool = sorted(pool + [(code, size) for code in rooted])
-    codes = ["(" + f + ")" for f in _forests(pool, n - 1)]
+    yield from ("(" + f + ")" for f in _forests(pool, n - 1))
     if n % 2 == 0:
-        codes += ["[" + lo + hi + "]" for i, lo in enumerate(rooted) for hi in rooted[i:]]
-    return tuple(sorted(codes))
+        yield from ("[" + lo + hi + "]" for i, lo in enumerate(rooted) for hi in rooted[i:])
 
 
 def tree_count(n: int) -> int:
-    return len(_codes(n))
+    return sum(1 for _ in _codes(n))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:

@@ -2,6 +2,8 @@
 
 - ``berkowitz_charpoly``: det(tI - A) by Berkowitz, for any graph.
 - ``path_sum_bruteforce``: the path sum S_ij, path by path.
+- ``FractionPoly``: a polynomial as a plain list of Fractions, for the
+  arithmetic of ``polys.Poly`` on its content and primitive vector.
 - ``poly_sqrt``: exact polynomial square root (``NotASquareError`` if none),
   for the Wronskian route to S_ij.
 - ``squarefree_decomposition``: Yun's algorithm, for root multiplicities.
@@ -47,7 +49,6 @@ from pstlab.polys import (
     _berkowitz,
     _bisect,
     _div,
-    _int_primitive,
     _int_sign_at,
     _positive,
     _rational,
@@ -60,6 +61,65 @@ from pstlab.polys import (
     poly_gcd,
     real_roots,
 )
+
+
+class FractionPoly:
+    """A polynomial as the list of its Fraction coefficients, low degree
+    first, trailing zeros stripped; ``exact_div`` is long division over Q
+    with a remainder test."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.cs = cs
+
+    def __eq__(self, other) -> bool:
+        return self.cs == other.cs
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.cs))
+
+    def __add__(self, other: "FractionPoly") -> "FractionPoly":
+        n = max(len(self.cs), len(other.cs))
+        pad = [0] * n
+        return FractionPoly(a + b for a, b in zip(self.cs + pad, other.cs + pad))
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(-c for c in self.cs)
+
+    def __sub__(self, other: "FractionPoly") -> "FractionPoly":
+        return self + -other
+
+    def __mul__(self, other: "FractionPoly") -> "FractionPoly":
+        out = [Fraction(0)] * (len(self.cs) + len(other.cs))
+        for k, a in enumerate(self.cs):
+            for m, b in enumerate(other.cs):
+                out[k + m] += a * b
+        return FractionPoly(out)
+
+    def scale(self, c) -> "FractionPoly":
+        return FractionPoly(a * c for a in self.cs)
+
+    def exact_div(self, other: "FractionPoly") -> "FractionPoly":
+        rem, b = list(self.cs), other.cs
+        quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = rem[k + len(b) - 1] / b[-1]
+            for m, y in enumerate(b):
+                rem[k + m] -= c * y
+        if any(rem):
+            raise PolyError("division is not exact")
+        return FractionPoly(quot)
+
+    def monic(self) -> "FractionPoly":
+        return self.scale(1 / self.cs[-1]) if self.cs else self
+
+    def derivative(self) -> "FractionPoly":
+        return FractionPoly(k * c for k, c in enumerate(self.cs) if k)
+
+    def __call__(self, x):
+        return sum(c * x ** k for k, c in enumerate(self.cs))
 
 
 class NotASquareError(PolyError):
@@ -208,12 +268,12 @@ class BisectionRoots(RealRoots):
     def __init__(self, p: Poly):
         if p.is_zero():
             raise PolyError("cannot isolate roots of the zero polynomial")
-        fi = _positive(_int_primitive(p))
+        fi = _positive(p.vector)
         chain = _sturm_chain_int(fi) if len(fi) > 1 else []
         self.repeated: Optional[Poly] = None
         if chain and len(chain[-1]) > 1:
             self.repeated = Poly(_positive(chain[-1]))
-            fi = _positive(_int_primitive(Poly(fi).exact_div(self.repeated)))
+            fi = _positive(Poly(fi).exact_div(self.repeated).vector)
             chain = _sturm_chain_int(fi)
         self.fi = fi
         self.poly = Poly(fi)

@@ -1,3 +1,5 @@
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import cycle, grid, random_weighted_graph, seeded_mirror_graphs, trees_up_to
 from oracles import (
+    FractionPoly,
     NotASquareError,
     berkowitz_charpoly,
+    bisection_boxes,
     box_has_root,
     compare_roots,
     halve,
@@ -94,15 +98,63 @@ def test_poly_immutable():
         p.coeffs = (5,)
 
 
-def test_scaled_ints_match_the_fraction_products():
+def test_content_split_matches_the_fraction_coefficients():
     seen = []
     for G in seeded_mirror_graphs(41, 12):
         seen += [charpoly(G), *vertex_deleted_charpolys(G)]
         seen += [path_sum_poly(G, 0, j) for j in range(1, G.n)]
-    assert sum(polys._scaled_ints(p)[1] > 1 for p in seen) > 50
+    assert sum(type(p.content) is Fraction for p in seen) > 50
     for p in seen:
-        cs, scale = polys._scaled_ints(p)
-        assert list(cs) == [int(c * scale) for c in p.coeffs]
+        assert p.content > 0 and math.gcd(*p.vector) == 1
+        assert [c * p.content for c in p.vector] == list(p.coeffs)
+
+
+# a coefficient: small, above 2^64, or rational
+_coeff = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-2**80, 2**80),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def _matches(p: Poly, ref: FractionPoly) -> None:
+    """p equals the reference and keeps its representation's invariants."""
+    assert list(p.coeffs) == ref.cs
+    assert all(type(c) is int or c.denominator > 1 for c in p.coeffs)
+    assert p.content > 0 and (type(p.content) is int or p.content.denominator > 1)
+    if p.is_zero():
+        assert p.vector == () and p.content == 1
+    else:
+        assert math.gcd(*p.vector) == 1 and all(type(c) is int for c in p.vector)
+        assert [c * p.content for c in p.vector] == ref.cs
+    if p.content == 1:
+        assert p.coeffs is p.vector
+    for twin in (Poly(p.coeffs), Poly(ref.cs), Poly._of(p.vector, p.content),
+                 pickle.loads(pickle.dumps(p))):
+        assert twin == p and hash(twin) == hash(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coeff, max_size=6), st.lists(_coeff, max_size=6), _coeff,
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_poly_arithmetic_matches_the_fraction_list_reference(a, b, c, x):
+    p, q = Poly(a), Poly(b)
+    rp, rq = FractionPoly(a), FractionPoly(b)
+    for got, want in [(p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                      (p * q, rp * rq), (p.scale(c), rp.scale(c)), (c * p, rp.scale(c)),
+                      (p.monic(), rp.monic()), (p.derivative(), rp.derivative())]:
+        _matches(got, want)
+    if not q.is_zero():
+        _matches((p * q).exact_div(q), rp)
+        try:
+            want = rp.exact_div(rq)
+        except PolyError:
+            with pytest.raises(PolyError):
+                p.exact_div(q)
+        else:
+            _matches(p.exact_div(q), want)
+    assert p(x) == rp(x) and p(3) == rp(3)
+    assert (p == q) == (rp == rq)
 
 
 def test_json_round_trip():
@@ -442,11 +494,11 @@ def test_lazy_support_boxes_resume_to_isolate_real_roots():
     for sup in supports:
         assert real_roots(sup).boxes() == isolate_real_roots(sup)
     assert len(supports) > 100
-    # a root refined past 2^-40 still reports the box it had at 2^-40
+    # the shared boxes are those of a fresh isolation and of the oracle
     p = Poly([-2, 0, 1])
+    assert isolate_real_roots(p) == RealRoots(p).boxes() == bisection_boxes(p)
     roots = RealRoots(p)
     roots.narrow(1, Fraction(1, 2**70))
-    assert roots.boxes() == isolate_real_roots(p)
     lo, hi, d = roots.interval(1)
     assert (hi - lo) * 2**70 < d and lo * lo < 2 * d * d < hi * hi
 

@@ -79,6 +79,8 @@ def test_fit_rejects_golden_ratio_support():
 
 def test_fit_rejects_non_integer_polys():
     assert fit_quadratic_spectrum(Poly([Fraction(1, 2), 1])) is None
+    for p in (Poly([4, -6, 2]), Poly([-4, 0, 2])):  # 2 (t - 1)(t - 2), 2 (t^2 - 2): not monic
+        assert fit_quadratic_spectrum(p) is None and _centred_squares(p) is None
     assert fit_quadratic_spectrum(Poly([1, 1, 1, 1])) is None  # complex roots
 
 

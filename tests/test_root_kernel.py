@@ -59,7 +59,8 @@ def assert_matches_oracle(p: Poly) -> None:
     new, old = RealRoots(p), BisectionRoots(p)
     assert _intervals(new) == _intervals(old)  # the isolating intervals
     assert new.repeated == old.repeated
-    assert new.boxes() == old.boxes()
+    boxes = old.boxes()
+    assert new.boxes() == boxes
     for k in range(len(new)):
         assert _fractions(new.narrow(k, FINE)) == _fractions(old.narrow(k, FINE))
     assert new.boxes() == old.boxes()
@@ -69,7 +70,7 @@ def assert_matches_oracle(p: Poly) -> None:
     for D in (1, 2):
         new = RealRoots(p)
         assert roots_within(new, D) == refinement_within(BisectionRoots(p), D)
-        assert new.boxes() == old.boxes()
+        assert new.boxes() == boxes
     # single halvings first, as decisions take them, then a deep refinement
     new, old = RealRoots(p), BisectionRoots(p)
     for k in range(len(new)):
@@ -261,19 +262,21 @@ def test_open_gaps_are_decided_by_signs_without_refinement(monkeypatch):
         assert refinement_within(BisectionRoots(p), D) is verdict
 
 
-def test_narrow_past_box_width_keeps_the_box_width_box():
-    # boxes() after a refinement below BOX_WIDTH reports the box at the
-    # first width below BOX_WIDTH, not the finer one
+def test_narrow_past_box_width_reaches_the_oracle_box():
+    # boxes() gives the boxes at the first width below BOX_WIDTH, and a
+    # refinement past BOX_WIDTH reaches the box that bisection reaches
     p = Poly([-2, 0, 1]) * Poly([-3, 0, 0, 1]) * Poly([-1, 7])
-    roots = RealRoots(p)
-    for k in range(len(roots)):
-        assert _width(roots.interval(k)) >= BOX_WIDTH
-        roots.narrow(k, FINE)
-        assert _width(roots.interval(k)) < FINE
-    boxes = roots.boxes()
+    boxes = RealRoots(p).boxes()
     assert boxes == BisectionRoots(p).boxes()
     for box in boxes:
         assert BOX_WIDTH / 2 <= box.hi - box.lo < BOX_WIDTH
+    roots, oracle = RealRoots(p), BisectionRoots(p)
+    for k in range(len(roots)):
+        assert _width(roots.interval(k)) >= BOX_WIDTH
+        lo, hi, d = roots.narrow(k, FINE)
+        assert _width((lo, hi, d)) < FINE
+        olo, ohi, od = oracle.narrow(k, FINE)
+        assert (Fraction(lo, d), Fraction(hi, d)) == (Fraction(olo, od), Fraction(ohi, od))
 
 
 def test_refinement_takes_fewer_evaluations_than_bisection(monkeypatch):
@@ -396,7 +399,7 @@ def test_even_and_odd_polynomials_are_counted_on_the_half_degree_chain(monkeypat
 def test_fujiwara_bound_is_strict(p):
     # a root equal to the unrounded bound (t - 1: 2 |c_0 / 2|) still lies
     # below the bound, and so does every root of the oracle's boxes
-    fi = polys._int_primitive(p)
+    fi = p.vector
     bound = Fraction(*polys._fujiwara(fi))
     assert all(max(-b.lo, b.hi) < bound for b in bisection_boxes(p))
 

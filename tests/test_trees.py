@@ -211,5 +211,5 @@ def _graph_codes(n, memo={1: ("()",)}):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_codes_and_trees_match_the_graph_based_generator(n):
-    assert _codes(n) == _graph_codes(n)
+    assert tuple(_codes(n)) == _graph_codes(n)
     assert list(enumerate_trees(n)) == [_graph_from_code(c) for c in _graph_codes(n)]
