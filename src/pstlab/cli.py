@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success (or PST found), 1 no PST, 2 parse error, 3 invalid
-vertices, 4 Laplacian with non-integer weights or a loop, 5 scan invariant
-violation (or a gap-certificate violation in analyze, or a failed exact
-check in decide-pst), 6 unwritable output path or closed standard output.
+Exit codes: 0 success (or PST found), 1 no PST, 2 parse or usage error,
+3 invalid vertices, 4 Laplacian with non-integer weights or a loop, 5 scan
+invariant violation (or a gap-certificate violation in analyze, or a failed
+exact check in decide-pst), 6 unwritable output path or closed standard
+output.
 """
 from __future__ import annotations
 
@@ -260,14 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call, not at import, and kept for the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
+        args = _parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
     except SystemExit as exc:
-        # helpers signal parse/vertex/output failures via SystemExit
+        # argparse exits 2 on a usage error and 0 after --help, and the
+        # helpers signal parse/vertex/output failures the same way
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except BrokenPipeError:
         # the reader closed standard output; what is left in its buffer goes

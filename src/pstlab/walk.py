@@ -19,7 +19,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @lru_cache(maxsize=4096)
 def _eigendecomposition(G: Graph) -> tuple[np.ndarray, np.ndarray]:
-    A = np.array([[float(w) for w in row] for row in G.adjacency_rows()])
+    A = np.zeros((G.n, G.n))
+    for u, v, w in G.edges:
+        A[u, v] = A[v, u] = float(w)
     evals, evecs = np.linalg.eigh(A)
     return evals, evecs
 

@@ -350,3 +350,106 @@ def test_graph6_input(tmp_path, capsys):
     code, payload = run_json(capsys, ["decide-pst", str(f), "0", "3"])
     assert code == 1
     assert payload["result"] == "NO_PST"
+
+
+@pytest.fixture
+def unbuilt_parser(monkeypatch):
+    """No parser built yet, whatever ran before, and a count of the builds."""
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    return builds
+
+
+USAGE_ERRORS = [
+    ["decide-pst"],
+    ["bogus"],
+    ["decide-pst", "P3", "0"],
+    ["analyze", "P3", "zero", "2"],
+    ["decide-pst", "P3", "0", "2", "--matrix", "incidence"],
+    ["--format", "yaml", "bound", "P4", "0", "3"],
+]
+
+
+def _argv(argv, p3_file, p4_file):
+    return [{"P3": p3_file, "P4": p4_file}.get(arg, arg) for arg in argv]
+
+
+def test_parser_is_built_once_per_process(capsys, unbuilt_parser, p3_file, p4_file):
+    assert not unbuilt_parser
+    for _ in range(3):
+        assert main(["decide-pst", p3_file, "0", "2"]) == 0
+        assert main(["bogus"]) == 2
+        assert main(["analyze", p4_file, "0", "3"]) == 0
+    assert len(unbuilt_parser) == 1
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_error_returns_2(capsys, p3_file, p4_file, argv):
+    assert main(_argv(argv, p3_file, p4_file)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pstlab")
+    assert "Traceback" not in captured.err
+
+
+def test_help_returns_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pstlab")
+    assert main(["decide-pst", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pstlab decide-pst")
+
+
+def test_a_usage_error_leaves_the_next_call_intact(capsys, p3_file):
+    code, fresh = run_json(capsys, ["decide-pst", p3_file, "0", "2"])
+    assert main(["decide-pst", p3_file, "0", "2", "--matrix", "incidence"]) == 2
+    capsys.readouterr()
+    assert run_json(capsys, ["decide-pst", p3_file, "0", "2"]) == (code, fresh)
+    assert main(["--format", "text", "decide-pst", p3_file, "0"]) == 2
+    capsys.readouterr()
+    assert run_json(capsys, ["decide-pst", p3_file, "0", "2"]) == (code, fresh)
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(capsys, monkeypatch, p3_file, p4_file):
+    calls = [
+        ["analyze", "P4", "0", "3"],
+        ["bogus"],
+        ["decide-pst", "P3", "0", "2"],
+        ["decide-pst", "P3", "0", "2", "--matrix", "laplacian"],
+        ["decide-pst", "P3", "0"],
+        ["decide-pst", "P4", "0", "3", "--matrix", "adjacency"],
+        ["bound", "P4", "0", "3"],
+        ["--format", "yaml", "bound", "P4", "0", "3"],
+        ["bridge-check", "P4", "1", "2"],
+        ["--format", "text", "analyze", "P4", "0", "3"],
+        ["analyze", "P3", "zero", "2"],
+        ["--format", "text", "decide-pst", "P3", "0", "2"],
+    ]
+
+    def run(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            code = main(_argv(argv, p3_file, p4_file))
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = run(fresh=False)
+    assert run(fresh=True) == reused
+    assert [code for code, _, _ in reused] == [0, 2, 0, 1, 2, 1, 0, 2, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["decide-pst", "P3", "0"]], ids=" ".join)
+def test_module_usage_error_exits_2_with_the_usage_text(capsys, p3_file, p4_file, argv):
+    argv = _argv(argv, p3_file, p4_file)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pstlab.__file__))}
+    out = subprocess.run([sys.executable, "-m", "pstlab.cli", *argv], capture_output=True,
+                         env=env, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == err

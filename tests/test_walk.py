@@ -1,12 +1,16 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pstlab.graphs import hypercube, path, star
+from pstlab.graphs import Graph, hypercube, path, star
 from pstlab.pst import decide_pst
 from pstlab.walk import (
+    _eigendecomposition,
     amplitude,
     amplitudes_on_grid,
     fidelity,
@@ -98,3 +102,23 @@ def test_verify_certificate_requires_positive_result():
     cert = decide_pst(path(4), 0, 3)
     with pytest.raises(ValueError):
         verify_certificate(path(4), cert)
+
+
+# loops, signed and rational weights, isolated vertices
+weighted_graphs = st.integers(1, 8).flatmap(
+    lambda n: st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        max_size=3 * n,
+    ).map(lambda weights: Graph.from_edges(n, [(u, v, w) for (u, v), w in weights.items()]))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_graphs)
+def test_eigendecomposition_of_the_edge_list_matches_the_dense_rows(G):
+    A = np.array([[float(w) for w in row] for row in G.adjacency_rows()])
+    evals, evecs = np.linalg.eigh(A)
+    got_evals, got_evecs = _eigendecomposition(G)
+    assert np.array_equal(got_evals, evals)
+    assert np.array_equal(got_evecs, evecs)
